@@ -145,11 +145,6 @@ class ManifoldIndex:
         return out
 
 
-def manifold_contains(query: np.ndarray, index: ManifoldIndex) -> bool:
-    """True iff the query falls within the k-NN hypersphere of any index point."""
-    return bool(index.contains(np.asarray(query, dtype=np.float64)[None, :])[0])
-
-
 def precision(
     real_emb: EmbeddingMatrix | np.ndarray,
     gen_emb: EmbeddingMatrix | np.ndarray,

@@ -218,10 +218,14 @@ def temporal_order_eval(
             f"segment and text embeddings must share (n, P, d), got {seg.shape} vs {txt.shape}"
         )
     n, p, _ = seg.shape
-    seg_n = seg / np.linalg.norm(seg, axis=2, keepdims=True)
-    txt_n = txt / np.linalg.norm(txt, axis=2, keepdims=True)
-    if not (np.all(np.isfinite(seg_n)) and np.all(np.isfinite(txt_n))):
-        raise ContractViolation("zero-norm embedding row")
+    seg_norm = np.linalg.norm(seg, axis=2, keepdims=True)
+    txt_norm = np.linalg.norm(txt, axis=2, keepdims=True)
+    # checked before dividing, so a zero row raises without a NumPy warning
+    for norm in (seg_norm, txt_norm):
+        if not np.all(np.isfinite(norm) & (norm > 0)):
+            raise ContractViolation("zero-norm embedding row")
+    seg_n = seg / seg_norm
+    txt_n = txt / txt_norm
     sims = np.einsum("npd,nqd->npq", seg_n, txt_n)
     retrieved = sims.argmax(axis=2)  # (n, P)
     confusion = np.zeros((p, p))

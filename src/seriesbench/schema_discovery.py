@@ -25,7 +25,6 @@ so no live language model is ever required.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -36,9 +35,10 @@ from seriesbench.core import (
     Attribute,
     AttributeSchema,
     ContractViolation,
+    InputFormatError,
     ProposerError,
 )
-from seriesbench.tensorfile import canonical_json
+from seriesbench.tensorfile import canonical_json, load_json
 
 OTHER_VALUE = "other"
 
@@ -144,8 +144,11 @@ class MockProposer:
 
     @classmethod
     def from_rules_file(cls, path: str | Path) -> "MockProposer":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(schema_doc=doc["schema"], keywords=doc.get("keywords", {}))
+        doc = load_json(path)
+        try:
+            return cls(schema_doc=doc["schema"], keywords=doc.get("keywords", {}))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InputFormatError(f'{path}: bad rules file, needs a "schema" object: {exc!r}') from exc
 
     def __call__(self, request: dict) -> dict:
         task = request.get("task")
@@ -400,7 +403,10 @@ class LabelIndex:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "LabelIndex":
-        return cls(combos=tuple(tuple(int(v) for v in c) for c in doc["combos"]))
+        try:
+            return cls(combos=tuple(tuple(int(v) for v in c) for c in doc["combos"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputFormatError(f"malformed combination table: {exc!r}") from exc
 
 
 def index_labels(attr_vectors: Sequence[Sequence[int]]) -> tuple[np.ndarray, LabelIndex]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -118,64 +118,80 @@ def read_array(path: str | Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def write_conditions(records: Sequence[ConditionRecord], path: str | Path) -> None:
+def load_json(path: str | Path):
+    """Parse a JSON file; malformed JSON raises InputFormatError naming the file and line."""
+    return _parse_json(Path(path).read_text(encoding="utf-8"), path)
+
+
+def load_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
+    """Yield ``(line number, document)`` for each non-blank line of a JSONL file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, _parse_json(line, path, lineno)
+
+
+def _parse_json(text: str, path: str | Path, lineno: int = 0):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{path}:{lineno or exc.lineno}: bad JSON: {exc.msg}") from exc
+
+
+def dump_jsonl(docs: Iterable[Mapping], path: str | Path) -> None:
+    """Write one compact, key-sorted JSON object per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            doc = {
-                "sample_id": rec.sample_id,
-                "text": rec.text,
-                "attrs": dict(rec.attrs),
-                "label": rec.label,
-            }
+        for doc in docs:
             fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
             fh.write("\n")
 
 
+def dump_json(obj, path: str | Path) -> None:
+    """Write ``obj`` as canonical JSON plus a trailing newline."""
+    Path(path).write_text(canonical_json(obj) + "\n", encoding="utf-8")
+
+
+def write_conditions(records: Sequence[ConditionRecord], path: str | Path) -> None:
+    dump_jsonl(
+        (
+            {"sample_id": rec.sample_id, "text": rec.text, "attrs": dict(rec.attrs), "label": rec.label}
+            for rec in records
+        ),
+        path,
+    )
+
+
 def read_conditions(path: str | Path) -> list[ConditionRecord]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                records.append(
-                    ConditionRecord(
-                        sample_id=str(doc["sample_id"]),
-                        text=str(doc["text"]),
-                        attrs={str(k): int(v) for k, v in doc["attrs"].items()},
-                        label=int(doc["label"]),
-                    )
+    for lineno, doc in load_jsonl(path):
+        try:
+            records.append(
+                ConditionRecord(
+                    sample_id=str(doc["sample_id"]),
+                    text=str(doc["text"]),
+                    attrs={str(k): int(v) for k, v in doc["attrs"].items()},
+                    label=int(doc["label"]),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise InputFormatError(f"{path}:{lineno}: bad condition record: {exc}") from exc
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InputFormatError(f"{path}:{lineno}: bad condition record: {exc}") from exc
     return records
 
 
 def write_schema(schema: AttributeSchema, path: str | Path) -> None:
-    Path(path).write_text(canonical_json(schema.to_dict()) + "\n", encoding="utf-8")
+    dump_json(schema.to_dict(), path)
 
 
 def read_schema(path: str | Path) -> AttributeSchema:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path}: bad schema JSON: {exc}") from exc
-    return AttributeSchema.from_dict(doc)
+    return AttributeSchema.from_dict(load_json(path))
 
 
 def write_splits(splits: Mapping[str, Sequence[int]], path: str | Path) -> None:
-    doc = {name: [int(i) for i in idx] for name, idx in splits.items()}
-    Path(path).write_text(canonical_json(doc) + "\n", encoding="utf-8")
+    dump_json({name: [int(i) for i in idx] for name, idx in splits.items()}, path)
 
 
 def read_splits(path: str | Path) -> dict[str, list[int]]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path}: bad splits JSON: {exc}") from exc
-    return {str(k): [int(i) for i in v] for k, v in doc.items()}
+    return {str(k): [int(i) for i in v] for k, v in load_json(path).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +259,12 @@ def report_to_dict(report: MetricReport) -> dict:
 
 def emit_report(report: MetricReport, path: str | Path) -> None:
     """Write a metric report as canonical JSON; equal reports are byte-equal."""
-    Path(path).write_text(canonical_json(report_to_dict(report)) + "\n", encoding="utf-8")
+    dump_json(report_to_dict(report), path)
 
 
 def read_report(path: str | Path) -> MetricReport:
+    doc = load_json(path)
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         ctx = ReportContext(
             dataset_id=str(doc["context"]["dataset_id"]),
             model_id=str(doc["context"]["model_id"]),
@@ -262,6 +278,6 @@ def read_report(path: str | Path) -> MetricReport:
             )
             for e in doc["entries"]
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: bad report JSON: {exc}") from exc
     return MetricReport(entries=entries, context=ctx)

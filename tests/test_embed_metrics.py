@@ -14,7 +14,6 @@ from seriesbench.embed_metrics import (
     j_ftsd,
     joint_embed,
     joint_precision_recall,
-    manifold_contains,
     matrix_sqrt_psd,
     precision,
     recall,
@@ -150,20 +149,20 @@ def test_frechet_dimension_mismatch():
 
 def test_contains_index_point():
     index = ManifoldIndex.build(np.array([[0.0], [1.0], [3.0]]), k=1)
-    assert manifold_contains(np.array([1.0]), index)
+    assert index.contains(np.array([[1.0]]))[0]
 
 
 def test_contains_one_dimensional_example():
     index = ManifoldIndex.build(np.array([[0.0], [1.0], [3.0]]), k=1)
     assert np.allclose(index.radii, [1.0, 1.0, 2.0])
-    assert manifold_contains(np.array([2.0]), index)
-    assert not manifold_contains(np.array([6.0]), index)
+    assert index.contains(np.array([[2.0]]))[0]
+    assert not index.contains(np.array([[6.0]]))[0]
 
 
 def test_contains_closed_ball_boundary():
     index = ManifoldIndex.build(np.array([[0.0], [2.0], [10.0], [12.0]]), k=1)
     # radius of point 0 is exactly 2; a query at distance exactly 2 is inside
-    assert manifold_contains(np.array([-2.0]), index)
+    assert index.contains(np.array([[-2.0]]))[0]
 
 
 def test_identical_sets_perfect_scores():

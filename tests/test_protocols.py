@@ -345,3 +345,11 @@ def test_drop_rate_affine_invariant():
         a, b = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
         shifted = drop_rate(a * real + b, a * gen + b, a * rand + b)
         assert shifted == pytest.approx(base, abs=1e-12)
+
+
+def test_temporal_zero_norm_row_raises_without_warning():
+    # the suite turns warnings into errors, so a divide warning would fail here first
+    seg = np.ones((3, 4, 2))
+    seg[1, 2] = 0.0
+    with pytest.raises(ContractViolation, match="zero-norm"):
+        temporal_order_eval(seg, np.ones((3, 4, 2)))
