@@ -2,9 +2,15 @@
 
 DTW uses the classic O(N*M) dynamic program with Euclidean point cost over
 full feature vectors and no warping window; boundary cells carry +inf so they
-never win a min.  CRPS is the empirical two-sample form
-``mean|x - y| - mean|x - x'| / 2`` evaluated per (sample, timestep, feature)
-via the sorted-prefix identity, which is exact and O(K log K) per cell.
+never win a min.  One kernel evaluates it for a whole batch of pairs: it
+sweeps the anti-diagonals i + j = s of every pair at once, keeping only the
+last two diagonals, and chunks the pairs so each chunk's cost matrices stay
+within a fixed byte budget.  ``dtw`` is the one-pair case and ``dtw_score``
+sends all n*K pairs of a bundle through it.
+
+CRPS is the empirical two-sample form ``mean|x - y| - mean|x - x'| / 2``
+evaluated per (sample, timestep, feature) via the sorted-prefix identity,
+which is exact and O(K log K) per cell.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from seriesbench.core import ContractViolation, TimeSeriesTensor, as_series_array
 
-_SMALL_DP_CELLS = 1024
+_CHUNK_BYTES = 16 << 20  # cost-matrix budget per chunk of DTW pairs
 
 
 @dataclass(frozen=True)
@@ -69,39 +75,54 @@ def dtw(x: np.ndarray, y: np.ndarray) -> float:
     yp = _as_points(y)
     if xp.shape[1] != yp.shape[1]:
         raise ContractViolation(f"feature mismatch: {xp.shape[1]} vs {yp.shape[1]}")
-    diff = xp[:, None, :] - yp[None, :, :]
-    cost = np.sqrt((diff**2).sum(axis=2))
-    n, m = cost.shape
-    if n * m <= _SMALL_DP_CELLS:
-        return _dtw_loop(cost)
-    return _dtw_wavefront(cost)
+    return float(_dtw_batch(xp[None], yp[None])[0])
 
 
-def _dtw_loop(cost: np.ndarray) -> float:
-    n, m = cost.shape
-    inf = np.inf
-    prev = [0.0] + [inf] * m
-    for i in range(n):
-        row = cost[i]
-        cur = [inf] * (m + 1)
-        for j in range(m):
-            cur[j + 1] = row[j] + min(prev[j + 1], cur[j], prev[j])
-        prev = cur
-    return float(prev[m])
+def _dtw_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """DTW distances of the pairs (x[p], y[p]); x is (P, N, F), y is (P, M, F).
+
+    Pairs are swept in chunks whose cost matrices fit ``_CHUNK_BYTES``.
+    """
+    p, n, f = x.shape
+    m = y.shape[1]
+    chunk = max(1, _CHUNK_BYTES // (8 * (n * m * (f + 1) + 3 * (n + 1))))
+    out = np.empty(p)
+    for start in range(0, p, chunk):
+        out[start:start + chunk] = _dtw_sweep(x[start:start + chunk], y[start:start + chunk])
+    return out
 
 
-def _dtw_wavefront(cost: np.ndarray) -> float:
-    # anti-diagonal sweep: cell (i, j) only needs diagonals s-1 and s-2
-    n, m = cost.shape
-    acc = np.full((n + 1, m + 1), np.inf)
-    acc[0, 0] = 0.0
-    for s in range(2, n + m + 1):
-        i = np.arange(max(1, s - m), min(n, s - 1) + 1)
-        j = s - i
-        best = np.minimum(acc[i - 1, j], acc[i, j - 1])
-        np.minimum(best, acc[i - 1, j - 1], out=best)
-        acc[i, j] = cost[i - 1, j - 1] + best
-    return float(acc[n, m])
+def _dtw_sweep(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Layout (row, col, pair): the pair axis is innermost so every DP operand
+    # is a contiguous block.  With y reversed, column M-1-j holds y[j] and the
+    # cells of anti-diagonal s = i + j sit at a fixed stride M+1 in the
+    # flattened cost matrix, so each diagonal's cost is a basic-slice view.
+    p, n, _ = x.shape
+    m = y.shape[1]
+    cost = x.transpose(1, 0, 2)[:, None] - y[:, ::-1].transpose(1, 0, 2)[None]
+    np.square(cost, out=cost)
+    cost = cost.sum(axis=-1)
+    np.sqrt(cost, out=cost)
+    cost = cost.reshape(n * m, p)
+    step = m + 1
+    # Rolling diagonals indexed by i: row i of the buffer for diagonal s holds
+    # D(i, s - i).  Rows never written stay +inf, which are exactly the
+    # borders D(0, j) and D(i, 0) that later diagonals read.  Diagonal 2 is
+    # D(1, 1) = c(1, 1) + D(0, 0); adding 0.0 changes no bit, so it is seeded
+    # directly and the sweep starts at s = 3.
+    older = np.full((n + 1, p), np.inf)
+    last = np.full((n + 1, p), np.inf)
+    last[1] = cost[m - 1]
+    best = np.empty((n + 1, p))
+    for s in range(3, n + m + 1):
+        lo, hi = max(1, s - m), min(n, s - 1)
+        first = (lo - 1) * step + m + 1 - s
+        b = best[lo:hi + 1]
+        np.minimum(last[lo - 1:hi], last[lo:hi + 1], out=b)
+        np.minimum(b, older[lo - 1:hi], out=b)
+        np.add(cost[first:first + (hi - lo) * step + 1:step], b, out=older[lo:hi + 1])
+        last, older = older, last
+    return last[n].copy()
 
 
 def dtw_score(refs: TimeSeriesTensor | np.ndarray, bundle: GenerationBundle) -> float:
@@ -111,10 +132,14 @@ def dtw_score(refs: TimeSeriesTensor | np.ndarray, bundle: GenerationBundle) -> 
         raise ContractViolation(
             f"refs {r.shape} do not align with bundle {bundle.data.shape}"
         )
+    n, k, length, f = bundle.data.shape
+    if length < 1:
+        raise ContractViolation("series must be non-empty")
+    pairs = _dtw_batch(np.repeat(r, k, axis=0), bundle.data.reshape(n * k, length, f))
     total = 0.0
-    for i in range(r.shape[0]):
-        total += min(dtw(r[i], bundle.data[i, k]) for k in range(bundle.k))
-    return total / r.shape[0]
+    for best in pairs.reshape(n, k).min(axis=1).tolist():
+        total += best  # sequential sum: np.mean differs in the last ulp
+    return total / n
 
 
 # ---------------------------------------------------------------------------

@@ -236,10 +236,10 @@ def validate_dataset(
     """Cross-check a (series, conditions, schema) triple.
 
     Reported violations: sample-count mismatch, attribute names outside the
-    schema, value indices out of range, non-finite series values, and label
-    inconsistency (two records with identical attribute vectors must carry
-    the same label).  A passing report is the precondition every metric
-    operation assumes.
+    schema, schema attributes a record lacks, value indices out of range,
+    non-finite series values, and label inconsistency (two records with
+    identical attribute vectors must carry the same label).  A passing report
+    is the precondition every metric operation assumes.
     """
     violations: list[str] = []
     if series.n_samples != len(conditions):
@@ -259,6 +259,9 @@ def validate_dataset(
                 violations.append(
                     f"record {i}: value index {idx} out of range for attribute {name!r}"
                 )
+        for name in options:
+            if name not in rec.attrs:
+                violations.append(f"record {i}: missing attribute {name!r}")
         key = tuple(sorted(rec.attrs.items()))
         if key in label_by_vector:
             if label_by_vector[key] != rec.label:

@@ -168,13 +168,18 @@ def retrieval_acc1(
     if queries.size == 0:
         raise ContractViolation("no queries")
 
+    if texts is None:
+        gid = np.arange(n)
+    else:
+        if len(texts) != n:
+            raise ContractViolation(f"{len(texts)} captions for {n} embedding rows")
+        # a dict, not np.unique: fixed-width NumPy strings drop trailing NULs
+        ids: dict[str, int] = {}
+        gid = np.fromiter((ids.setdefault(t, len(ids)) for t in texts), dtype=np.int64, count=n)
+
     candidates_by_query: dict[int, np.ndarray] = {}
     for q in queries:
-        mask = np.ones(n, dtype=bool)
-        mask[q] = False
-        if texts is not None:
-            same = np.fromiter((texts[j] == texts[q] for j in range(n)), dtype=bool, count=n)
-            mask &= ~same
+        mask = gid != gid[q]
         cand = np.flatnonzero(mask)
         if cfg.pool_size - 1 > cand.size:
             raise ContractViolation(

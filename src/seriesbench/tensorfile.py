@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -78,15 +80,25 @@ def _read_tsb1(path: str | Path) -> np.ndarray:
             or not all(isinstance(d, int) and d >= 0 for d in shape)
         ):
             raise InputFormatError(f"{path}: bad shape {shape!r}")
-        count = int(np.prod(shape, dtype=np.int64))
-        expected = count * 4
+        expected = math.prod(shape) * 4  # Python ints: a huge shape cannot wrap
+        # the size of a regular file bounds the payload before anything is
+        # read, so a lying header cannot ask for more memory than the file holds
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size - len(head) < expected:
+            raise InputFormatError(
+                f"{path}: truncated payload, expected {expected} bytes, "
+                f"found {info.st_size - len(head)}"
+            )
         raw = fh.read(expected + 1)
         if len(raw) != expected:
             found = len(raw) if len(raw) < expected else f">{expected}"
             raise InputFormatError(
                 f"{path}: truncated payload, expected {expected} bytes, found {found}"
             )
-        arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+        try:
+            arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+        except ValueError as exc:  # an empty payload with an unrepresentable shape
+            raise InputFormatError(f"{path}: bad shape {shape!r}: {exc}") from exc
         if arr.size and not np.all(np.isfinite(arr)):
             raise InputFormatError(f"{path}: payload contains non-finite values")
         return arr

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from seriesbench import align_metrics
 from seriesbench.core import ContractViolation
 from seriesbench.align_metrics import (
     GenerationBundle,
-    _dtw_loop,
-    _dtw_wavefront,
+    _dtw_batch,
     crps_instance,
     crps_score,
     dtw,
@@ -59,16 +59,45 @@ def test_dtw_multivariate_uses_joint_point_cost():
     assert dtw(x, y) == pytest.approx(5.0)  # Euclidean over the feature vector
 
 
-def test_dtw_loop_and_wavefront_agree():
+def _dtw_rows(x, y):
+    """Row-by-row Python DP over the Euclidean cost matrix, the reference for the batch kernel."""
+    diff = np.asarray(x)[:, None, :] - np.asarray(y)[None, :, :]
+    cost = np.sqrt((diff**2).sum(axis=2))
+    n, m = cost.shape
+    prev = [0.0] + [math.inf] * m
+    for i in range(n):
+        cur = [math.inf] * (m + 1)
+        for j in range(m):
+            cur[j + 1] = cost[i, j] + min(prev[j + 1], cur[j], prev[j])
+        prev = cur
+    return prev[m]
+
+
+@pytest.mark.parametrize("budget", [1, 10_000, align_metrics._CHUNK_BYTES])
+@pytest.mark.parametrize(
+    "n,m,f", [(8, 8, 1), (7, 13, 1), (13, 7, 2), (1, 9, 1), (9, 1, 2), (1, 1, 2), (30, 5, 2)]
+)
+def test_dtw_batch_matches_single(n, m, f, budget, monkeypatch):
+    # budgets of one pair per chunk, a few pairs with a short last chunk, and
+    # the default (all pairs in one chunk)
+    monkeypatch.setattr(align_metrics, "_CHUNK_BYTES", budget)
+    rng = np.random.default_rng(n * 100 + m * 10 + f)
+    x = rng.normal(size=(25, n, f))
+    y = rng.normal(size=(25, m, f)) * 3.0
+    batch = _dtw_batch(x, y)
+    for p in range(25):
+        assert batch[p] == _dtw_rows(x[p], y[p]) == dtw(x[p], y[p])  # bitwise
+
+
+def test_dtw_score_matches_sequential_reference(monkeypatch):
+    monkeypatch.setattr(align_metrics, "_CHUNK_BYTES", 50_000)  # several chunks
     rng = np.random.default_rng(2)
-    for _ in range(25):
-        n = int(rng.integers(1, 40))
-        m = int(rng.integers(1, 40))
-        x = rng.normal(size=(n, 2))
-        y = rng.normal(size=(m, 2))
-        diff = x[:, None, :] - y[None, :, :]
-        cost = np.sqrt((diff**2).sum(axis=2))
-        assert _dtw_loop(cost) == pytest.approx(_dtw_wavefront(cost), abs=1e-12)
+    refs = rng.normal(size=(9, 20, 2))
+    bundle = _bundle_from(refs, 0.5, 4, seed=8)
+    total = 0.0
+    for i in range(9):
+        total += min(_dtw_rows(refs[i], bundle.data[i, k]) for k in range(4))
+    assert dtw_score(refs, bundle) == total / 9
 
 
 def test_dtw_rejects_empty():

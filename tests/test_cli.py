@@ -529,6 +529,9 @@ MALFORMED_CASES = {
     "out-is-directory": "protocol droprate --acc-real 0.9 --acc-gen 0.7 --acc-rand 0.5 --out {o}",
     "captions-not-utf8": "schema assign --captions {b}/latin1.txt --schema {i}/rules_schema.json --proposer mock:{i}/rules.json --out {o}/a.jsonl",
     "conditions-bad-attrs": "validate --series {i}/series.tsb --conditions {b}/conditions_bad.jsonl --schema {i}/schema.json",
+    "tsb1-shape-exceeds-file": "metrics align --refs {b}/huge_shape.tsb --gen-bundle {i}/bundle.tsb --k-per-sample 3 --out {o}/a.json",
+    "tsb1-shape-wraps-int64": "protocol retrieval --gen-emb {b}/wrap_shape.tsb --text-emb {i}/text_emb.tsb --pool-size 2 --out {o}/r.json",
+    "tsb1-empty-shape-too-large": "protocol retrieval --gen-emb {b}/empty_huge_shape.tsb --text-emb {i}/text_emb.tsb --pool-size 2 --out {o}/r.json",
 }
 
 
@@ -547,6 +550,13 @@ def bad_inputs(tmp_path_factory):
     (d / "conditions_bad.jsonl").write_text(
         '{"attrs": [], "label": 0, "sample_id": "s-0", "text": "a"}\n'
     )
+    # headers whose shapes claim far more payload than the file holds (the
+    # second one's element count is 2**64, which wraps to 0 in int64), and a
+    # zero-element shape no array can take
+    shapes = {"huge_shape": [100_000_000_000, 96, 1], "wrap_shape": [2**32, 2**32], "empty_huge_shape": [0, 2**70]}
+    for name, shape in shapes.items():
+        header = {"byte_order": "little", "dtype": "f32", "magic": "TSB1", "order": "row_major", "shape": shape}
+        (d / f"{name}.tsb").write_bytes(json.dumps(header).encode() + b"\n")
     return d
 
 
@@ -570,3 +580,19 @@ def test_malformed_input_via_module_has_no_traceback(contract_inputs, bad_inputs
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "attrs_missing.jsonl:2" in proc.stderr
+
+
+@pytest.mark.parametrize("rows", [10, 70])
+def test_retrieval_caption_count_mismatch_exits_3(rows, contract_inputs, tmp_path, capsys):
+    # gen_emb.tsb and text_emb.tsb hold 64 rows
+    lines = (contract_inputs / "conditions.jsonl").read_text().splitlines()[:rows]
+    conditions = tmp_path / "conditions.jsonl"
+    conditions.write_text("\n".join(lines) + "\n")
+    argv = _argv(
+        "protocol retrieval --gen-emb {i}/gen_emb.tsb --text-emb {i}/text_emb.tsb "
+        "--conditions {c} --pool-size 2 --out {o}/r.json",
+        i=contract_inputs, c=conditions, o=tmp_path,
+    )
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"contract violation: {rows} captions for 64 embedding rows"]

@@ -104,6 +104,13 @@ def test_validate_unknown_attribute(schema):
     assert any("unknown attribute" in v for v in report.violations)
 
 
+def test_validate_missing_attribute(schema):
+    series = TimeSeriesTensor(data=np.zeros((2, 4, 1)))
+    conditions = [_record(0, {"color": 0, "size": 1}), _record(1, {"size": 0})]
+    report = validate_dataset(series, conditions, schema)
+    assert report.violations == ("record 1: missing attribute 'color'",)
+
+
 def test_validate_label_inconsistency(schema):
     series = TimeSeriesTensor(data=np.zeros((2, 4, 1)))
     conditions = [

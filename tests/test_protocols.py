@@ -175,6 +175,56 @@ def test_caption_dedup_removes_tied_distractor():
     assert retrieval_acc1(gen, text, cfg, texts=texts, query_indices=[0]) == 1.0
 
 
+def test_caption_dedup_keeps_trailing_nul_captions_apart():
+    # 'a' and 'a\x00' are different captions, so the tied distractor stays
+    text = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    gen = np.array([[1.0, 0.0], [0.3, 1.0], [0.0, 1.0]])
+    cfg = RetrievalConfig(pool_size=3, repeats=1, seed=0)
+    texts = ["a", "a\x00", "b"]
+    assert retrieval_acc1(gen, text, cfg, texts=texts, query_indices=[0]) == 0.0
+
+
+def _retrieval_string_masks(gen, text, cfg, texts, query_indices=None):
+    """Reference: retrieval_acc1 with per-query caption string comparison."""
+    gen = gen / np.linalg.norm(gen, axis=1, keepdims=True)
+    text = text / np.linalg.norm(text, axis=1, keepdims=True)
+    n = gen.shape[0]
+    queries = range(n) if query_indices is None else query_indices
+    per_repeat = []
+    for repeat in range(cfg.repeats):
+        hits = 0
+        for q in queries:
+            same = np.array([texts[j] == texts[q] for j in range(n)])
+            cand = np.flatnonzero(~same)
+            seed = np.random.SeedSequence((cfg.seed, repeat, q))
+            rng = np.random.Generator(np.random.Philox(seed=seed))
+            distractors = rng.choice(cand, size=cfg.pool_size - 1, replace=False)
+            hits += float(gen[q] @ text[q]) > float((text[distractors] @ gen[q]).max())
+        per_repeat.append(hits / len(queries))
+    return float(np.mean(per_repeat))
+
+
+@pytest.mark.parametrize("query_indices", [None, list(range(1, 40, 3))])
+def test_retrieval_caption_ids_match_string_masks(query_indices):
+    rng = np.random.default_rng(21)
+    vocab = ["a", "a\x00", "b", "a b", "", "\x00"]
+    texts = [vocab[i] for i in rng.integers(0, len(vocab), size=40)]
+    text = rng.normal(size=(40, 4))
+    gen = text + 0.9 * rng.normal(size=(40, 4))
+    cfg = RetrievalConfig(pool_size=4, repeats=6, seed=3)
+    got = retrieval_acc1(gen, text, cfg, texts=texts, query_indices=query_indices)
+    assert got == _retrieval_string_masks(gen, text, cfg, texts, query_indices)
+
+
+@pytest.mark.parametrize("n_texts", [19, 21])
+def test_retrieval_rejects_caption_count_mismatch(n_texts):
+    rng = np.random.default_rng(6)
+    gen = rng.normal(size=(20, 3))
+    cfg = RetrievalConfig(pool_size=3, repeats=1, seed=0)
+    with pytest.raises(ContractViolation, match=f"{n_texts} captions for 20 embedding rows"):
+        retrieval_acc1(gen, gen, cfg, texts=["t"] * n_texts)
+
+
 def test_retrieval_invariant_under_orthogonal_rotation():
     rng = np.random.default_rng(19)
     gen = rng.normal(size=(60, 8))
