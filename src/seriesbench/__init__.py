@@ -11,7 +11,7 @@ The package has three layers:
   evaluation protocols built on top of them (:mod:`seriesbench.protocols`,
   :mod:`seriesbench.schema_discovery`).
 
-Everything is pure NumPy/SciPy and deterministic given explicit seeds; the
+Everything is pure NumPy and deterministic given explicit seeds; the
 ``seriesbench`` command line exposes the same operations over files.
 """
 

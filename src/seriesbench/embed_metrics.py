@@ -165,12 +165,7 @@ def recall(
     k: int = 5,
 ) -> float:
     """Fraction of real points inside the generated-data manifold."""
-    real = as_embedding_array(real_emb)
-    gen = as_embedding_array(gen_emb)
-    if real.shape[0] <= k or gen.shape[0] <= k:
-        raise ContractViolation(f"both sets need more than k={k} points")
-    index = ManifoldIndex.build(gen, k)
-    return float(index.contains(real).mean())
+    return precision(gen_emb, real_emb, k)
 
 
 # ---------------------------------------------------------------------------

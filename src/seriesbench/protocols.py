@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from seriesbench.core import (
     ContractViolation,
@@ -89,13 +88,14 @@ def aggregate_ranks(
                     )
                 scores[mi, di, ki] = float(np.mean(values))  # average over seeds first
 
-    ranks = np.empty_like(scores)
-    for di in range(len(datasets)):
-        for ki, metric in enumerate(metrics):
-            column = scores[:, di, ki]
-            if directions[metric] == "lower_better":
-                column = -column
-            ranks[:, di, ki] = rankdata(-column, method="average")
+    # average-tie ranks over models, 1 = best: the models strictly better,
+    # plus the mean position within the tie group (which counts the model itself)
+    lower = np.array([directions[metric] == "lower_better" for metric in metrics], dtype=bool)
+    signed = np.where(lower, -scores, scores)
+    better = (signed[None] > signed[:, None]).sum(axis=1)
+    tied = (signed[None] == signed[:, None]).sum(axis=1)
+    ranks = better + (tied + 1) / 2
+    ranks[:, np.isnan(signed).any(axis=0)] = np.nan  # a NaN mean leaves its column unranked
 
     groups = sorted(set(grouping.values()))
     rows: list[GroupRank] = []
@@ -177,32 +177,25 @@ def retrieval_acc1(
         ids: dict[str, int] = {}
         gid = np.fromiter((ids.setdefault(t, len(ids)) for t in texts), dtype=np.int64, count=n)
 
-    candidates_by_query: dict[int, np.ndarray] = {}
+    hits = np.zeros(cfg.repeats, dtype=np.int64)
     for q in queries:
-        mask = gid != gid[q]
-        cand = np.flatnonzero(mask)
+        q = int(q)
+        cand = np.flatnonzero(gid != gid[q])
         if cfg.pool_size - 1 > cand.size:
             raise ContractViolation(
                 f"pool_size {cfg.pool_size} needs {cfg.pool_size - 1} distractors, "
-                f"only {cand.size} available for query {int(q)}"
+                f"only {cand.size} available for query {q}"
             )
-        candidates_by_query[int(q)] = cand
-
-    per_repeat = np.empty(cfg.repeats)
-    for repeat in range(cfg.repeats):
-        hits = 0
-        for q in queries:
-            q = int(q)
-            cand = candidates_by_query[q]
+        truth_score = float(gen[q] @ text[q])
+        for repeat in range(cfg.repeats):
             rng = _pool_rng(cfg.seed, repeat, q)
             distractors = rng.choice(cand, size=cfg.pool_size - 1, replace=False)
-            truth_score = float(gen[q] @ text[q])
             if distractors.size:
                 best_distractor = float((text[distractors] @ gen[q]).max())
-                hits += truth_score > best_distractor  # ties count as misses
+                hits[repeat] += truth_score > best_distractor  # ties count as misses
             else:
-                hits += 1
-        per_repeat[repeat] = hits / queries.size
+                hits[repeat] += 1
+    per_repeat = hits / queries.size
     return float(per_repeat.mean())
 
 
@@ -299,8 +292,11 @@ def head_tail_split(
     """Indices of the closest and farthest ``fraction`` of samples by dknn.
 
     Boundary ties resolve by sample index: low indices go to the head, high
-    indices to the tail.
+    indices to the tail.  ``fraction`` must lie in (0, 0.5] so the two sets
+    never overlap.
     """
+    if not 0.0 < fraction <= 0.5:
+        raise ContractViolation(f"fraction must be in (0, 0.5], got {fraction}")
     values = np.asarray(dknn_vals, dtype=np.float64)
     if values.ndim != 1 or values.size < 5:
         raise ContractViolation("need at least 5 dknn values")

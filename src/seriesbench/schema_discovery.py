@@ -24,6 +24,7 @@ so no live language model is ever required.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -339,22 +340,15 @@ def _parse_assignments(response: dict, count: int) -> list[dict]:
     return assignments
 
 
-def assign_attributes(
-    caption: str, schema: AttributeSchema, proposer: Proposer
-) -> dict[str, int]:
-    """Map one caption to a value index per attribute.
+def assign_attributes_batch(
+    captions: Sequence[str], schema: AttributeSchema, proposer: Proposer
+) -> list[dict[str, int]]:
+    """Assign attribute vectors for many captions, preserving input order.
 
     Unparseable or out-of-schema values fall back to the attribute's
     ``'other'`` index.  Raises :class:`ProposerError` after the repair retry
     fails.
     """
-    return assign_attributes_batch([caption], schema, proposer)[0]
-
-
-def assign_attributes_batch(
-    captions: Sequence[str], schema: AttributeSchema, proposer: Proposer
-) -> list[dict[str, int]]:
-    """Assign attribute vectors for many captions, preserving input order."""
     request = {
         "task": "assign_values",
         "schema": schema.to_dict(),
@@ -387,7 +381,7 @@ class LabelIndex:
 
     combos: tuple[tuple[int, ...], ...]
 
-    @property
+    @functools.cached_property
     def table(self) -> dict[tuple[int, ...], int]:
         return {combo: i for i, combo in enumerate(self.combos)}
 

@@ -132,19 +132,21 @@ def _pooled_standardized_moment(data: np.ndarray, order: int) -> float:
     return float((((flat - mu) / np.sqrt(var)) ** order).mean())
 
 
-def sd(real: TimeSeriesTensor | np.ndarray, gen: TimeSeriesTensor | np.ndarray) -> float:
-    """Absolute difference of pooled population skewness."""
+def _moment_difference(
+    real: TimeSeriesTensor | np.ndarray, gen: TimeSeriesTensor | np.ndarray, order: int
+) -> float:
     r = as_series_array(real)
     g = as_series_array(gen)
     if r.size == 0 or g.size == 0:
         raise ContractViolation("empty tensor")
-    return abs(_pooled_standardized_moment(r, 3) - _pooled_standardized_moment(g, 3))
+    return abs(_pooled_standardized_moment(r, order) - _pooled_standardized_moment(g, order))
+
+
+def sd(real: TimeSeriesTensor | np.ndarray, gen: TimeSeriesTensor | np.ndarray) -> float:
+    """Absolute difference of pooled population skewness."""
+    return _moment_difference(real, gen, 3)
 
 
 def kd(real: TimeSeriesTensor | np.ndarray, gen: TimeSeriesTensor | np.ndarray) -> float:
     """Absolute difference of pooled population kurtosis."""
-    r = as_series_array(real)
-    g = as_series_array(gen)
-    if r.size == 0 or g.size == 0:
-        raise ContractViolation("empty tensor")
-    return abs(_pooled_standardized_moment(r, 4) - _pooled_standardized_moment(g, 4))
+    return _moment_difference(real, gen, 4)

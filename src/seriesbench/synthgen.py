@@ -215,13 +215,6 @@ def _place_shapelets(labels: tuple[str, ...], rng: np.random.Generator, length: 
     return out
 
 
-def inject_shapelets(rng: np.random.Generator, length: int) -> tuple[np.ndarray, tuple[str, str, str]]:
-    """Sample per-segment labels (70% nothing, 10% each pattern) and inject them."""
-    _segment_bounds(length)  # validate before consuming draws
-    labels = _sample_segment_labels(rng)
-    return _place_shapelets(labels, rng, length), labels
-
-
 def noise_component(rng: np.random.Generator, length: int) -> np.ndarray:
     """i.i.d. zero-mean Gaussian noise with sigma drawn once from U(0.04, 0.06)."""
     sigma = rng.uniform(*NOISE_SIGMA_RANGE)
@@ -332,20 +325,6 @@ def univariate_components(
     return components
 
 
-def compose_univariate(
-    primary: PrimaryAttrs,
-    secondary: SecondaryAttrs,
-    seed: int,
-    sample_index: int,
-    length: int,
-    include_noise: bool = True,
-) -> tuple[np.ndarray, tuple[str, str, str], str]:
-    """Sum trend + season + local + hf + noise; returns (series, segment labels, caption)."""
-    components = univariate_components(primary, secondary, seed, sample_index, length, include_noise)
-    series = sum(components.values())
-    return series, secondary.segment_shapelets, render_caption(primary, secondary)
-
-
 def decode_attrs(attrs: Mapping[str, int]) -> tuple[PrimaryAttrs, SecondaryAttrs]:
     """Rebuild the attribute dataclasses from a condition record's value indices.
 
@@ -452,7 +431,7 @@ def build_synth_dataset(
             hf = HF_CYCLES[rng_secondary.integers(0, len(HF_CYCLES))]
             labels = _sample_segment_labels(sample_rng(seed, i, _P_SHAPELET_LABELS))
             secondary = SecondaryAttrs(hf_cycles=hf, segment_shapelets=labels)
-            series, _, _ = compose_univariate(primary, secondary, seed, i, length)
+            series = sum(univariate_components(primary, secondary, seed, i, length).values())
             data[i, :, 0] = series
 
             transform = None

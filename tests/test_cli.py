@@ -596,3 +596,49 @@ def test_retrieval_caption_count_mismatch_exits_3(rows, contract_inputs, tmp_pat
     assert main(argv) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == [f"contract violation: {rows} captions for 64 embedding rows"]
+
+
+def test_compgen_fraction_over_half_exits_3(contract_inputs, tmp_path, capsys):
+    argv = _argv(
+        "protocol compgen --schema {i}/schema.json --train-conditions {i}/train.jsonl "
+        "--test-conditions {i}/test.jsonl --k 3 --fraction 0.8 --out {o}/compgen.json",
+        i=contract_inputs, o=tmp_path,
+    )
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["contract violation: fraction must be in (0, 0.5], got 0.8"]
+    assert not (tmp_path / "compgen.json").exists()
+
+
+def test_schema_label_apply_mode_round_trip(contract_inputs, tmp_path):
+    # fit a combination table, then label the same rows through it in apply mode
+    fit_argv = _argv(
+        "schema label --attrs {i}/attrs.jsonl --schema {i}/rules_schema.json "
+        "--combo-table-out {o}/combos.json --out {o}/fit.jsonl",
+        i=contract_inputs, o=tmp_path,
+    )
+    assert main(fit_argv) == 0
+    apply_argv = _argv(
+        "schema label --attrs {i}/attrs.jsonl --schema {i}/rules_schema.json "
+        "--combo-table {o}/combos.json --combo-table-out {o}/combos_again.json --out {o}/apply.jsonl",
+        i=contract_inputs, o=tmp_path,
+    )
+    assert main(apply_argv) == 0
+    assert (tmp_path / "apply.jsonl").read_bytes() == (tmp_path / "fit.jsonl").read_bytes()
+    assert (tmp_path / "combos_again.json").read_bytes() == (tmp_path / "combos.json").read_bytes()
+    labels = [json.loads(line)["label"] for line in (tmp_path / "apply.jsonl").read_text().splitlines()]
+    assert labels == [i % 3 for i in range(9)]
+
+
+def test_cli_import_loads_no_scipy():
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, seriesbench.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

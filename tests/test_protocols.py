@@ -124,6 +124,60 @@ def test_missing_cell_is_an_error():
         aggregate_ranks(reports, {"m": "g"})
 
 
+def _rankdata_reference(reports, grouping):
+    """Reference: the per-(dataset, metric) SciPy rankdata loop over one-seed reports."""
+    from scipy.stats import rankdata
+
+    metrics = sorted(grouping)
+    models = sorted({r.context.model_id for r in reports})
+    datasets = sorted({r.context.dataset_id for r in reports})
+    cell = {
+        (r.context.model_id, r.context.dataset_id, e.metric_name): e
+        for r in reports
+        for e in r.entries
+    }
+    ranks = np.empty((len(models), len(datasets), len(metrics)))
+    for di, dataset in enumerate(datasets):
+        for ki, metric in enumerate(metrics):
+            entries = [cell[(model, dataset, metric)] for model in models]
+            column = np.array([e.value for e in entries])
+            if entries[0].direction == "lower_better":
+                column = -column
+            ranks[:, di, ki] = rankdata(-column, method="average")
+    return ranks
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ranks_match_scipy_rankdata_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    # few distinct values so ties are common; one column is all-equal
+    pool = np.array([0.0, -0.0, 1e300, -1e300, 0.5, -0.5, 0.1 + 0.2, 0.3])
+    metrics = {"m0": "higher_better", "m1": "lower_better", "m2": "higher_better", "m3": "lower_better"}
+    grouping = {"m0": "g1", "m1": "g1", "m2": "g2", "m3": "g2"}
+    reports = []
+    for mi in range(7):
+        for di in range(3):
+            values = {name: float(rng.choice(pool)) for name in metrics}
+            values["m3"] = -0.0 if mi % 2 else 0.0  # all-equal column, mixed zero signs
+            entries = tuple(MetricEntry(name, values[name], metrics[name]) for name in metrics)
+            reports.append(MetricReport(entries=entries, context=ReportContext(f"d{di}", f"model{mi}", 0)))
+    _, table = aggregate_ranks(reports, grouping)
+    expected = _rankdata_reference(reports, grouping)
+    assert table.ranks.shape == expected.shape == (7, 3, 4)
+    assert table.ranks.tobytes() == expected.tobytes()
+
+
+def test_ranks_nan_mean_leaves_column_unranked_like_rankdata():
+    # 16 finite seeds whose float64 mean overflows to NaN (inf + -inf)
+    big = 1.7e308
+    reports = [_report("a", "d", s, {"m": big if s % 2 else -big, "n": 1.0}) for s in range(16)]
+    reports += [_report("b", "d", 0, {"m": 0.0, "n": 2.0})]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, table = aggregate_ranks(reports, {"m": "g", "n": "g"})
+    assert np.isnan(table.ranks[:, 0, 0]).all()
+    assert list(table.ranks[:, 0, 1]) == [2.0, 1.0]
+
+
 # ---------------------------------------------------------------------------
 # retrieval
 # ---------------------------------------------------------------------------
@@ -223,6 +277,67 @@ def test_retrieval_rejects_caption_count_mismatch(n_texts):
     cfg = RetrievalConfig(pool_size=3, repeats=1, seed=0)
     with pytest.raises(ContractViolation, match=f"{n_texts} captions for 20 embedding rows"):
         retrieval_acc1(gen, gen, cfg, texts=["t"] * n_texts)
+
+
+def _retrieval_two_pass(gen, text, cfg, texts=None, query_indices=None):
+    """Reference: candidate arrays for every query first, then repeats outer, queries inner."""
+    gen = gen / np.linalg.norm(gen, axis=1, keepdims=True)
+    text = text / np.linalg.norm(text, axis=1, keepdims=True)
+    n = gen.shape[0]
+    queries = list(range(n)) if query_indices is None else list(query_indices)
+    gid = list(range(n)) if texts is None else [texts.index(t) for t in texts]
+    candidates = {}
+    for q in queries:
+        cand = np.array([j for j in range(n) if gid[j] != gid[q]], dtype=np.int64)
+        if cfg.pool_size - 1 > cand.size:
+            raise ContractViolation(
+                f"pool_size {cfg.pool_size} needs {cfg.pool_size - 1} distractors, "
+                f"only {cand.size} available for query {q}"
+            )
+        candidates[q] = cand
+    per_repeat = np.empty(cfg.repeats)
+    for repeat in range(cfg.repeats):
+        hits = 0
+        for q in queries:
+            rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence((cfg.seed, repeat, q))))
+            distractors = rng.choice(candidates[q], size=cfg.pool_size - 1, replace=False)
+            if distractors.size:
+                hits += float(gen[q] @ text[q]) > float((text[distractors] @ gen[q]).max())
+            else:
+                hits += 1
+        per_repeat[repeat] = hits / len(queries)
+    return float(per_repeat.mean())
+
+
+@pytest.mark.parametrize(
+    "pool_size, with_texts, query_indices",
+    [
+        (1, False, None),
+        (5, False, None),
+        (4, True, None),
+        (4, True, [3, 3, 0, 17, 3, 29]),  # a repeated query counts each time it appears
+        (8, True, [29, 1, 1]),
+        (9, True, [29, 0, 1]),  # query 0 has 7 distractors, pool 9 needs 8
+    ],
+)
+def test_retrieval_matches_two_pass_reference(pool_size, with_texts, query_indices):
+    rng = np.random.default_rng(pool_size)
+    # one caption covers 23 of the 30 rows, so their queries have only 7 distractors
+    texts = ["up"] * 23 + [("down", "flat", "up\x00")[i % 3] for i in range(7)] if with_texts else None
+    text = rng.normal(size=(30, 5))
+    gen = text + 0.8 * rng.normal(size=(30, 5))
+    cfg = RetrievalConfig(pool_size=pool_size, repeats=4, seed=pool_size + 1)
+    if pool_size == 9:
+        with pytest.raises(ContractViolation) as expected:
+            _retrieval_two_pass(gen, text, cfg, texts, query_indices)
+        with pytest.raises(ContractViolation) as got:
+            retrieval_acc1(gen, text, cfg, texts=texts, query_indices=query_indices)
+        assert str(got.value) == str(expected.value) == (
+            "pool_size 9 needs 8 distractors, only 7 available for query 0"
+        )
+    else:
+        expected = _retrieval_two_pass(gen, text, cfg, texts, query_indices)
+        assert retrieval_acc1(gen, text, cfg, texts=texts, query_indices=query_indices) == expected
 
 
 def test_retrieval_invariant_under_orthogonal_rotation():
@@ -364,6 +479,19 @@ def test_head_tail_disjoint():
     values = rng.normal(size=37)
     head, tail = head_tail_split(values)
     assert set(head).isdisjoint(tail)
+
+
+@pytest.mark.parametrize("fraction", [0.0, -0.2, 0.51, 0.8, 1.0, float("nan")])
+def test_head_tail_rejects_fraction_outside_half(fraction):
+    # above 0.5 the head and tail would overlap (0.8 of 10 values: [0..7] and [2..9])
+    with pytest.raises(ContractViolation, match=r"fraction must be in \(0, 0.5\]"):
+        head_tail_split(np.arange(10.0), fraction=fraction)
+
+
+def test_head_tail_half_splits_odd_count_disjointly():
+    head, tail = head_tail_split(np.arange(11.0), fraction=0.5)
+    assert list(head) == [0, 1, 2, 3, 4]
+    assert list(tail) == [6, 7, 8, 9, 10]
 
 
 # ---------------------------------------------------------------------------

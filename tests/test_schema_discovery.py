@@ -6,7 +6,6 @@ from seriesbench.schema_discovery import (
     DiscoveryParams,
     LabelIndex,
     MockProposer,
-    assign_attributes,
     assign_attributes_batch,
     canonicalize,
     discover,
@@ -196,14 +195,14 @@ def mock_proposer():
 
 def test_assign_keyword_match(mock_proposer):
     schema = canonicalize(SCHEMA_A)
-    vector = assign_attributes("a calm series with an upward trend", schema, mock_proposer)
+    vector = assign_attributes_batch(["a calm series with an upward trend"], schema, mock_proposer)[0]
     assert vector["trend"] == schema.attribute("trend").values.index("up")
     assert vector["volatility"] == schema.attribute("volatility").values.index("low")
 
 
 def test_assign_falls_back_to_other(mock_proposer):
     schema = canonicalize(SCHEMA_A)
-    vector = assign_attributes("nothing matches here", schema, mock_proposer)
+    vector = assign_attributes_batch(["nothing matches here"], schema, mock_proposer)[0]
     assert vector["trend"] == schema.attribute("trend").values.index("other")
     assert vector["volatility"] == schema.attribute("volatility").values.index("other")
 
@@ -215,7 +214,7 @@ def test_assign_unknown_value_maps_to_other():
             return {"assignments": [{"trend": "sideways"}] * n}
 
     schema = canonicalize(SCHEMA_A)
-    vector = assign_attributes("whatever", schema, WeirdProposer())
+    vector = assign_attributes_batch(["whatever"], schema, WeirdProposer())[0]
     assert vector["trend"] == schema.attribute("trend").values.index("other")
 
 
@@ -236,7 +235,7 @@ def test_assign_raises_after_failed_repair():
 
     schema = canonicalize(SCHEMA_A)
     with pytest.raises(ProposerError):
-        assign_attributes("caption", schema, BrokenProposer())
+        assign_attributes_batch(["caption"], schema, BrokenProposer())
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +281,13 @@ def test_label_index_apply_unseen_combo_errors():
     assert index.apply((1, 1)) == 1
     with pytest.raises(ContractViolation):
         index.apply((0, 1))
+
+
+def test_label_index_table_built_once():
+    _, index = index_labels([(0, 2), (1, 0), (1, 1)])
+    assert index.table is index.table
+    assert [index.apply(c) for c in index.combos] == [0, 1, 2]
+    assert index == LabelIndex(combos=index.combos)  # the cached table is not a field
 
 
 def test_label_index_round_trip():

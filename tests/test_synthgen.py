@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,8 +12,6 @@ from seriesbench.synthgen import (
     SecondaryAttrs,
     apply_mv_transform,
     build_synth_dataset,
-    compose_univariate,
-    inject_shapelets,
     noise_component,
     primary_combinations,
     render_caption,
@@ -22,16 +21,6 @@ from seriesbench.synthgen import (
     trend_component,
     univariate_components,
 )
-
-
-class _ForcedChoice:
-    """Stub stream whose choice() always returns a fixed index."""
-
-    def __init__(self, index=0):
-        self.index = index
-
-    def choice(self, n, size=None, p=None):
-        return np.full(size, self.index, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -122,51 +111,61 @@ def test_template_rejects_none():
         shapelet_template("none", 1.0)
 
 
+NO_SHAPELETS = ("none", "none", "none")
+
+
 def test_inject_all_none_gives_zero_series():
-    series, labels = inject_shapelets(_ForcedChoice(0), 96)
-    assert labels == ("none", "none", "none")
-    assert np.array_equal(series, np.zeros(96))
+    primary = PrimaryAttrs("linear", "up", 1)
+    secondary = SecondaryAttrs(hf_cycles=16, segment_shapelets=NO_SHAPELETS)
+    for i in range(5):
+        local = univariate_components(primary, secondary, 7, i, 96)["local"]
+        assert np.array_equal(local, np.zeros(96))
 
 
 def test_inject_rejects_bad_length():
-    rng = sample_rng(0, 0, 2)
+    primary = PrimaryAttrs("linear", "up", 0)
+    secondary = SecondaryAttrs(hf_cycles=0, segment_shapelets=("single_peak", "sag", "double_peaks"))
     with pytest.raises(ContractViolation):
-        inject_shapelets(rng, 97)  # not divisible by 3
+        univariate_components(primary, secondary, 0, 0, 97)  # not divisible by 3
     with pytest.raises(ContractViolation):
-        inject_shapelets(rng, 45)  # segments of 15 cannot fit double peaks
+        univariate_components(primary, secondary, 0, 0, 45)  # segments of 15 cannot fit double peaks
 
 
 def test_inject_label_frequencies_and_peak_range():
+    ds = build_synth_dataset("u", seed=11, n_per_combo=125, length=96)
     counts = {k: 0 for k in synthgen.SHAPELET_KINDS}
-    n_calls = 4000
-    for i in range(n_calls):
-        series, labels = inject_shapelets(sample_rng(11, i, 0), 96)
-        for seg, kind in enumerate(labels):
+    for i, rec in enumerate(ds.conditions):
+        primary, secondary = synthgen.decode_attrs(rec.attrs)
+        local = univariate_components(primary, secondary, 11, i, 96, include_noise=False)["local"]
+        for seg, kind in enumerate(secondary.segment_shapelets):
             counts[kind] += 1
-            segment = series[seg * 32 : (seg + 1) * 32]
-            if kind == "single_peak":
+            segment = local[seg * 32 : (seg + 1) * 32]
+            if kind in ("single_peak", "double_peaks"):
                 assert 1.0 <= segment.max() <= 1.2
             elif kind == "sag":
                 assert -1.2 <= segment.min() <= -1.0
-            elif kind == "double_peaks":
-                assert 1.0 <= segment.max() <= 1.2
-    total = 3 * n_calls
+    total = 3 * len(ds.conditions)
     assert counts["none"] / total == pytest.approx(0.70, abs=0.02)
     for kind in ("single_peak", "sag", "double_peaks"):
         assert counts[kind] / total == pytest.approx(0.10, abs=0.02)
 
 
 def test_injected_template_confined_to_segment():
-    for i in range(300):
-        series, labels = inject_shapelets(sample_rng(5, i, 0), 96)
+    primary = PrimaryAttrs("logistic", "down", 2)
+    for i, labels in enumerate(itertools.product(synthgen.SHAPELET_KINDS, repeat=3)):
+        secondary = SecondaryAttrs(hf_cycles=32, segment_shapelets=labels)
+        local = univariate_components(primary, secondary, 5, i, 96)["local"]
         for seg, kind in enumerate(labels):
-            outside = np.concatenate([series[: seg * 32], series[(seg + 1) * 32 :]])
+            segment = local[seg * 32 : (seg + 1) * 32]
             if kind == "none":
-                assert np.array_equal(series[seg * 32 : (seg + 1) * 32], np.zeros(32))
-            # other segments' values never leak across boundaries
-            for other in range(3):
-                if labels[other] == "none":
-                    assert np.array_equal(series[other * 32 : (other + 1) * 32], np.zeros(32))
+                assert not segment.any()
+                continue
+            # exactly one template, wholly inside its segment (a template's first point is zero)
+            template = shapelet_template(kind, np.abs(segment).max())
+            start = np.flatnonzero(segment)[0] - 1
+            expected = np.zeros(32)
+            expected[start : start + len(template)] = template
+            assert np.array_equal(segment, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +204,16 @@ def test_noise_sigma_uniform_over_samples():
 
 def test_compose_reduces_to_trend_when_everything_disabled():
     primary = PrimaryAttrs("quadratic", "down", 0)
-    secondary = SecondaryAttrs(hf_cycles=0, segment_shapelets=("none", "none", "none"))
-    series, labels, caption = compose_univariate(primary, secondary, 0, 0, 96, include_noise=False)
+    secondary = SecondaryAttrs(hf_cycles=0, segment_shapelets=NO_SHAPELETS)
+    series = sum(univariate_components(primary, secondary, 0, 0, 96, include_noise=False).values())
     assert np.array_equal(series, trend_component("quadratic", "down", 96))
-    assert labels == ("none", "none", "none")
-    assert "quadratic" in caption
+    assert "quadratic" in render_caption(primary, secondary)
 
 
 def test_compose_monotone_linear_up():
     primary = PrimaryAttrs("linear", "up", 0)
-    secondary = SecondaryAttrs(hf_cycles=0, segment_shapelets=("none", "none", "none"))
-    series, _, _ = compose_univariate(primary, secondary, 1, 2, 96, include_noise=False)
+    secondary = SecondaryAttrs(hf_cycles=0, segment_shapelets=NO_SHAPELETS)
+    series = sum(univariate_components(primary, secondary, 1, 2, 96, include_noise=False).values())
     assert np.all(np.diff(series) > 0)
 
 
