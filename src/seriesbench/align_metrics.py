@@ -10,7 +10,8 @@ sends all n*K pairs of a bundle through it.
 
 CRPS is the empirical two-sample form ``mean|x - y| - mean|x - x'| / 2``
 evaluated per (sample, timestep, feature) via the sorted-prefix identity,
-which is exact and O(K log K) per cell.
+which is exact and O(K log K) per cell; ``crps_instance`` is the
+one-ensemble case of ``crps_score``.
 """
 
 from __future__ import annotations
@@ -125,13 +126,19 @@ def _dtw_sweep(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return last[n].copy()
 
 
-def dtw_score(refs: TimeSeriesTensor | np.ndarray, bundle: GenerationBundle) -> float:
-    """Mean over references of the best-of-K DTW distance."""
+def _aligned_refs(refs: TimeSeriesTensor | np.ndarray, bundle: GenerationBundle) -> np.ndarray:
+    """``refs`` as an (n, L, F) array matching the bundle's n, L and F."""
     r = as_series_array(refs)
     if r.shape[0] != bundle.n_samples or r.shape[1:] != bundle.data.shape[2:]:
         raise ContractViolation(
             f"refs {r.shape} do not align with bundle {bundle.data.shape}"
         )
+    return r
+
+
+def dtw_score(refs: TimeSeriesTensor | np.ndarray, bundle: GenerationBundle) -> float:
+    """Mean over references of the best-of-K DTW distance."""
+    r = _aligned_refs(refs, bundle)
     n, k, length, f = bundle.data.shape
     if length < 1:
         raise ContractViolation("series must be non-empty")
@@ -147,37 +154,25 @@ def dtw_score(refs: TimeSeriesTensor | np.ndarray, bundle: GenerationBundle) -> 
 # ---------------------------------------------------------------------------
 
 
-def _mean_abs_pairwise_sorted(sorted_vals: np.ndarray) -> np.ndarray:
-    """sum_{i,j} |x_i - x_j| / K^2 along the last axis of pre-sorted values."""
-    k = sorted_vals.shape[-1]
-    weights = 2.0 * np.arange(k) - k + 1.0
-    return 2.0 * (sorted_vals * weights).sum(axis=-1) / (k * k)
-
-
 def crps_instance(samples: np.ndarray, y: float) -> float:
     """Empirical CRPS of one forecast ensemble against a scalar observation.
 
     ``mean_i |x_i - y| - (1 / 2K^2) sum_{i,j} |x_i - x_j|``; collapses to the
-    absolute error when every sample is identical.
+    absolute error when every sample is identical.  The one-ensemble case of
+    :func:`crps_score`.
     """
-    s = np.asarray(samples, dtype=np.float64).ravel()
-    if s.size < 1:
-        raise ContractViolation("need at least one forecast sample")
-    term1 = np.abs(s - y).mean()
-    term2 = 0.5 * _mean_abs_pairwise_sorted(np.sort(s))
-    return float(term1 - term2)
+    ensemble = np.asarray(samples, dtype=np.float64).reshape(1, -1, 1, 1)
+    return crps_score(np.full((1, 1, 1), y, dtype=np.float64), GenerationBundle(ensemble))
 
 
 def crps_score(refs: TimeSeriesTensor | np.ndarray, bundle: GenerationBundle) -> float:
     """CRPS per (sample, timestep, feature), averaged over timesteps, then features, then samples."""
-    r = as_series_array(refs)
-    if r.shape[0] != bundle.n_samples or r.shape[1:] != bundle.data.shape[2:]:
-        raise ContractViolation(
-            f"refs {r.shape} do not align with bundle {bundle.data.shape}"
-        )
-    # (n, K, L, F) -> sort forecasts along K
-    sorted_k = np.sort(bundle.data, axis=1)
+    r = _aligned_refs(refs, bundle)
     term1 = np.abs(bundle.data - r[:, None, :, :]).mean(axis=1)  # (n, L, F)
-    term2 = 0.5 * _mean_abs_pairwise_sorted(np.moveaxis(sorted_k, 1, -1))  # (n, L, F)
+    # sum_{i,j} |x_i - x_j| = 2 sum_i (2i - K + 1) x_(i) over the forecasts sorted along K
+    k = bundle.k
+    weights = 2.0 * np.arange(k) - k + 1.0
+    sorted_k = np.moveaxis(np.sort(bundle.data, axis=1), 1, -1)  # (n, L, F, K)
+    term2 = 0.5 * (2.0 * (sorted_k * weights).sum(axis=-1) / (k * k))  # (n, L, F)
     cell = term1 - term2
     return float(cell.mean(axis=1).mean(axis=1).mean())

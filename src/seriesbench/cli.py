@@ -141,10 +141,12 @@ def _cmd_synth(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_metrics_stat(args: argparse.Namespace) -> _Outcome:
-    train = tensorfile.read_tensor(args.train)
+    # only the spec is kept, so the training tensor is freed before the others are read
+    spec = stat_metrics.HistogramSpec.from_training(
+        tensorfile.read_tensor(args.train), n_bins=args.bins
+    )
     real = tensorfile.read_tensor(args.real)
     gen = tensorfile.read_tensor(args.gen)
-    spec = stat_metrics.HistogramSpec.from_training(train, n_bins=args.bins)
     entries = [
         MetricEntry("mdd", stat_metrics.mdd(real, gen, spec), "lower_better"),
         MetricEntry("acd", stat_metrics.acd(real, gen), "lower_better"),
@@ -164,7 +166,7 @@ def _cmd_metrics_embed(args: argparse.Namespace) -> _Outcome:
         MetricEntry("recall", embed_metrics.recall(real, gen, k=args.k), "higher_better"),
     ]
     if args.cond_emb:
-        cond = tensorfile.read_embedding(args.cond_emb, role="text")
+        cond = tensorfile.read_embedding(args.cond_emb)
         inputs.append(args.cond_emb)
         jp, jr = embed_metrics.joint_precision_recall(real, gen, cond, k=args.k)
         entries.extend(
@@ -197,7 +199,7 @@ def _cmd_metrics_align(args: argparse.Namespace) -> _Outcome:
 
 def _cmd_protocol_retrieval(args: argparse.Namespace) -> _Outcome:
     gen = tensorfile.read_embedding(args.gen_emb)
-    text = tensorfile.read_embedding(args.text_emb, role="text")
+    text = tensorfile.read_embedding(args.text_emb)
     inputs = [args.gen_emb, args.text_emb]
     texts = None
     if args.conditions:
@@ -244,7 +246,7 @@ def _cmd_protocol_compgen(args: argparse.Namespace) -> _Outcome:
     }
     if args.gen_emb and args.text_emb:
         gen = tensorfile.read_embedding(args.gen_emb)
-        text = tensorfile.read_embedding(args.text_emb, role="text")
+        text = tensorfile.read_embedding(args.text_emb)
         inputs.extend([args.gen_emb, args.text_emb])
         cfg = protocols.RetrievalConfig(
             pool_size=args.pool_size, repeats=args.repeats, seed=args.seed

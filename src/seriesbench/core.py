@@ -34,7 +34,9 @@ def _frozen_float64(data: np.ndarray | Sequence, ndim: int, what: str) -> np.nda
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != ndim:
         raise ContractViolation(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size == 0:
+        raise ContractViolation(f"{what} must have no zero-length dimension, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
         raise ContractViolation(f"{what} contains non-finite values")
     arr = arr.copy()
     arr.setflags(write=False)
@@ -49,8 +51,6 @@ class TimeSeriesTensor:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "data", _frozen_float64(self.data, 3, "series tensor"))
-        if self.length < 1 or self.n_features < 1:
-            raise ContractViolation("series tensor needs positive length and feature count")
 
     @property
     def n_samples(self) -> int:
@@ -67,14 +67,9 @@ class TimeSeriesTensor:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """(n_samples, dim) vectors from an external encoder.
-
-    ``role`` records which encoder produced the rows; ``"time_series"`` and
-    ``"text"`` are the two input roles, concatenated matrices use ``"joint"``.
-    """
+    """(n_samples, dim) vectors from an external encoder."""
 
     data: np.ndarray
-    role: str = "time_series"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "data", _frozen_float64(self.data, 2, "embedding matrix"))

@@ -194,7 +194,7 @@ def joint_embed(
     cond = as_embedding_array(cond_emb)
     if ts.shape[0] != cond.shape[0]:
         raise ContractViolation(f"sample count mismatch: {ts.shape[0]} vs {cond.shape[0]}")
-    return EmbeddingMatrix(data=np.concatenate([ts, cond], axis=1), role="joint")
+    return EmbeddingMatrix(data=np.concatenate([ts, cond], axis=1))
 
 
 def j_ftsd(
@@ -203,9 +203,7 @@ def j_ftsd(
     cond_emb: EmbeddingMatrix | np.ndarray,
 ) -> float:
     """Fréchet distance in the concatenated (series ⊕ condition) space."""
-    joint_real = joint_embed(ts_real, cond_emb)
-    joint_gen = joint_embed(ts_gen, cond_emb)
-    return frechet_distance(gaussian_summary(joint_real), gaussian_summary(joint_gen))
+    return fid(joint_embed(ts_real, cond_emb), joint_embed(ts_gen, cond_emb))
 
 
 def joint_precision_recall(

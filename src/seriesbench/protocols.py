@@ -81,12 +81,16 @@ def aggregate_ranks(
     for mi, model in enumerate(models):
         for di, dataset in enumerate(datasets):
             for ki, metric in enumerate(metrics):
+                cell = f"model={model!r} dataset={dataset!r} metric={metric!r}"
                 values = cells.get((model, dataset, metric))
                 if not values:
-                    raise ContractViolation(
-                        f"missing cell: model={model!r} dataset={dataset!r} metric={metric!r}"
-                    )
-                scores[mi, di, ki] = float(np.mean(values))  # average over seeds first
+                    raise ContractViolation(f"missing cell: {cell}")
+                # average over seeds first; finite seeds can still sum past float64
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mean = float(np.mean(values))
+                if not np.isfinite(mean):
+                    raise ContractViolation(f"seed mean is not finite: {cell}")
+                scores[mi, di, ki] = mean
 
     # average-tie ranks over models, 1 = best: the models strictly better,
     # plus the mean position within the tie group (which counts the model itself)
@@ -95,7 +99,6 @@ def aggregate_ranks(
     better = (signed[None] > signed[:, None]).sum(axis=1)
     tied = (signed[None] == signed[:, None]).sum(axis=1)
     ranks = better + (tied + 1) / 2
-    ranks[:, np.isnan(signed).any(axis=0)] = np.nan  # a NaN mean leaves its column unranked
 
     groups = sorted(set(grouping.values()))
     rows: list[GroupRank] = []
@@ -135,9 +138,11 @@ def _pool_rng(seed: int, repeat: int, query: int) -> np.random.Generator:
 
 
 def _unit_rows(x: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ContractViolation(f"zero-norm row in {what}")
+    """``x`` scaled to unit norm over its last axis; a zero or overflowing norm raises, unwarned."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
+        raise ContractViolation(f"zero-norm or overflowing row in {what}")
     return x / norms
 
 
@@ -216,14 +221,9 @@ def temporal_order_eval(
             f"segment and text embeddings must share (n, P, d), got {seg.shape} vs {txt.shape}"
         )
     n, p, _ = seg.shape
-    seg_norm = np.linalg.norm(seg, axis=2, keepdims=True)
-    txt_norm = np.linalg.norm(txt, axis=2, keepdims=True)
-    # checked before dividing, so a zero row raises without a NumPy warning
-    for norm in (seg_norm, txt_norm):
-        if not np.all(np.isfinite(norm) & (norm > 0)):
-            raise ContractViolation("zero-norm embedding row")
-    seg_n = seg / seg_norm
-    txt_n = txt / txt_norm
+    if n == 0 or p == 0:
+        raise ContractViolation(f"need at least one series and one segment, got shape {seg.shape}")
+    seg_n, txt_n = _unit_rows(seg, "segment embeddings"), _unit_rows(txt, "text embeddings")
     sims = np.einsum("npd,nqd->npq", seg_n, txt_n)
     retrieved = sims.argmax(axis=2)  # (n, P)
     confusion = np.zeros((p, p))
@@ -259,22 +259,17 @@ def hamming(a: Sequence[int], b: Sequence[int]) -> int:
 def dknn(test_attr: Sequence[int], train_attrs: np.ndarray, k: int) -> float:
     """Mean Hamming distance from a test vector to its k nearest training vectors.
 
-    Ties at the k-th distance are broken by stable training order; the mean
-    itself is tie-invariant since tied neighbours share the distance value.
+    The one-row case of :func:`dknn_values`.
     """
-    train = np.asarray(train_attrs)
-    test = np.asarray(test_attr)
-    if train.ndim != 2 or test.shape != (train.shape[1],):
-        raise ContractViolation("train_attrs must be (n, M) and test_attr (M,)")
-    if not 1 <= k <= train.shape[0]:
-        raise ContractViolation(f"k must be in [1, {train.shape[0]}], got {k}")
-    dists = (train != test).sum(axis=1)
-    order = np.argsort(dists, kind="stable")
-    return float(dists[order[:k]].mean())
+    return float(dknn_values(np.asarray(test_attr)[None], train_attrs, k)[0])
 
 
 def dknn_values(test_attrs: np.ndarray, train_attrs: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized dknn over many test vectors; same values as per-vector calls."""
+    """dknn of each row of ``test_attrs`` (n_test, M) against ``train_attrs`` (n, M).
+
+    The k smallest distances are integers, so their float64 mean does not
+    depend on the order in which they are selected or summed.
+    """
     tests = np.asarray(test_attrs)
     train = np.asarray(train_attrs)
     if tests.ndim != 2 or train.ndim != 2 or tests.shape[1] != train.shape[1]:
@@ -326,7 +321,10 @@ def drop_rate(acc_real: float, acc_gen: float, acc_rand: float) -> float | None:
     in exact rational arithmetic on the shortest-decimal reading of each
     input and rounded once: drop_rate(0.9, 0.7, 0.5) is exactly 0.5.
     """
+    accs = (acc_real, acc_gen, acc_rand)
+    if not np.all(np.isfinite(accs)):
+        raise ContractViolation(f"accuracies must be finite, got {accs}")
     if acc_real <= acc_rand:
         return None
-    real, gen, rand = (Fraction(repr(float(v))) for v in (acc_real, acc_gen, acc_rand))
+    real, gen, rand = (Fraction(repr(float(v))) for v in accs)
     return float(1 - (gen - rand) / (real - rand))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -42,6 +43,7 @@ from seriesbench.core import (
 from seriesbench.tensorfile import canonical_json, load_json
 
 OTHER_VALUE = "other"
+_HTTP_TIMEOUT_S = 60.0
 
 Proposer = Callable[[dict], dict]
 
@@ -108,18 +110,21 @@ def schema_hash(schema: AttributeSchema) -> str:
 class HttpProposer:
     """POSTs request documents to an endpoint and returns the JSON response."""
 
-    def __init__(self, url: str, timeout: float = 60.0) -> None:
+    def __init__(self, url: str) -> None:
         self.url = url
-        self.timeout = timeout
 
     def __call__(self, request: dict) -> dict:
-        import requests
+        # imported here: every CLI process would otherwise pay for the import
+        import http.client
+        import urllib.request
 
+        body = json.dumps(request).encode("utf-8")
+        # OSError: transport, timeout, HTTP status; HTTPException: bad reply; ValueError: URL, JSON
         try:
-            resp = requests.post(self.url, json=request, timeout=self.timeout)
-            resp.raise_for_status()
-            doc = resp.json()
-        except Exception as exc:  # transport or JSON failure
+            post = urllib.request.Request(self.url, body, {"Content-Type": "application/json"})
+            with urllib.request.urlopen(post, timeout=_HTTP_TIMEOUT_S) as resp:
+                doc = json.loads(resp.read())
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise ProposerError(f"proposer at {self.url} failed: {exc}") from exc
         if not isinstance(doc, dict):
             raise ProposerError(f"proposer at {self.url} returned a non-object response")
@@ -238,22 +243,16 @@ class _BatchSampler:
 
 def _call_with_repair(proposer: Proposer, request: dict, parse: Callable[[dict], object]):
     """One proposer call with a single repair retry; returns parse(...) or raises."""
-    try:
-        response = proposer(dict(request))
-        return parse(response)
-    except ProposerError:
-        raise
-    except Exception as first:
-        repair = dict(request)
-        repair["task"] = "repair"
-        repair["error"] = str(first)
+    attempt = dict(request)
+    for repaired in (False, True):
         try:
-            response = proposer(repair)
-            return parse(response)
+            return parse(proposer(attempt))
         except ProposerError:
             raise
-        except Exception as second:
-            raise _RoundFailure(str(second)) from second
+        except Exception as exc:
+            if repaired:
+                raise _RoundFailure(str(exc)) from exc
+            attempt = {**request, "task": "repair", "error": str(exc)}
 
 
 class _RoundFailure(Exception):

@@ -303,7 +303,6 @@ def univariate_components(
     seed: int,
     sample_index: int,
     length: int,
-    include_noise: bool = True,
 ) -> dict[str, np.ndarray]:
     """Recompute the five named components for one sample from its keyed streams."""
     rng_season = sample_rng(seed, sample_index, _P_SEASON)
@@ -312,17 +311,15 @@ def univariate_components(
     rng_hf = sample_rng(seed, sample_index, _P_HF)
     hf_amp = rng_hf.uniform(*HF_AMPLITUDE_RANGE)
     hf_phase = rng_hf.uniform(0.0, 2.0 * np.pi)
-    components = {
+    return {
         "trend": trend_component(primary.trend_type, primary.trend_direction, length),
         "season": sinusoid_component(primary.season_cycles, amp, phase, length),
         "local": _place_shapelets(
             secondary.segment_shapelets, sample_rng(seed, sample_index, _P_SHAPELET_PLACE), length
         ),
         "hf": sinusoid_component(secondary.hf_cycles, hf_amp, hf_phase, length),
+        "noise": noise_component(sample_rng(seed, sample_index, _P_NOISE), length),
     }
-    if include_noise:
-        components["noise"] = noise_component(sample_rng(seed, sample_index, _P_NOISE), length)
-    return components
 
 
 def decode_attrs(attrs: Mapping[str, int]) -> tuple[PrimaryAttrs, SecondaryAttrs]:

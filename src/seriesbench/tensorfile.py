@@ -112,12 +112,12 @@ def read_tensor(path: str | Path) -> TimeSeriesTensor:
     return TimeSeriesTensor(data=arr)
 
 
-def read_embedding(path: str | Path, role: str = "time_series") -> EmbeddingMatrix:
+def read_embedding(path: str | Path) -> EmbeddingMatrix:
     """Read a TSB1 file holding a 2-D (N, d) embedding matrix."""
     arr = _read_tsb1(path)
     if arr.ndim != 2:
         raise InputFormatError(f"{path}: expected 2-D embedding matrix, got shape {arr.shape}")
-    return EmbeddingMatrix(data=arr, role=role)
+    return EmbeddingMatrix(data=arr)
 
 
 def read_array(path: str | Path) -> np.ndarray:

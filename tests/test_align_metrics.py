@@ -207,6 +207,33 @@ def test_crps_proper_against_point_forecast():
     assert np.mean(ensemble_scores) < np.mean(point_scores)
 
 
+def _crps_sorted_reference(samples, y):
+    # the per-ensemble body crps_instance had before it became the
+    # one-ensemble crps_score case
+    s = np.asarray(samples, dtype=np.float64).ravel()
+    k = s.size
+    weights = 2.0 * np.arange(k) - k + 1.0
+    return float(np.abs(s - y).mean() - 0.5 * (2.0 * (np.sort(s) * weights).sum() / (k * k)))
+
+
+def test_crps_instance_matches_sorted_reference_bitwise():
+    rng = np.random.default_rng(13)
+    sizes = [1, 2, 3, 299, 100_000] + [int(k) for k in rng.integers(1, 300, size=300)]
+    for k in sizes:
+        samples = rng.normal(size=k) * rng.choice([1e-3, 1.0, 1e6])
+        if k % 3 == 0:
+            samples = np.round(samples)  # repeated values: ties in the sort
+        y = float(rng.choice([samples[0], rng.normal()]))
+        got = crps_instance(samples, y)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(_crps_sorted_reference(samples, y)).tobytes()
+
+
+def test_crps_instance_rejects_empty_ensemble():
+    with pytest.raises(ContractViolation):
+        crps_instance(np.zeros(0), 1.0)
+
+
 def test_crps_score_identical_bundle_is_zero():
     rng = np.random.default_rng(11)
     refs = rng.normal(size=(3, 6, 2))

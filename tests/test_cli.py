@@ -642,3 +642,137 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Inputs that are well formed but break a contract: exit 3 with one stderr line
+# ---------------------------------------------------------------------------
+
+CONTRACT_VIOLATION_CASES = {
+    "stat-empty-train": "metrics stat --train {b}/no_series.tsb --real {i}/series.tsb --gen {i}/gen.tsb --out {o}/s.json",
+    "stat-empty-real": "metrics stat --train {i}/series.tsb --real {b}/no_series.tsb --gen {i}/gen.tsb --out {o}/s.json",
+    "embed-zero-dim": "metrics embed --real-emb {b}/zero_dim_emb.tsb --gen-emb {b}/zero_dim_emb.tsb --out {o}/e.json",
+    "align-no-refs": "metrics align --refs {b}/no_refs.tsb --gen-bundle {b}/no_refs.tsb --k-per-sample 3 --out {o}/a.json",
+    "temporal-no-series": "protocol temporal --segment-emb {b}/no_seg.tsb --text-emb {b}/no_seg.tsb --out {o}/t.json",
+    "droprate-nan": "protocol droprate --acc-real nan --acc-gen 0.7 --acc-rand 0.5 --out {o}/d.json",
+    "droprate-inf": "protocol droprate --acc-real inf --acc-gen 0.7 --acc-rand 0.5 --out {o}/d.json",
+    "rank-seed-mean-overflow": "protocol rank --reports-dir {b}/overflow_reports --grouping {i}/grouping.json --out {o}/r.json",
+}
+
+
+@pytest.fixture(scope="module")
+def violating_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("violating")
+    tensorfile.write_tensor(np.zeros((0, 54, 1)), d / "no_series.tsb")
+    tensorfile.write_tensor(np.zeros((10, 0)), d / "zero_dim_emb.tsb")
+    tensorfile.write_tensor(np.zeros((0, 12, 1)), d / "no_refs.tsb")
+    tensorfile.write_tensor(np.zeros((0, 3, 5)), d / "no_seg.tsb")
+    # 16 finite seeds whose float64 mean overflows (inf + -inf)
+    (d / "overflow_reports").mkdir()
+    for seed in range(16):
+        report = MetricReport(
+            entries=(MetricEntry("score", 1.7e308 if seed % 2 else -1.7e308, "higher_better"),),
+            context=ReportContext("d1", "alpha", seed),
+        )
+        tensorfile.emit_report(report, d / "overflow_reports" / f"alpha-{seed}.json")
+    report = MetricReport(entries=(MetricEntry("score", 0.5, "higher_better"),), context=ReportContext("d1", "beta", 0))
+    tensorfile.emit_report(report, d / "overflow_reports" / "beta.json")
+    return d
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_VIOLATION_CASES))
+def test_contract_violation_exits_3_with_one_line(case, contract_inputs, violating_inputs, tmp_path, capsys):
+    # pytest turns warnings into errors, so a NumPy RuntimeWarning fails here too
+    argv = _argv(CONTRACT_VIOLATION_CASES[case], i=contract_inputs, b=violating_inputs, o=tmp_path)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("contract violation: "), captured.err
+    assert not list(tmp_path.iterdir())
+
+
+def test_rank_overflow_via_module_prints_no_warning(contract_inputs, violating_inputs, tmp_path):
+    import subprocess
+    import sys
+
+    argv = _argv(CONTRACT_VIOLATION_CASES["rank-seed-mean-overflow"], i=contract_inputs, b=violating_inputs, o=tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "seriesbench", *argv], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "contract violation: seed mean is not finite: model='alpha' dataset='d1' metric='score'\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# HTTP proposer against a loopback server
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def http_proposer():
+    """A loopback proposer endpoint; set ``state["reply"]`` to "mock", "500" or "not-json"."""
+    import threading
+    from http.server import BaseHTTPRequestHandler, HTTPServer
+
+    from seriesbench.schema_discovery import MockProposer
+
+    mock = MockProposer(RULES["schema"], RULES["keywords"])
+    state = {"reply": "mock", "requests": 0}
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            state["requests"] += 1
+            status, body = 200, json.dumps(mock(request)).encode()
+            if state["reply"] == "500":
+                status, body = 500, b"server error"
+            elif state["reply"] == "not-json":
+                body = b"<html>not json</html>"
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/", state
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_schema_discover_http_proposer_matches_mock(http_proposer, contract_inputs, tmp_path, capsys):
+    url, state = http_proposer
+    template = "schema discover --captions {i}/captions.txt --proposer {p} --batch 5 --out {o}"
+    assert main(_argv(template, i=contract_inputs, p=f"mock:{contract_inputs}/rules.json", o=tmp_path / "mock")) == 0
+    assert main(_argv(template, i=contract_inputs, p=url, o=tmp_path / "http")) == 0, capsys.readouterr().err
+    assert state["requests"] == 4  # one per round: three stable rounds after the first
+    for name in ("schema.json", "discovery.json"):
+        assert (tmp_path / "http" / name).read_bytes() == (tmp_path / "mock" / name).read_bytes()
+
+
+@pytest.mark.parametrize("reply", ["500", "not-json"])
+def test_schema_discover_http_proposer_failure_exits_4(reply, http_proposer, contract_inputs, tmp_path, capsys):
+    url, state = http_proposer
+    state["reply"] = reply
+    argv = _argv("schema discover --captions {i}/captions.txt --proposer {p} --batch 5 --out {o}/d",
+                 i=contract_inputs, p=url, o=tmp_path)
+    assert main(argv) == 4
+    assert state["requests"] == 1  # a proposer failure is not retried
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"proposer failure: proposer at {url} failed: "), lines
+
+
+def test_schema_discover_malformed_proposer_url_exits_4(contract_inputs, tmp_path, capsys):
+    argv = _argv("schema discover --captions {i}/captions.txt --proposer http://[bad --batch 5 --out {o}/d",
+                 i=contract_inputs, o=tmp_path)
+    assert main(argv) == 4
+    assert capsys.readouterr().err.splitlines() == ["proposer failure: proposer at http://[bad failed: Invalid IPv6 URL"]

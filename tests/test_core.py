@@ -35,6 +35,16 @@ def test_tensor_rejects_non_finite():
         TimeSeriesTensor(data=np.array([[[1.0], [np.nan]]]))
 
 
+@pytest.mark.parametrize(
+    "make, shape",
+    [(TimeSeriesTensor, (0, 6, 1)), (TimeSeriesTensor, (4, 0, 1)), (TimeSeriesTensor, (4, 6, 0)),
+     (EmbeddingMatrix, (0, 3)), (EmbeddingMatrix, (10, 0))],
+)
+def test_zero_length_dimension_rejected(make, shape):
+    with pytest.raises(ContractViolation, match="zero-length dimension"):
+        make(data=np.zeros(shape))
+
+
 def test_tensor_shape_metadata():
     t = TimeSeriesTensor(data=np.zeros((4, 6, 2)))
     assert (t.n_samples, t.length, t.n_features) == (4, 6, 2)

@@ -167,15 +167,15 @@ def test_ranks_match_scipy_rankdata_bitwise(seed):
     assert table.ranks.tobytes() == expected.tobytes()
 
 
-def test_ranks_nan_mean_leaves_column_unranked_like_rankdata():
-    # 16 finite seeds whose float64 mean overflows to NaN (inf + -inf)
-    big = 1.7e308
-    reports = [_report("a", "d", s, {"m": big if s % 2 else -big, "n": 1.0}) for s in range(16)]
+@pytest.mark.parametrize("values", [[1.7e308, -1.7e308] * 8, [1.7e308, 1.7e308]], ids=["nan", "inf"])
+def test_ranks_non_finite_seed_mean_raises(values):
+    # finite seeds whose float64 mean overflows: NaN (inf + -inf) or inf; the
+    # suite turns warnings into errors, so an overflow warning would fail here
+    reports = [_report("a", "d", s, {"m": v, "n": 1.0}) for s, v in enumerate(values)]
     reports += [_report("b", "d", 0, {"m": 0.0, "n": 2.0})]
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, table = aggregate_ranks(reports, {"m": "g", "n": "g"})
-    assert np.isnan(table.ranks[:, 0, 0]).all()
-    assert list(table.ranks[:, 0, 1]) == [2.0, 1.0]
+    with pytest.raises(ContractViolation) as err:
+        aggregate_ranks(reports, {"m": "g", "n": "g"})
+    assert str(err.value) == "seed mean is not finite: model='a' dataset='d' metric='m'"
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +461,38 @@ def test_dknn_values_matches_scalar_version():
     assert np.allclose(batch, scalar)
 
 
+def _dknn_argsort_reference(test_attr, train_attrs, k):
+    # the per-vector body dknn had before it became the one-row dknn_values case
+    train = np.asarray(train_attrs)
+    dists = (train != np.asarray(test_attr)).sum(axis=1)
+    order = np.argsort(dists, kind="stable")
+    return float(dists[order[:k]].mean())
+
+
+def test_dknn_matches_argsort_reference_bitwise():
+    rng = np.random.default_rng(21)
+    cases = 0
+    for _ in range(400):
+        n, m = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+        # two values per attribute, so distance ties are common
+        train = rng.integers(0, 2, size=(n, m))
+        test = rng.integers(0, 2, size=m)
+        for k in {1, n, int(rng.integers(1, n + 1))}:
+            got = dknn(test, train, k)
+            expected = _dknn_argsort_reference(test, train, k)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+            cases += 1
+    assert cases > 800
+
+
+def test_dknn_rejects_bad_shapes_and_k():
+    train = np.zeros((4, 3), dtype=int)
+    for test, k in (([0, 0], 1), ([[0, 0, 0]], 1), ([0, 0, 0], 0), ([0, 0, 0], 5)):
+        with pytest.raises(ContractViolation):
+            dknn(test, train, k)
+
+
 def test_head_tail_distinct_values():
     values = np.arange(10.0)
     head, tail = head_tail_split(values)
@@ -513,6 +545,13 @@ def test_drop_rate_examples():
     assert drop_rate(0.4, 0.7, 0.5) is None
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_drop_rate_rejects_non_finite_accuracies(bad):
+    for accs in ((bad, 0.7, 0.5), (0.9, bad, 0.5), (0.9, 0.7, bad)):
+        with pytest.raises(ContractViolation, match="accuracies must be finite"):
+            drop_rate(*accs)
+
+
 def test_drop_rate_affine_invariant():
     rng = np.random.default_rng(14)
     for _ in range(50):
@@ -529,5 +568,18 @@ def test_temporal_zero_norm_row_raises_without_warning():
     # the suite turns warnings into errors, so a divide warning would fail here first
     seg = np.ones((3, 4, 2))
     seg[1, 2] = 0.0
+    with pytest.raises(ContractViolation, match="zero-norm"):
+        temporal_order_eval(seg, np.ones((3, 4, 2)))
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 2), (3, 0, 2)])
+def test_temporal_rejects_empty_series_or_segments(shape):
+    with pytest.raises(ContractViolation, match="at least one series"):
+        temporal_order_eval(np.ones(shape), np.ones(shape))
+
+
+def test_temporal_overflowing_norm_raises_without_warning():
+    seg = np.ones((3, 4, 2))
+    seg[0, 1] = 1e300  # its squared norm overflows to inf
     with pytest.raises(ContractViolation, match="zero-norm"):
         temporal_order_eval(seg, np.ones((3, 4, 2)))

@@ -136,7 +136,7 @@ def test_inject_label_frequencies_and_peak_range():
     counts = {k: 0 for k in synthgen.SHAPELET_KINDS}
     for i, rec in enumerate(ds.conditions):
         primary, secondary = synthgen.decode_attrs(rec.attrs)
-        local = univariate_components(primary, secondary, 11, i, 96, include_noise=False)["local"]
+        local = univariate_components(primary, secondary, 11, i, 96)["local"]
         for seg, kind in enumerate(secondary.segment_shapelets):
             counts[kind] += 1
             segment = local[seg * 32 : (seg + 1) * 32]
@@ -205,7 +205,8 @@ def test_noise_sigma_uniform_over_samples():
 def test_compose_reduces_to_trend_when_everything_disabled():
     primary = PrimaryAttrs("quadratic", "down", 0)
     secondary = SecondaryAttrs(hf_cycles=0, segment_shapelets=NO_SHAPELETS)
-    series = sum(univariate_components(primary, secondary, 0, 0, 96, include_noise=False).values())
+    parts = univariate_components(primary, secondary, 0, 0, 96)
+    series = sum(v for name, v in parts.items() if name != "noise")
     assert np.array_equal(series, trend_component("quadratic", "down", 96))
     assert "quadratic" in render_caption(primary, secondary)
 
@@ -213,7 +214,8 @@ def test_compose_reduces_to_trend_when_everything_disabled():
 def test_compose_monotone_linear_up():
     primary = PrimaryAttrs("linear", "up", 0)
     secondary = SecondaryAttrs(hf_cycles=0, segment_shapelets=NO_SHAPELETS)
-    series = sum(univariate_components(primary, secondary, 1, 2, 96, include_noise=False).values())
+    parts = univariate_components(primary, secondary, 1, 2, 96)
+    series = sum(v for name, v in parts.items() if name != "noise")
     assert np.all(np.diff(series) > 0)
 
 

@@ -27,11 +27,10 @@ def test_tensor_round_trip_bit_identical(tmp_path):
 
 
 def test_embedding_round_trip(tmp_path):
-    emb = EmbeddingMatrix(data=np.float32(np.eye(3)).astype(np.float64), role="text")
+    emb = EmbeddingMatrix(data=np.float32(np.eye(3)).astype(np.float64))
     tensorfile.write_tensor(emb, tmp_path / "e.tsb")
-    back = tensorfile.read_embedding(tmp_path / "e.tsb", role="text")
+    back = tensorfile.read_embedding(tmp_path / "e.tsb")
     assert np.array_equal(back.data, emb.data)
-    assert back.role == "text"
 
 
 def test_truncated_payload_names_byte_counts(tmp_path):
