@@ -16,6 +16,7 @@ is provenance metadata and carries the wall time.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 import time
@@ -252,23 +253,19 @@ def _cmd_protocol_compgen(args: argparse.Namespace) -> _Outcome:
             pool_size=args.pool_size, repeats=args.repeats, seed=args.seed
         )
         texts = [rec.text for rec in test]
-        acc = {
-            "head": protocols.retrieval_acc1(gen, text, cfg, texts=texts, query_indices=head),
-            "tail": protocols.retrieval_acc1(gen, text, cfg, texts=texts, query_indices=tail),
-        }
-        doc["acc_gen"] = acc
+
+        def head_tail_acc(emb) -> dict:
+            return {
+                part: protocols.retrieval_acc1(emb, text, cfg, texts=texts, query_indices=idx)
+                for part, idx in (("head", head), ("tail", tail))
+            }
+
+        acc = doc["acc_gen"] = head_tail_acc(gen)
         if args.ref_emb:
             ref = tensorfile.read_embedding(args.ref_emb)
             inputs.append(args.ref_emb)
-            ref_acc = {
-                "head": protocols.retrieval_acc1(ref, text, cfg, texts=texts, query_indices=head),
-                "tail": protocols.retrieval_acc1(ref, text, cfg, texts=texts, query_indices=tail),
-            }
-            doc["acc_ref"] = ref_acc
-            doc["acc_norm"] = {
-                part: protocols.normalized_accuracy(acc[part], ref_acc[part])
-                for part in ("head", "tail")
-            }
+            ref_acc = doc["acc_ref"] = head_tail_acc(ref)
+            doc["acc_norm"] = {p: protocols.normalized_accuracy(acc[p], ref_acc[p]) for p in acc}
     return _Outcome(doc, inputs, f"dknn head/tail sizes: {head.size}/{tail.size}")
 
 
@@ -294,20 +291,10 @@ def _cmd_protocol_rank(args: argparse.Namespace) -> _Outcome:
     if not report_paths:
         raise InputFormatError("no reports given")
     reports = [tensorfile.read_report(p) for p in report_paths]
-    grouping = tensorfile.load_json(args.grouping)
-    if not isinstance(grouping, dict) or not all(isinstance(g, str) for g in grouping.values()):
-        raise InputFormatError(f"{args.grouping}: expected a JSON object mapping metric to group")
+    grouping = tensorfile.load_json(args.grouping, {str: str})
     rows, table = protocols.aggregate_ranks(reports, grouping)
     doc = {
-        "groups": [
-            {
-                "model": r.model,
-                "group": r.group,
-                "mean_rank": r.mean_rank,
-                "std_rank": r.std_rank,
-            }
-            for r in rows
-        ],
+        "groups": [dataclasses.asdict(r) for r in rows],
         "models": list(table.models),
         "datasets": list(table.datasets),
         "metrics": list(table.metrics),
@@ -342,11 +329,10 @@ def _read_captions(path: str | Path) -> list[str]:
 def _read_attrs(path: str, schema: AttributeSchema) -> tuple[list[dict], list[tuple[int, ...]]]:
     """Rows of an attrs JSONL file and their attribute vectors in schema order."""
     rows, vectors = [], []
-    for lineno, row in tensorfile.load_jsonl(path):
-        try:
-            vectors.append(tuple(int(row["attrs"][name]) for name in schema.names))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputFormatError(f"{path}:{lineno}: bad attrs row: {exc!r}") from exc
+    for lineno, row in tensorfile.load_jsonl(path, {"attrs": {str: int}}):
+        if problem := schema.misfit(row["attrs"]):
+            raise InputFormatError(f"{path}:{lineno}: {problem}")
+        vectors.append(tuple(row["attrs"][name] for name in schema.names))
         rows.append(row)
     return rows, vectors
 
@@ -369,15 +355,7 @@ def _cmd_schema_discover(args: argparse.Namespace) -> _Outcome:
     trace = {
         "converged": result.converged,
         "iterations": result.iterations,
-        "rounds": [
-            {
-                "round": r.round,
-                "schema_hash": r.schema_hash,
-                "stable_count": r.stable_count,
-                "skipped": r.skipped,
-            }
-            for r in result.rounds
-        ],
+        "rounds": [dataclasses.asdict(r) for r in result.rounds],
     }
     tensorfile.dump_json(trace, out / "discovery.json")
     return _Outcome(
@@ -411,7 +389,8 @@ def _cmd_schema_label(args: argparse.Namespace) -> _Outcome:
     rows, vectors = _read_attrs(args.attrs, schema)
     inputs = [args.attrs, args.schema]
     if args.combo_table:
-        index = schema_discovery.LabelIndex.from_dict(tensorfile.load_json(args.combo_table))
+        table = tensorfile.load_json(args.combo_table, {"combos": [[int]]})
+        index = schema_discovery.LabelIndex.from_dict(table)
         labels = [index.apply(v) for v in vectors]
         inputs.append(args.combo_table)
     else:

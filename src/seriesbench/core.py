@@ -31,14 +31,13 @@ class ProposerError(RuntimeError):
 
 
 def _frozen_float64(data: np.ndarray | Sequence, ndim: int, what: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
+    arr = np.array(data, dtype=np.float64)  # widens and copies: a caller's array is never aliased
     if arr.ndim != ndim:
         raise ContractViolation(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ContractViolation(f"{what} must have no zero-length dimension, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ContractViolation(f"{what} contains non-finite values")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -134,20 +133,20 @@ class AttributeSchema:
             ]
         }
 
+    def misfit(self, attrs: Mapping[str, int]) -> str | None:
+        """Describe the first attribute ``attrs`` lacks or indexes out of range; None if it fits."""
+        for a in self.attributes:
+            if a.name not in attrs:
+                return f"missing attribute {a.name!r}"
+            if not 0 <= attrs[a.name] < len(a.values):
+                return f"value index {attrs[a.name]} out of range for attribute {a.name!r}"
+        return None
+
     @classmethod
     def from_dict(cls, doc: Mapping) -> "AttributeSchema":
-        try:
-            attrs = tuple(
-                Attribute(
-                    name=str(a["name"]),
-                    definition=str(a.get("definition", "")),
-                    values=tuple(str(v) for v in a["values"]),
-                )
-                for a in doc["attributes"]
-            )
-        except (KeyError, TypeError) as exc:
-            raise InputFormatError(f"malformed schema document: {exc}") from exc
-        return cls(attributes=attrs)
+        """Build a schema from a document shaped like the one ``to_dict`` returns."""
+        attrs = doc["attributes"]
+        return cls(tuple(Attribute(a["name"], a.get("definition", ""), a["values"]) for a in attrs))
 
 
 @dataclass(frozen=True)
@@ -165,11 +164,10 @@ class ConditionRecord:
             raise ContractViolation(f"label must be non-negative, got {self.label}")
 
     def vector(self, schema: AttributeSchema) -> tuple[int, ...]:
-        """Attribute vector in schema order; missing attributes are an error."""
-        try:
-            return tuple(self.attrs[name] for name in schema.names)
-        except KeyError as exc:
-            raise ContractViolation(f"record {self.sample_id!r} missing attribute {exc}") from exc
+        """Attribute vector in schema order; a missing or out-of-range attribute is an error."""
+        if problem := schema.misfit(self.attrs):
+            raise ContractViolation(f"record {self.sample_id!r}: {problem}")
+        return tuple(self.attrs[name] for name in schema.names)
 
 
 @dataclass(frozen=True)

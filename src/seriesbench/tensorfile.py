@@ -17,6 +17,7 @@ import json
 import math
 import os
 import stat
+import sys
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -96,9 +97,10 @@ def _read_tsb1(path: str | Path) -> np.ndarray:
                 f"{path}: truncated payload, expected {expected} bytes, found {found}"
             )
         try:
-            arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+            arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
         except ValueError as exc:  # an empty payload with an unrepresentable shape
             raise InputFormatError(f"{path}: bad shape {shape!r}: {exc}") from exc
+        # finite as float32 exactly when finite as float64: the caller widens it once
         if arr.size and not np.all(np.isfinite(arr)):
             raise InputFormatError(f"{path}: payload contains non-finite values")
         return arr
@@ -122,7 +124,7 @@ def read_embedding(path: str | Path) -> EmbeddingMatrix:
 
 def read_array(path: str | Path) -> np.ndarray:
     """Read a TSB1 file of any rank as a float64 array."""
-    return _read_tsb1(path)
+    return _read_tsb1(path).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -130,24 +132,76 @@ def read_array(path: str | Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def load_json(path: str | Path):
-    """Parse a JSON file; malformed JSON raises InputFormatError naming the file and line."""
-    return _parse_json(Path(path).read_text(encoding="utf-8"), path)
+_CONDITION_SHAPE = {"sample_id": str, "text": str, "attrs": {str: int}, "label": int}
+_SCHEMA_SHAPE = {"attributes": [{"name": str, "definition?": str, "values": [str]}]}
+_REPORT_SHAPE = {
+    "context": {"dataset_id": str, "model_id": str, "seed": int},
+    "entries": [{"metric": str, "value": float, "direction": str}],
+}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string",
+          list: "a list", dict: "an object"}
+_ABSENT = object()  # the value of a missing key
 
 
-def load_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
-    """Yield ``(line number, document)`` for each non-blank line of a JSONL file."""
+def _check(value, shape):
+    """None if ``value`` has ``shape``, else (shape, value, *JSON path keys, innermost first)."""
+    if shape is float:  # NaN and +-inf fail the comparison
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    else:  # exact types, so a bool is no int
+        ok = type(value) is (shape if isinstance(shape, type) else type(shape))
+    if not ok:
+        return shape, value
+    if type(shape) is list:  # checked as an object keyed by index
+        value, shape = dict(enumerate(value)), {str: shape[0]}
+    if type(shape) is dict:
+        if str in shape:
+            fields = dict.fromkeys(value, shape[str])
+        else:  # an absent optional key is not checked
+            fields = {k.rstrip("?"): s for k, s in shape.items() if k[-1] != "?" or k[:-1] in value}
+        for key, sub in fields.items():
+            item = value.get(key, _ABSENT)
+            # a leaf of its exact type needs no call
+            if (type(item) is not sub or sub is float) and (bad := _check(item, sub)):
+                return (*bad, key)
+    return None
+
+
+def _load(text: str, shape, path: str | Path, lineno: int = 0):
+    """Parse one JSON document and check it against ``shape``; see ``load_json``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{path}:{lineno or exc.lineno}: bad JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer literal, too deep nesting
+        raise InputFormatError(f"{path}{f':{lineno}' if lineno else ''}: bad JSON: {exc}") from exc
+    if bad := _check(doc, shape):  # the location is built here only, not for every value
+        want, value, *keys = bad
+        line = f":{lineno}" if lineno else ""
+        where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(keys))
+        got = "nothing" if value is _ABSENT else json.dumps(value, ensure_ascii=False)[:40]
+        kind = _KINDS[want if isinstance(want, type) else type(want)]
+        raise InputFormatError(f"{path}{line}{where}: expected {kind}, got {got}")
+    return doc
+
+
+def load_json(path: str | Path, shape):
+    """Parse a JSON file and check it against ``shape``; a fault raises InputFormatError.
+
+    Shapes: ``int`` a JSON integer, not a bool; ``float`` a finite number (ints
+    pass, the caller applies ``float()``); ``str``; ``[item]`` a list;
+    ``{str: value}`` an object with any keys; ``{"key": value, "key?": value}``
+    an object with each key not marked optional by ``?``, unlisted keys passing;
+    ``{}`` any object.
+    """
+    return _load(Path(path).read_text(encoding="utf-8"), shape, path)
+
+
+def load_jsonl(path: str | Path, shape) -> Iterator[tuple[int, object]]:
+    """Yield ``(line number, document)`` per non-blank line, each checked against ``shape``."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                yield lineno, _parse_json(line, path, lineno)
-
-
-def _parse_json(text: str, path: str | Path, lineno: int = 0):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path}:{lineno or exc.lineno}: bad JSON: {exc.msg}") from exc
+                yield lineno, _load(line, shape, path, lineno)
 
 
 def dump_jsonl(docs: Iterable[Mapping], path: str | Path) -> None:
@@ -174,20 +228,8 @@ def write_conditions(records: Sequence[ConditionRecord], path: str | Path) -> No
 
 
 def read_conditions(path: str | Path) -> list[ConditionRecord]:
-    records = []
-    for lineno, doc in load_jsonl(path):
-        try:
-            records.append(
-                ConditionRecord(
-                    sample_id=str(doc["sample_id"]),
-                    text=str(doc["text"]),
-                    attrs={str(k): int(v) for k, v in doc["attrs"].items()},
-                    label=int(doc["label"]),
-                )
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise InputFormatError(f"{path}:{lineno}: bad condition record: {exc}") from exc
-    return records
+    docs = load_jsonl(path, _CONDITION_SHAPE)
+    return [ConditionRecord(d["sample_id"], d["text"], d["attrs"], d["label"]) for _, d in docs]
 
 
 def write_schema(schema: AttributeSchema, path: str | Path) -> None:
@@ -195,7 +237,7 @@ def write_schema(schema: AttributeSchema, path: str | Path) -> None:
 
 
 def read_schema(path: str | Path) -> AttributeSchema:
-    return AttributeSchema.from_dict(load_json(path))
+    return AttributeSchema.from_dict(load_json(path, _SCHEMA_SHAPE))
 
 
 def write_splits(splits: Mapping[str, Sequence[int]], path: str | Path) -> None:
@@ -203,7 +245,7 @@ def write_splits(splits: Mapping[str, Sequence[int]], path: str | Path) -> None:
 
 
 def read_splits(path: str | Path) -> dict[str, list[int]]:
-    return {str(k): [int(i) for i in v] for k, v in load_json(path).items()}
+    return load_json(path, {str: [int]})
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +317,7 @@ def emit_report(report: MetricReport, path: str | Path) -> None:
 
 
 def read_report(path: str | Path) -> MetricReport:
-    doc = load_json(path)
-    try:
-        ctx = ReportContext(
-            dataset_id=str(doc["context"]["dataset_id"]),
-            model_id=str(doc["context"]["model_id"]),
-            seed=int(doc["context"]["seed"]),
-        )
-        entries = tuple(
-            MetricEntry(
-                metric_name=str(e["metric"]),
-                value=float(e["value"]),
-                direction=str(e["direction"]),
-            )
-            for e in doc["entries"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"{path}: bad report JSON: {exc}") from exc
-    return MetricReport(entries=entries, context=ctx)
+    doc = load_json(path, _REPORT_SHAPE)
+    c = doc["context"]
+    entries = (MetricEntry(e["metric"], float(e["value"]), e["direction"]) for e in doc["entries"])
+    return MetricReport(tuple(entries), ReportContext(c["dataset_id"], c["model_id"], c["seed"]))

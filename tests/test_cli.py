@@ -532,7 +532,28 @@ MALFORMED_CASES = {
     "tsb1-shape-exceeds-file": "metrics align --refs {b}/huge_shape.tsb --gen-bundle {i}/bundle.tsb --k-per-sample 3 --out {o}/a.json",
     "tsb1-shape-wraps-int64": "protocol retrieval --gen-emb {b}/wrap_shape.tsb --text-emb {i}/text_emb.tsb --pool-size 2 --out {o}/r.json",
     "tsb1-empty-shape-too-large": "protocol retrieval --gen-emb {b}/empty_huge_shape.tsb --text-emb {i}/text_emb.tsb --pool-size 2 --out {o}/r.json",
+    # values the JSON shape check rejects: no overflow traceback, no silent coercion
+    "validate-attr-index-overflows": "validate --series {i}/series.tsb --conditions {b}/cond_attr_inf.jsonl --schema {i}/schema.json",
+    "compgen-attr-index-overflows": "protocol compgen --schema {i}/schema.json --train-conditions {b}/cond_attr_inf.jsonl --test-conditions {i}/test.jsonl --k 2 --out {o}/c.json",
+    "validate-attr-index-float": "validate --series {i}/series.tsb --conditions {b}/cond_attr_float.jsonl --schema {i}/schema.json",
+    "validate-attr-index-bool": "validate --series {i}/series.tsb --conditions {b}/cond_attr_bool.jsonl --schema {i}/schema.json",
+    "validate-attr-index-string": "validate --series {i}/series.tsb --conditions {b}/cond_attr_string.jsonl --schema {i}/schema.json",
+    "validate-integer-literal-too-long": "validate --series {i}/series.tsb --conditions {b}/cond_long_int.jsonl --schema {i}/schema.json",
+    "rank-seed-overflows": "protocol rank --report {b}/report_seed_inf.json --grouping {i}/grouping.json --out {o}/r.json",
+    "rank-seed-float": "protocol rank --report {b}/report_seed_float.json --grouping {i}/grouping.json --out {o}/r.json",
+    "rank-seed-string": "protocol rank --report {b}/report_seed_string.json --grouping {i}/grouping.json --out {o}/r.json",
+    "rank-value-bool": "protocol rank --report {b}/report_value_bool.json --grouping {i}/grouping.json --out {o}/r.json",
+    "rank-value-string": "protocol rank --report {b}/report_value_string.json --grouping {i}/grouping.json --out {o}/r.json",
+    "rank-grouping-nested-too-deep": "protocol rank --reports-dir {i}/reports --grouping {b}/deep.json --out {o}/r.json",
+    "label-attr-index-overflows": "schema label --attrs {b}/attrs_inf.jsonl --schema {i}/rules_schema.json --out {o}/l.jsonl",
+    "label-attr-index-out-of-range": "schema label --attrs {b}/attrs_out_of_range.jsonl --schema {i}/rules_schema.json --out {o}/l.jsonl",
+    "label-combo-table-overflows": "schema label --attrs {i}/attrs.jsonl --schema {i}/rules_schema.json --combo-table {b}/combos_inf.json --out {o}/l.jsonl",
+    "schema-values-not-strings": "validate --series {i}/series.tsb --conditions {i}/conditions.jsonl --schema {b}/schema_int_values.json",
+    "schema-name-null": "validate --series {i}/series.tsb --conditions {i}/conditions.jsonl --schema {b}/schema_null_name.json",
+    "rules-keywords-not-a-list": "schema assign --captions {i}/captions.txt --schema {i}/rules_schema.json --proposer mock:{b}/rules_keyword_number.json --out {o}/a.jsonl",
 }
+
+_REPORT = '{{"context":{{"dataset_id":"d1","model_id":"alpha","seed":{seed}}},"entries":[{{"direction":"higher_better","metric":"score","value":{value}}}]}}'
 
 
 @pytest.fixture(scope="module")
@@ -549,6 +570,28 @@ def bad_inputs(tmp_path_factory):
     (d / "latin1.txt").write_bytes("caption with an upward move, caf\xe9\n".encode("latin-1"))
     (d / "conditions_bad.jsonl").write_text(
         '{"attrs": [], "label": 0, "sample_id": "s-0", "text": "a"}\n'
+    )
+    for name, index in (("inf", "1e400"), ("float", "2.5"), ("bool", "true"), ("string", '"2"')):
+        (d / f"cond_attr_{name}.jsonl").write_text(
+            f'{{"attrs": {{"trend_type": {index}}}, "label": 0, "sample_id": "s-0", "text": "a"}}\n'
+        )
+    (d / "cond_long_int.jsonl").write_text(
+        f'{{"attrs": {{}}, "label": {"1" * 5000}, "sample_id": "s-0", "text": "a"}}\n'
+    )
+    reports = {
+        "seed_inf": ("1e400", "0.5"), "seed_float": ("1.5", "0.5"), "seed_string": ('"7"', "0.5"),
+        "value_bool": ("0", "true"), "value_string": ("0", '"0.5"'),
+    }
+    for name, (seed, value) in reports.items():
+        (d / f"report_{name}.json").write_text(_REPORT.format(seed=seed, value=value))
+    (d / "deep.json").write_text("[" * 100_000)
+    (d / "attrs_inf.jsonl").write_text('{"attrs": {"trend": 1e400}}\n')
+    (d / "attrs_out_of_range.jsonl").write_text('{"attrs": {"trend": 0}}\n{"attrs": {"trend": 3}}\n')
+    (d / "combos_inf.json").write_text('{"combos": [[0], [1e400]]}')
+    (d / "schema_int_values.json").write_text('{"attributes": [{"name": "trend", "values": [1, 2]}]}')
+    (d / "schema_null_name.json").write_text('{"attributes": [{"name": null, "values": ["a", "b"]}]}')
+    (d / "rules_keyword_number.json").write_text(
+        json.dumps({"schema": RULES["schema"], "keywords": {"trend": {"up": 5}}})
     )
     # headers whose shapes claim far more payload than the file holds (the
     # second one's element count is 2**64, which wraps to 0 in int64), and a
@@ -657,12 +700,18 @@ CONTRACT_VIOLATION_CASES = {
     "droprate-nan": "protocol droprate --acc-real nan --acc-gen 0.7 --acc-rand 0.5 --out {o}/d.json",
     "droprate-inf": "protocol droprate --acc-real inf --acc-gen 0.7 --acc-rand 0.5 --out {o}/d.json",
     "rank-seed-mean-overflow": "protocol rank --reports-dir {b}/overflow_reports --grouping {i}/grouping.json --out {o}/r.json",
+    "compgen-attr-index-negative": "protocol compgen --schema {i}/schema.json --train-conditions {i}/train.jsonl --test-conditions {b}/test_index_-1.jsonl --k 2 --out {o}/c.json",
+    "compgen-attr-index-too-large": "protocol compgen --schema {i}/schema.json --train-conditions {b}/test_index_99.jsonl --test-conditions {i}/test.jsonl --k 2 --out {o}/c.json",
 }
 
 
 @pytest.fixture(scope="module")
-def violating_inputs(tmp_path_factory):
+def violating_inputs(tmp_path_factory, contract_inputs):
     d = tmp_path_factory.mktemp("violating")
+    rows = [json.loads(line) for line in (contract_inputs / "test.jsonl").read_text().splitlines()]
+    for index in (-1, 99):
+        rows[5]["attrs"]["season_cycles"] = index
+        tensorfile.dump_jsonl(rows, d / f"test_index_{index}.jsonl")
     tensorfile.write_tensor(np.zeros((0, 54, 1)), d / "no_series.tsb")
     tensorfile.write_tensor(np.zeros((10, 0)), d / "zero_dim_emb.tsb")
     tensorfile.write_tensor(np.zeros((0, 12, 1)), d / "no_refs.tsb")

@@ -56,6 +56,14 @@ def test_tensor_is_immutable():
         t.data[0, 0, 0] = 1.0
 
 
+def test_tensor_never_aliases_the_callers_array():
+    for source in (np.zeros((2, 3, 1)), np.zeros((2, 3, 1), dtype=np.float32)):
+        t = TimeSeriesTensor(data=source)
+        source[0, 0, 0] = 5.0
+        assert t.data.dtype == np.float64 and t.data[0, 0, 0] == 0.0
+        assert source.flags.writeable
+
+
 def test_embedding_rejects_wrong_rank():
     with pytest.raises(ContractViolation):
         EmbeddingMatrix(data=np.zeros((2, 3, 4)))
@@ -129,3 +137,21 @@ def test_validate_label_inconsistency(schema):
     ]
     report = validate_dataset(series, conditions, schema)
     assert any("inconsistent" in v for v in report.violations)
+
+
+@pytest.mark.parametrize(
+    "attrs, message",
+    [
+        ({"color": 0}, "record 's0': missing attribute 'size'"),
+        ({"color": 0, "size": 3}, "record 's0': value index 3 out of range for attribute 'size'"),
+        ({"color": -1, "size": 0}, "record 's0': value index -1 out of range for attribute 'color'"),
+    ],
+)
+def test_vector_rejects_missing_or_out_of_range_index(schema, attrs, message):
+    with pytest.raises(ContractViolation) as info:
+        _record(0, attrs).vector(schema)
+    assert str(info.value) == message
+
+
+def test_vector_in_schema_order_ignores_extra_attributes(schema):
+    assert _record(0, {"size": 2, "extra": 9, "color": 1}).vector(schema) == (1, 2)

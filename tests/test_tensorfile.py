@@ -111,3 +111,133 @@ def test_canonical_json_rejects_nan():
 def test_canonical_json_sorts_keys_and_formats_floats():
     doc = {"b": 0.1, "a": 2}
     assert tensorfile.canonical_json(doc) == '{"a":2,"b":0.10000000000000001}'
+
+
+def test_read_tensor_makes_one_float64_copy(tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "x.tsb"
+    tensorfile.write_tensor(np.random.default_rng(0).normal(size=(2000, 96, 2)), path)
+    tracemalloc.start()
+    try:
+        tensor = tensorfile.read_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 payload plus one float64 result; a second float64 copy reads 2x
+    assert peak <= 1.75 * tensor.data.nbytes, peak / tensor.data.nbytes
+    assert tensor.data.dtype == np.float64 and not tensor.data.flags.writeable
+    arr = tensorfile.read_array(path)
+    assert arr.dtype == np.float64 and np.array_equal(arr, tensor.data)
+
+
+# ---------------------------------------------------------------------------
+# The JSON shape check
+# ---------------------------------------------------------------------------
+
+SHAPE_ACCEPTS = [
+    ("3", int),
+    ("-7", int),
+    ("2.5", float),
+    ("2", float),
+    ("-1.7e308", float),
+    ('"x"', str),
+    ("[]", [int]),
+    ("[1, 2]", [int]),
+    ('{"a": 1, "b": 2}', {str: int}),
+    ("{}", {str: int}),
+    ('{"z": [1, "x"], "q": null}', {}),
+    ('{"a": 1}', {"a": int, "b?": str}),
+    ('{"a": 1, "b": "x"}', {"a": int, "b?": str}),
+    ('{"a": 1, "extra": [null, true]}', {"a": int}),
+    ('[[1, 2], []]', [[int]]),
+]
+
+
+@pytest.mark.parametrize("text, shape", SHAPE_ACCEPTS)
+def test_shape_accepts(text, shape, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert tensorfile.load_json(path, shape) == json.loads(text)
+
+
+SHAPE_REJECTS = [
+    ("true", int, ": expected an integer, got true"),
+    ("false", float, ": expected a finite number, got false"),
+    ("2.5", int, ": expected an integer, got 2.5"),
+    ("2.0", int, ": expected an integer, got 2.0"),
+    ('"7"', int, ': expected an integer, got "7"'),
+    ('"0.5"', float, ': expected a finite number, got "0.5"'),
+    ("NaN", float, ": expected a finite number, got NaN"),
+    ("Infinity", float, ": expected a finite number, got Infinity"),
+    ("-Infinity", float, ": expected a finite number, got -Infinity"),
+    ("1e400", float, ": expected a finite number, got Infinity"),
+    ("1e400", int, ": expected an integer, got Infinity"),
+    ("1" + "0" * 400, float, ": expected a finite number, got 1" + "0" * 39),
+    ('{"v": NaN}', {"v": float}, ".v: expected a finite number, got NaN"),
+    ("[1.5, 1e400]", [float], "[1]: expected a finite number, got Infinity"),
+    ("null", str, ": expected a string, got null"),
+    ("3", str, ": expected a string, got 3"),
+    ('{"a": 1}', [int], ': expected a list, got {"a": 1}'),
+    ("[1]", {}, ": expected an object, got [1]"),
+    ("[1, true]", [int], "[1]: expected an integer, got true"),
+    ('{"a": 1, "b": "x"}', {str: int}, '.b: expected an integer, got "x"'),
+    ('{"b": "x"}', {"a": int, "b?": str}, ".a: expected an integer, got nothing"),
+    ('{"a": 1, "b": 2}', {"a": int, "b?": str}, ".b: expected a string, got 2"),
+    (
+        '{"a": [{"b": [1, 2]}, {"b": [3, "x"]}]}',
+        {"a": [{"b": [int]}]},
+        '.a[1].b[1]: expected an integer, got "x"',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, shape, message", SHAPE_REJECTS, ids=lambda v: v[:24] if isinstance(v, str) else None
+)
+def test_shape_rejects_with_json_path(text, shape, message, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(InputFormatError) as info:
+        tensorfile.load_json(path, shape)
+    assert str(info.value) == f"{path}{message}"
+
+
+def test_shape_mismatch_value_is_truncated(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"a": "x" * 500}))
+    with pytest.raises(InputFormatError) as info:
+        tensorfile.load_json(path, {"a": int})
+    assert str(info.value) == f'{path}.a: expected an integer, got "{"x" * 39}'
+
+
+def test_jsonl_shape_mismatch_names_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n\n{"a": 2}\n{"a": 2.5}\n')
+    with pytest.raises(InputFormatError) as info:
+        list(tensorfile.load_jsonl(path, {"a": int}))
+    assert str(info.value) == f"{path}:4.a: expected an integer, got 2.5"
+
+
+@pytest.mark.parametrize(
+    "text", ["1" * 5000, "[" * 100_000, '{"a": ' * 100_000], ids=["long-int", "deep-list", "deep-object"]
+)
+def test_unparseable_json_is_an_input_error(text, tmp_path):
+    # an integer literal over the interpreter's digit limit, and nesting past its recursion limit
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(InputFormatError, match="bad JSON"):
+        tensorfile.load_json(path, {})
+    with pytest.raises(InputFormatError, match=":1: bad JSON"):
+        list(tensorfile.load_jsonl(path, {}))
+
+
+def test_report_reader_rejects_non_integer_seed(tmp_path):
+    report = MetricReport(entries=(MetricEntry("fid", 0.5, "lower_better"),), context=ReportContext("d", "m", 7))
+    path = tmp_path / "r.json"
+    tensorfile.emit_report(report, path)
+    doc = json.loads(path.read_text())
+    doc["context"]["seed"] = 7.0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputFormatError, match=r"\.context\.seed: expected an integer, got 7\.0$"):
+        tensorfile.read_report(path)
