@@ -229,9 +229,10 @@ def validate_dataset(
     """Cross-check a (series, conditions, schema) triple.
 
     Reported violations: sample-count mismatch, attribute names outside the
-    schema, schema attributes a record lacks, value indices out of range,
-    non-finite series values, and label inconsistency (two records with
-    identical attribute vectors must carry the same label).  A passing report
+    schema, schema attributes a record lacks, value indices out of range, and
+    label inconsistency (two records with identical attribute vectors must
+    carry the same label).  Series values are finite by construction: the
+    ``TimeSeriesTensor`` constructor refuses anything else.  A passing report
     is the precondition every metric operation assumes.
     """
     violations: list[str] = []
@@ -239,8 +240,6 @@ def validate_dataset(
         violations.append(
             f"count mismatch: {series.n_samples} series vs {len(conditions)} condition records"
         )
-    if not np.all(np.isfinite(series.data)):
-        violations.append("non-finite values in series tensor")
 
     options = {a.name: len(a.values) for a in schema.attributes}
     label_by_vector: dict[tuple, int] = {}

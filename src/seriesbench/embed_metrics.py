@@ -9,8 +9,11 @@ eigendecomposition on a PSD argument.
 Precision/recall follow the kNN-hypersphere manifold construction: a query
 lies in the manifold when it falls inside the closed ball around any
 reference point whose radius is the distance to that point's k-th nearest
-neighbour (self excluded).  kNN is exact; distance matrices are computed in
-row blocks so benchmark-scale inputs (n up to ~30k) stay in memory.
+neighbour (self excluded).  kNN is exact.  Distances are computed in row
+blocks into two (rows, n) float64 buffers that are allocated once per call
+and reused for every block; ``rows`` is sized so that each buffer holds at
+most ``_BLOCK_BYTES`` (8 MiB), so a pass needs ~16 MiB of scratch whatever n
+is (a single row is kept when one row of n distances is larger than that).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from seriesbench.core import ContractViolation, EmbeddingMatrix, as_embedding_ar
 
 _EIG_CLAMP_REL = 1e-10
 _SYMMETRY_TOL = 1e-8
-_BLOCK_ROWS = 2048
+_BLOCK_BYTES = 8 << 20  # bytes per distance-block buffer; two buffers are live per pass
 
 
 @dataclass(frozen=True)
@@ -102,13 +105,31 @@ def fid(real_emb: EmbeddingMatrix | np.ndarray, gen_emb: EmbeddingMatrix | np.nd
 # ---------------------------------------------------------------------------
 
 
-def _block_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Euclidean distances (n_queries, n_points) computed stably."""
-    q_sq = (queries**2).sum(axis=1)[:, None]
-    p_sq = (points**2).sum(axis=1)[None, :]
-    sq = q_sq + p_sq - 2.0 * queries @ points.T
-    np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq)
+def _distance_blocks(queries: np.ndarray, points: np.ndarray):
+    """Yield ``(start, stop, d)``: Euclidean distances of queries[start:stop] to all points.
+
+    ``d`` is a view of a buffer that the next block overwrites, so a caller
+    reads or reduces it before asking for the next one and may modify it in
+    place.  Each block evaluates ``sqrt(max(q_sq + p_sq - (2.0 * q) @ points.T, 0))``
+    in that order.  The BLAS may round a product differently with its height
+    (a one-row product goes through gemv), so a distance is bitwise stable
+    across block budgets only where the products' shapes round alike.
+    """
+    n_queries, n = queries.shape[0], points.shape[0]
+    rows = max(1, min(n_queries, _BLOCK_BYTES // (8 * n)))
+    sq = np.empty((rows, n))
+    gram = np.empty((rows, n))
+    q_sq = (queries**2).sum(axis=1)
+    p_sq = (points**2).sum(axis=1)
+    for start in range(0, n_queries, rows):
+        stop = min(start + rows, n_queries)
+        d, g = sq[: stop - start], gram[: stop - start]
+        np.add(q_sq[start:stop, None], p_sq, out=d)
+        np.matmul(2.0 * queries[start:stop], points.T, out=g)
+        np.subtract(d, g, out=d)
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        yield start, stop, d
 
 
 @dataclass(frozen=True)
@@ -126,22 +147,22 @@ class ManifoldIndex:
         if not 1 <= k < n:
             raise ContractViolation(f"k must satisfy 1 <= k < n_points, got k={k}, n={n}")
         radii = np.empty(n)
-        for start in range(0, n, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, n)
-            d = _block_distances(points[start:stop], points)
-            rows = np.arange(stop - start)
-            d[rows, np.arange(start, stop)] = np.inf  # exclude self
-            radii[start:stop] = np.partition(d, k - 1, axis=1)[:, k - 1]
+        for start, stop, d in _distance_blocks(points, points):
+            d[np.arange(stop - start), np.arange(start, stop)] = np.inf  # exclude self
+            d.partition(k - 1, axis=1)
+            radii[start:stop] = d[:, k - 1]
         return cls(points=points, k=k, radii=radii)
 
     def contains(self, queries: np.ndarray) -> np.ndarray:
         """Boolean per query: inside the closed ball of at least one point."""
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        if queries.ndim != 2 or queries.shape[1] != self.points.shape[1]:
+            raise ContractViolation(
+                f"queries must be (m, {self.points.shape[1]}), got shape {queries.shape}"
+            )
         out = np.zeros(queries.shape[0], dtype=bool)
-        for start in range(0, queries.shape[0], _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, queries.shape[0])
-            d = _block_distances(queries[start:stop], self.points)
-            out[start:stop] = (d <= self.radii[None, :]).any(axis=1)
+        for start, stop, d in _distance_blocks(queries, self.points):
+            out[start:stop] = (d <= self.radii).any(axis=1)
         return out
 
 

@@ -64,8 +64,10 @@ def _read_tsb1(path: str | Path) -> np.ndarray:
             raise InputFormatError(f"{path}: missing or oversized TSB1 header line")
         try:
             header = json.loads(head.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise InputFormatError(f"{path}: unparseable TSB1 header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise InputFormatError(f"{path}: TSB1 header is not a JSON object")
         if header.get("magic") != _MAGIC:
             raise InputFormatError(f"{path}: magic mismatch, got {header.get('magic')!r}")
         if header.get("dtype") != "f32":

@@ -532,6 +532,8 @@ MALFORMED_CASES = {
     "tsb1-shape-exceeds-file": "metrics align --refs {b}/huge_shape.tsb --gen-bundle {i}/bundle.tsb --k-per-sample 3 --out {o}/a.json",
     "tsb1-shape-wraps-int64": "protocol retrieval --gen-emb {b}/wrap_shape.tsb --text-emb {i}/text_emb.tsb --pool-size 2 --out {o}/r.json",
     "tsb1-empty-shape-too-large": "protocol retrieval --gen-emb {b}/empty_huge_shape.tsb --text-emb {i}/text_emb.tsb --pool-size 2 --out {o}/r.json",
+    "embed-tsb1-header-nested-too-deep": "metrics embed --real-emb {b}/deep_header.tsb --gen-emb {i}/gen_emb.tsb --out {o}/e.json",
+    "embed-tsb1-header-not-object": "metrics embed --real-emb {b}/list_header.tsb --gen-emb {i}/gen_emb.tsb --out {o}/e.json",
     # values the JSON shape check rejects: no overflow traceback, no silent coercion
     "validate-attr-index-overflows": "validate --series {i}/series.tsb --conditions {b}/cond_attr_inf.jsonl --schema {i}/schema.json",
     "compgen-attr-index-overflows": "protocol compgen --schema {i}/schema.json --train-conditions {b}/cond_attr_inf.jsonl --test-conditions {i}/test.jsonl --k 2 --out {o}/c.json",
@@ -600,6 +602,10 @@ def bad_inputs(tmp_path_factory):
     for name, shape in shapes.items():
         header = {"byte_order": "little", "dtype": "f32", "magic": "TSB1", "order": "row_major", "shape": shape}
         (d / f"{name}.tsb").write_bytes(json.dumps(header).encode() + b"\n")
+    # headers that parse to no object: nested past the recursion limit while
+    # still under the header byte limit, and a plain list
+    (d / "deep_header.tsb").write_bytes(b"[" * 3000 + b"\n")
+    (d / "list_header.tsb").write_bytes(b"[1]\n")
     return d
 
 

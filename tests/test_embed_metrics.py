@@ -217,6 +217,115 @@ def test_k_bounds_enforced():
         precision(np.zeros((4, 2)), np.zeros((9, 2)), k=5)
 
 
+def test_contains_rejects_queries_of_another_width():
+    index = ManifoldIndex.build(np.zeros((4, 3)), 1)
+    with pytest.raises(ContractViolation, match=r"queries must be \(m, 3\)"):
+        index.contains(np.zeros((2, 4)))
+
+
+# ---------------------------------------------------------------------------
+# The buffered kNN kernel against the allocating block code it replaced
+# ---------------------------------------------------------------------------
+
+_REF_BLOCK_ROWS = 2048
+
+
+def _ref_block_distances(queries, points):
+    q_sq = (queries**2).sum(axis=1)[:, None]
+    p_sq = (points**2).sum(axis=1)[None, :]
+    sq = q_sq + p_sq - 2.0 * queries @ points.T
+    np.maximum(sq, 0.0, out=sq)
+    return np.sqrt(sq)
+
+
+def _ref_radii(points, k, block_rows=_REF_BLOCK_ROWS):
+    n = points.shape[0]
+    radii = np.empty(n)
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        d = _ref_block_distances(points[start:stop], points)
+        rows = np.arange(stop - start)
+        d[rows, np.arange(start, stop)] = np.inf
+        radii[start:stop] = np.partition(d, k - 1, axis=1)[:, k - 1]
+    return radii
+
+
+def _ref_contains(points, radii, queries, block_rows=_REF_BLOCK_ROWS):
+    out = np.zeros(queries.shape[0], dtype=bool)
+    for start in range(0, queries.shape[0], block_rows):
+        stop = min(start + block_rows, queries.shape[0])
+        d = _ref_block_distances(queries[start:stop], points)
+        out[start:stop] = (d <= radii[None, :]).any(axis=1)
+    return out
+
+
+def _assert_kernel_parity(points, queries, k, block_rows=_REF_BLOCK_ROWS):
+    index = ManifoldIndex.build(points, k)
+    radii = _ref_radii(points, k, block_rows)
+    assert np.array_equal(index.radii.view(np.uint64), radii.view(np.uint64))
+    assert np.array_equal(index.contains(queries), _ref_contains(points, radii, queries, block_rows))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("d", [1, 5])
+def test_kernel_bitwise_parity_across_k(seed, d):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(37, d))
+    queries = rng.normal(size=(53, d)) * 1.5  # n != m, some queries outside
+    for k in (1, 4, 36):  # k = n - 1 makes every radius the farthest neighbour
+        _assert_kernel_parity(points, queries, k)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_bitwise_parity_with_ties(seed):
+    # a small integer grid: duplicate points, zero radii, and queries sitting
+    # exactly on a radius, where any rounding difference flips a boolean
+    rng = np.random.default_rng(seed)
+    points = rng.integers(0, 4, size=(60, 2)).astype(np.float64)
+    queries = rng.integers(-1, 5, size=(45, 2)).astype(np.float64)
+    assert np.any(ManifoldIndex.build(points, 1).radii == 0.0)
+    for k in (1, 2, 7):
+        _assert_kernel_parity(points, queries, k)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_kernel_bitwise_parity_at_forced_block_height(rows, monkeypatch):
+    # 1-row blocks, and 7-row blocks that leave short last blocks (37 = 5*7 + 2,
+    # 53 = 7*7 + 4).  The reference runs at the same height: OpenBLAS rounds a
+    # product according to its shape (a one-row product goes through gemv), so
+    # what a height must not change is the buffer reuse, not the BLAS call.
+    from seriesbench import embed_metrics
+
+    monkeypatch.setattr(embed_metrics, "_BLOCK_BYTES", 8 * 37 * rows)
+    rng = np.random.default_rng(11)
+    points = rng.normal(size=(37, 3))
+    queries = rng.normal(size=(53, 3))
+    for k in (1, 5):
+        _assert_kernel_parity(points, queries, k, block_rows=rows)
+
+
+def test_kernel_bitwise_parity_at_bench_size():
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=(6000, 64))
+    queries = rng.normal(size=(6000, 64)) + 0.1
+    _assert_kernel_parity(points, queries, 5)
+
+
+def test_precision_scratch_memory_is_bounded():
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    real = rng.normal(size=(6000, 64))
+    gen = rng.normal(size=(6000, 64))
+    tracemalloc.start()
+    try:
+        precision(real, gen, k=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 # ---------------------------------------------------------------------------
 # CTTP score and joint-space metrics
 # ---------------------------------------------------------------------------
