@@ -3,6 +3,13 @@
 All four metrics are symmetric-zero (metric(D, D) == 0) and operate on
 float64 regardless of file precision.  Reductions run in a fixed index order
 for bit-reproducibility.
+
+The ACD lag sums keep the two orders NumPy gives ``sum(axis=1)`` of an
+(N, L-k, F) product.  For F > 1 that axis is strided and NumPy adds it
+sequentially in t, so ``autocorrelation_profile`` accumulates a time-major
+copy row by row, which adds the same floats in the same order.  For F = 1 the
+axis is contiguous and NumPy sums it pairwise, so that case keeps the per-lag
+sum.
 """
 
 from __future__ import annotations
@@ -13,6 +20,9 @@ import numpy as np
 
 from seriesbench.core import ContractViolation, TimeSeriesTensor, as_series_array
 
+_BLOCK_BYTES = 256 << 10  # lag-block buffer budget of the time-major ACD accumulation
+_MAX_BIN_CELLS = 1 << 24  # (L, F, n_bins) histogram cells a spec may ask for
+
 
 @dataclass(frozen=True)
 class HistogramSpec:
@@ -20,7 +30,8 @@ class HistogramSpec:
 
     ``lower``/``upper`` have shape (L, F).  Out-of-range values are assigned
     to the first or last bin.  Channels that are constant in the training
-    data get a unit-width window centred on the constant.
+    data get a unit-width window centred on the constant.  L * F * n_bins may
+    not exceed 2**24, which bounds the memory of the histograms.
     """
 
     lower: np.ndarray
@@ -34,6 +45,10 @@ class HistogramSpec:
             raise ContractViolation("histogram bounds must both have shape (L, F)")
         if self.n_bins < 2:
             raise ContractViolation("need at least 2 bins")
+        if lower.size * self.n_bins > _MAX_BIN_CELLS:
+            raise ContractViolation(
+                f"{lower.shape[0]} x {lower.shape[1]} x {self.n_bins} histogram bins exceed {_MAX_BIN_CELLS} cells"
+            )
         if not np.all(upper > lower):
             raise ContractViolation("bin boundaries must be strictly increasing")
         object.__setattr__(self, "lower", lower)
@@ -93,14 +108,36 @@ def autocorrelation_profile(data: np.ndarray, max_lag: int) -> np.ndarray:
     series per feature; zero-variance series contribute a zero profile.
     """
     n, length, n_feat = data.shape
+    if length < 2:
+        raise ContractViolation("autocorrelation needs length >= 2")
+    if not 1 <= max_lag <= length - 1:
+        raise ContractViolation(f"max_lag must be in [1, {length - 1}]")
+    if data.size == 0:
+        raise ContractViolation("empty tensor")
     centered = data - data.mean(axis=1, keepdims=True)
     denom = (centered**2).sum(axis=1)  # (N, F)
-    safe = np.where(denom > 0.0, denom, 1.0)
-    profile = np.empty((max_lag, n, n_feat))
-    for k in range(1, max_lag + 1):
-        num = (centered[:, : length - k, :] * centered[:, k:, :]).sum(axis=1)
-        profile[k - 1] = np.where(denom > 0.0, num / safe, 0.0)
-    return profile.mean(axis=(1, 2))
+    if n_feat == 1:
+        num = np.empty((max_lag, n, n_feat))
+        for k in range(1, max_lag + 1):
+            num[k - 1] = (centered[:, : length - k, :] * centered[:, k:, :]).sum(axis=1)
+    else:
+        rows = np.ascontiguousarray(centered.transpose(1, 0, 2))  # (L, N, F)
+        del centered  # keeps the scratch peak at two (N, L, F) arrays
+        num = np.empty((max_lag, n, n_feat))
+        lags = max(1, min(max_lag, _BLOCK_BYTES // (8 * n * n_feat)))
+        buf = np.empty((lags, n, n_feat))
+        for lo in range(1, max_lag + 1, lags):
+            hi = min(lo + lags, max_lag + 1)
+            np.multiply(rows[0], rows[lo:hi], out=num[lo - 1 : hi - 1])
+            for t in range(1, length - lo):
+                width = min(hi, length - t) - lo  # lags k with t + k <= L - 1
+                np.multiply(rows[t], rows[t + lo : t + lo + width], out=buf[:width])
+                block = num[lo - 1 : lo - 1 + width]
+                np.add(block, buf[:width], out=block)
+    positive = denom > 0.0
+    num /= np.where(positive, denom, 1.0)
+    num[:, ~positive] = 0.0
+    return num.mean(axis=(1, 2))
 
 
 def acd(
@@ -113,13 +150,8 @@ def acd(
     g = as_series_array(gen)
     if r.shape[1:] != g.shape[1:]:
         raise ContractViolation(f"shape mismatch: {r.shape[1:]} vs {g.shape[1:]}")
-    length = r.shape[1]
-    if length < 2:
-        raise ContractViolation("autocorrelation needs length >= 2")
     if max_lag is None:
-        max_lag = length - 1
-    if not 1 <= max_lag <= length - 1:
-        raise ContractViolation(f"max_lag must be in [1, {length - 1}]")
+        max_lag = r.shape[1] - 1
     return float(np.linalg.norm(autocorrelation_profile(r, max_lag) - autocorrelation_profile(g, max_lag)))
 
 

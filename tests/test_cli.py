@@ -700,6 +700,7 @@ def test_cli_import_loads_no_scipy():
 CONTRACT_VIOLATION_CASES = {
     "stat-empty-train": "metrics stat --train {b}/no_series.tsb --real {i}/series.tsb --gen {i}/gen.tsb --out {o}/s.json",
     "stat-empty-real": "metrics stat --train {i}/series.tsb --real {b}/no_series.tsb --gen {i}/gen.tsb --out {o}/s.json",
+    "stat-bins-too-many": "metrics stat --train {i}/series.tsb --real {i}/series.tsb --gen {i}/gen.tsb --bins 1000000000 --out {o}/s.json",
     "embed-zero-dim": "metrics embed --real-emb {b}/zero_dim_emb.tsb --gen-emb {b}/zero_dim_emb.tsb --out {o}/e.json",
     "align-no-refs": "metrics align --refs {b}/no_refs.tsb --gen-bundle {b}/no_refs.tsb --k-per-sample 3 --out {o}/a.json",
     "temporal-no-series": "protocol temporal --segment-emb {b}/no_seg.tsb --text-emb {b}/no_seg.tsb --out {o}/t.json",

@@ -1,6 +1,10 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from seriesbench import stat_metrics
 from seriesbench.core import ContractViolation
 from seriesbench.stat_metrics import HistogramSpec, acd, autocorrelation_profile, kd, mdd, sd
 
@@ -109,6 +113,118 @@ def test_acd_brute_force_oracle():
     assert np.allclose(autocorrelation_profile(x, 5), expected, atol=1e-12)
 
 
+def _reference_profile(data, max_lag):
+    """The per-lag profile the time-major kernel replaced, kept as its bitwise reference."""
+    n, length, n_feat = data.shape
+    centered = data - data.mean(axis=1, keepdims=True)
+    denom = (centered**2).sum(axis=1)
+    safe = np.where(denom > 0.0, denom, 1.0)
+    profile = np.empty((max_lag, n, n_feat))
+    for k in range(1, max_lag + 1):
+        num = (centered[:, : length - k, :] * centered[:, k:, :]).sum(axis=1)
+        profile[k - 1] = np.where(denom > 0.0, num / safe, 0.0)
+    return profile.mean(axis=(1, 2))
+
+
+def _profile_input(n, length, n_feat, seed=0):
+    """Normal draws with one zero-variance lane and, for N > 1, one constant sample."""
+    data = np.random.default_rng(seed).normal(size=(n, length, n_feat))
+    data[0, :, 0] = 2.5
+    if n > 1:
+        data[-1] = -1.0
+    return data
+
+
+def _assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+# (N, L, F, max_lag): F = 1 keeps the per-lag sum, F > 1 takes the time-major path
+PROFILE_CASES = [
+    (64, 96, 1, 95),
+    (64, 96, 1, 1),
+    (20, 33, 1, 16),
+    (50, 2, 3, 1),
+    (30, 17, 2, 5),
+    (30, 17, 2, 16),
+    (9, 12, 3, 1),
+    (9, 12, 3, 6),
+    (7, 40, 4, 39),
+    (5, 10, 2, 9),
+    (1, 8, 2, 7),
+    (3000, 96, 2, 40),
+    (8000, 96, 2, 95),
+]
+
+
+@pytest.mark.parametrize("n,length,n_feat,max_lag", PROFILE_CASES)
+def test_profile_is_bitwise_the_per_lag_sum(n, length, n_feat, max_lag):
+    data = _profile_input(n, length, n_feat)
+    _assert_bitwise(autocorrelation_profile(data, max_lag), _reference_profile(data, max_lag))
+
+
+@pytest.mark.parametrize("n_feat", [1, 2, 3])
+def test_profile_is_bitwise_with_negative_zero_products(n_feat):
+    # centred, every lag-3 product is 0 * -1 = -0.0; the middle value pairs with nothing
+    series = np.array([0.0, -1.0, 2.0, -1.0, 0.0])
+    data = np.repeat(np.stack([series, -series[::-1], np.zeros(5)])[:, :, None], n_feat, axis=2)
+    for max_lag in (3, 4):
+        _assert_bitwise(autocorrelation_profile(data, max_lag), _reference_profile(data, max_lag))
+
+
+@pytest.mark.parametrize("lags_per_block", [1, 3])
+@pytest.mark.parametrize("n,length,n_feat,max_lag", [(7, 11, 2, 10), (7, 40, 4, 38), (5, 10, 3, 4), (4, 2, 2, 1)])
+def test_profile_is_bitwise_at_forced_lag_blocks(monkeypatch, lags_per_block, n, length, n_feat, max_lag):
+    # 3-lag blocks leave a short last block for every max_lag here but 1
+    monkeypatch.setattr(stat_metrics, "_BLOCK_BYTES", lags_per_block * 8 * n * n_feat)
+    data = _profile_input(n, length, n_feat, seed=lags_per_block)
+    _assert_bitwise(autocorrelation_profile(data, max_lag), _reference_profile(data, max_lag))
+
+
+def test_profile_scratch_peak_at_synth_m_shape():
+    data = _profile_input(8000, 96, 2)
+    tracemalloc.start()
+    try:
+        autocorrelation_profile(data, 95)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # at most two (N, L, F)-sized float64 arrays are live at once
+    assert peak <= 2.25 * data.nbytes
+
+
+@pytest.mark.parametrize(
+    "length,max_lag,message",
+    [
+        (1, 1, "autocorrelation needs length >= 2"),
+        (1, 0, "autocorrelation needs length >= 2"),
+        (5, 0, "max_lag must be in [1, 4]"),
+        (5, -1, "max_lag must be in [1, 4]"),
+        (5, 5, "max_lag must be in [1, 4]"),
+        (5, 9, "max_lag must be in [1, 4]"),
+    ],
+)
+@pytest.mark.parametrize("n_feat", [1, 2])
+def test_profile_and_acd_reject_lag_outside_range(length, max_lag, message, n_feat):
+    data = _profile_input(3, length, n_feat)
+    with pytest.raises(ContractViolation, match=re.escape(message)):
+        autocorrelation_profile(data, max_lag)
+    with pytest.raises(ContractViolation, match=re.escape(message)):
+        acd(data, data, max_lag)
+
+
+def test_acd_default_lag_rejects_length_one():
+    with pytest.raises(ContractViolation, match="autocorrelation needs length >= 2"):
+        acd(np.zeros((3, 1, 2)), np.zeros((3, 1, 2)))
+
+
+@pytest.mark.parametrize("shape", [(0, 5, 2), (0, 5, 1), (3, 5, 0)])
+def test_profile_rejects_empty_tensor(shape):
+    with pytest.raises(ContractViolation, match="empty tensor"):
+        autocorrelation_profile(np.zeros(shape), 2)
+
+
 # ---------------------------------------------------------------------------
 # SD / KD
 # ---------------------------------------------------------------------------
@@ -156,3 +272,17 @@ def test_histogram_spec_from_constant_training_channel():
     spec = HistogramSpec.from_training(train, n_bins=4)
     assert np.all(spec.upper > spec.lower)
     assert mdd(train, train, spec) == 0.0
+
+
+@pytest.mark.parametrize("shape,n_bins", [((1, 1), 2**24), ((4, 2), 2**21)])
+def test_histogram_spec_caps_bin_cells_without_allocating(shape, n_bins):
+    bounds = {"lower": np.zeros(shape), "upper": np.ones(shape)}
+    tracemalloc.start()
+    try:
+        assert HistogramSpec(**bounds, n_bins=n_bins).n_bins == n_bins  # exactly 2**24 cells
+        with pytest.raises(ContractViolation, match="exceed 16777216 cells"):
+            HistogramSpec(**bounds, n_bins=n_bins + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
