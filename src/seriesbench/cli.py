@@ -124,11 +124,11 @@ def _report(args: argparse.Namespace, inputs: list[str], entries: list[MetricEnt
 
 
 def _cmd_synth(args: argparse.Namespace) -> _Outcome:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dataset = synthgen.build_synth_dataset(
         variant=args.variant, seed=args.seed, n_per_combo=args.n_per_combo, length=args.length
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     tensorfile.write_tensor(dataset.series, out / "series.tsb")
     tensorfile.write_conditions(dataset.conditions, out / "conditions.jsonl")
     tensorfile.write_schema(dataset.schema, out / "schema.json")

@@ -31,7 +31,10 @@ class ProposerError(RuntimeError):
 
 
 def _frozen_float64(data: np.ndarray | Sequence, ndim: int, what: str) -> np.ndarray:
-    arr = np.array(data, dtype=np.float64)  # widens and copies: a caller's array is never aliased
+    if isinstance(data, np.ndarray) and data.dtype == np.float64 and data.base is None and not data.flags.writeable:
+        arr = data  # already frozen and owning its memory: shared as is, not copied
+    else:
+        arr = np.array(data, dtype=np.float64)  # widens and copies: a writeable array is never aliased
     if arr.ndim != ndim:
         raise ContractViolation(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:

@@ -20,6 +20,7 @@ from seriesbench.core import (
     MetricReport,
     as_embedding_array,
 )
+from seriesbench.streams import open_stream, seeded_rows, stream_keys
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +123,10 @@ def aggregate_ranks(
 # ---------------------------------------------------------------------------
 
 
+# retrieval derives the pool-stream keys of this many (query, repeat) pairs at once
+_KEY_BLOCK_ROWS = 4096
+
+
 @dataclass(frozen=True)
 class RetrievalConfig:
     pool_size: int
@@ -131,10 +136,6 @@ class RetrievalConfig:
     def __post_init__(self) -> None:
         if self.pool_size < 1 or self.repeats < 1:
             raise ContractViolation("pool_size and repeats must be >= 1")
-
-
-def _pool_rng(seed: int, repeat: int, query: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence((seed, repeat, query))))
 
 
 def _unit_rows(x: np.ndarray, what: str) -> np.ndarray:
@@ -183,18 +184,22 @@ def retrieval_acc1(
         gid = np.fromiter((ids.setdefault(t, len(ids)) for t in texts), dtype=np.int64, count=n)
 
     hits = np.zeros(cfg.repeats, dtype=np.int64)
-    for q in queries:
-        q = int(q)
-        cand = np.flatnonzero(gid != gid[q])
-        if cfg.pool_size - 1 > cand.size:
-            raise ContractViolation(
-                f"pool_size {cfg.pool_size} needs {cfg.pool_size - 1} distractors, "
-                f"only {cand.size} available for query {q}"
-            )
-        truth_score = float(gen[q] @ text[q])
-        for repeat in range(cfg.repeats):
-            rng = _pool_rng(cfg.seed, repeat, q)
-            distractors = rng.choice(cand, size=cfg.pool_size - 1, replace=False)
+    pairs, current = queries.size * cfg.repeats, None
+    # (query, repeat) pairs in query-major order, their pool streams keyed a block at a time
+    for first in range(0, pairs, _KEY_BLOCK_ROWS):
+        pair = np.arange(first, min(first + _KEY_BLOCK_ROWS, pairs))
+        block_queries, block_repeats = queries[pair // cfg.repeats], pair % cfg.repeats
+        keys = stream_keys(seeded_rows(cfg.seed, block_repeats, block_queries))
+        for q, repeat, key in zip(block_queries.tolist(), block_repeats.tolist(), keys):
+            if q != current:
+                current, cand = q, np.flatnonzero(gid != gid[q])
+                if cfg.pool_size - 1 > cand.size:
+                    raise ContractViolation(
+                        f"pool_size {cfg.pool_size} needs {cfg.pool_size - 1} distractors, "
+                        f"only {cand.size} available for query {q}"
+                    )
+                truth_score = float(gen[q] @ text[q])
+            distractors = open_stream(key).choice(cand, size=cfg.pool_size - 1, replace=False)
             if distractors.size:
                 best_distractor = float((text[distractors] @ gen[q]).max())
                 hits[repeat] += truth_score > best_distractor  # ties count as misses

@@ -10,15 +10,23 @@ circular temporal shift).
 Randomness is drawn from named counter-based streams keyed by
 ``(seed, sample_index, purpose)`` so per-sample draws are order-independent:
 regenerating any single sample, or the whole dataset in any order, yields
-identical values.  The generator is its own ground truth: segment labels in
-the emitted conditions always match the injected patterns.
+identical values.  A stream is ``Generator(Philox(SeedSequence(row)))``: its
+key is ``SeedSequence``'s hash of the row, and ``streams.stream_keys`` derives
+the keys of a whole primary combination in one vectorised pass.  The build
+draws each sample's scalars and noise from its streams, then sums trend +
+season + local + hf + noise over the combination's (n_per_combo, length)
+block in a few buffers reused across combinations; ``univariate_components``
+is the one-row case of the same kernel.  The generator is its own ground
+truth: segment labels in the emitted conditions always match the injected
+patterns.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +37,7 @@ from seriesbench.core import (
     ContractViolation,
     TimeSeriesTensor,
 )
+from seriesbench.streams import open_stream, seeded_rows, stream_keys
 
 TREND_TYPES = ("linear", "quadratic", "exponential", "logistic")
 TREND_DIRECTIONS = ("up", "down")
@@ -55,12 +64,19 @@ _P_SHAPELET_PLACE = 3
 _P_NOISE = 4
 _P_SECONDARY = 5
 _P_TRANSFORM = 6
-_P_SPLIT = 7
+_N_SAMPLE_PURPOSES = 7  # purposes 0-6 key per-sample streams
+_P_SPLIT = 7  # keyed by (seed, combination index, 7)
 
 
-def sample_rng(seed: int, index: int, purpose: int) -> np.random.Generator:
-    """Counter-based stream for one (seed, index, purpose) triple."""
-    return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence((seed, index, purpose))))
+def sample_rng(key: np.ndarray) -> np.random.Generator:
+    """The generator of one synth stream, opened from its key (a ``stream_keys`` row)."""
+    return open_stream(key)
+
+
+def _sample_keys(seed: int, first: int, n: int) -> np.ndarray:
+    """(n, 7, 2) stream keys of samples ``first .. first + n - 1``, indexed by purpose."""
+    rows = seeded_rows(seed, np.arange(first, first + n)[:, None], np.arange(_N_SAMPLE_PURPOSES))
+    return stream_keys(rows).reshape(n, _N_SAMPLE_PURPOSES, 2)
 
 
 @dataclass(frozen=True)
@@ -155,10 +171,26 @@ def sinusoid_component(n_cycle: int, amplitude: float, phase: float, length: int
         raise ContractViolation(f"cycle count {n_cycle} not in {set(SEASON_CYCLES) | set(HF_CYCLES)}")
     if length < 2:
         raise ContractViolation("sinusoid needs length >= 2")
-    if n_cycle == 0:
-        return np.zeros(length)
-    t = np.linspace(0.0, float(n_cycle), length)
-    return amplitude * np.sin(2.0 * np.pi * t + phase)
+    out = np.empty((1, length))
+    return _sinusoid_rows(np.array([n_cycle]), np.array([amplitude]), np.array([phase]), out)[0]
+
+
+def _sinusoid_rows(n_cycles: np.ndarray, amplitude: np.ndarray, phase: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row r of ``out`` becomes the sinusoid of ``n_cycles[r]``, ``amplitude[r]`` and ``phase[r]``."""
+    for n_cycle in np.unique(n_cycles):
+        out[n_cycles == n_cycle] = 2.0 * np.pi * np.linspace(0.0, float(n_cycle), out.shape[1])
+    np.add(out, phase[:, None], out=out)
+    np.sin(out, out=out)
+    np.multiply(out, amplitude[:, None], out=out)
+    out[n_cycles == 0] = 0.0
+    return out
+
+
+_HALF_SPAN = (SHAPELET_SPAN - 1) // 2
+_UNIT_PEAK = 1.0 - np.abs(np.arange(SHAPELET_SPAN) - _HALF_SPAN) / _HALF_SPAN
+# the cumulative probabilities Generator.choice searches for p=SHAPELET_PROBS
+_SHAPELET_CDF = np.array(SHAPELET_PROBS).cumsum()
+_SHAPELET_CDF /= _SHAPELET_CDF[-1]
 
 
 def shapelet_template(kind: str, peak_height: float) -> np.ndarray:
@@ -172,9 +204,7 @@ def shapelet_template(kind: str, peak_height: float) -> np.ndarray:
         raise ContractViolation("no template for shapelet kind 'none'")
     if kind not in SHAPELET_KINDS:
         raise ContractViolation(f"unknown shapelet kind {kind!r}")
-    half = (SHAPELET_SPAN - 1) // 2
-    i = np.arange(SHAPELET_SPAN)
-    peak = peak_height * (1.0 - np.abs(i - half) / half)
+    peak = peak_height * _UNIT_PEAK
     if kind == "single_peak":
         return peak
     if kind == "sag":
@@ -182,7 +212,8 @@ def shapelet_template(kind: str, peak_height: float) -> np.ndarray:
     return np.concatenate([peak, peak])  # double_peaks
 
 
-def _segment_bounds(length: int) -> list[tuple[int, int]]:
+@functools.cache
+def _segment_bounds(length: int) -> tuple[tuple[int, int], ...]:
     if length % N_SEGMENTS != 0:
         raise ContractViolation(f"length {length} not divisible by {N_SEGMENTS}")
     seg = length // N_SEGMENTS
@@ -190,22 +221,23 @@ def _segment_bounds(length: int) -> list[tuple[int, int]]:
         raise ContractViolation(
             f"segment length {seg} too short, need >= {2 * SHAPELET_SPAN} to fit every template"
         )
-    return [(k * seg, (k + 1) * seg) for k in range(N_SEGMENTS)]
+    return tuple((k * seg, (k + 1) * seg) for k in range(N_SEGMENTS))
 
 
 def _sample_segment_labels(rng: np.random.Generator) -> tuple[str, str, str]:
-    idx = rng.choice(len(SHAPELET_KINDS), size=N_SEGMENTS, p=SHAPELET_PROBS)
+    # the draw of rng.choice(len(SHAPELET_KINDS), size=N_SEGMENTS, p=SHAPELET_PROBS),
+    # without the checks of p that choice repeats on every call
+    idx = _SHAPELET_CDF.searchsorted(rng.random(N_SEGMENTS), side="right")
     return tuple(SHAPELET_KINDS[k] for k in idx)
 
 
-def _place_shapelets(labels: tuple[str, ...], rng: np.random.Generator, length: int) -> np.ndarray:
-    """Add one template per labelled segment onto a zero base.
+def _place_shapelets(labels: tuple[str, ...], rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Add one template per labelled segment onto ``out``, a zeroed row.
 
     Heights are drawn uniformly from [1.0, 1.2]; the start offset is uniform
     over the positions where the template fits entirely inside its segment.
     """
-    out = np.zeros(length)
-    for (start, stop), kind in zip(_segment_bounds(length), labels):
+    for (start, stop), kind in zip(_segment_bounds(len(out)), labels):
         if kind == "none":
             continue
         height = rng.uniform(*PEAK_HEIGHT_RANGE)
@@ -217,19 +249,51 @@ def _place_shapelets(labels: tuple[str, ...], rng: np.random.Generator, length: 
 
 def noise_component(rng: np.random.Generator, length: int) -> np.ndarray:
     """i.i.d. zero-mean Gaussian noise with sigma drawn once from U(0.04, 0.06)."""
-    sigma = rng.uniform(*NOISE_SIGMA_RANGE)
-    return rng.normal(0.0, sigma, size=length)
+    return _noise_rows((rng,), np.empty((1, length)))[0]
+
+
+def _noise_rows(rngs: Iterable[np.random.Generator], out: np.ndarray) -> np.ndarray:
+    """Row r of ``out`` becomes ``rngs[r].normal(0.0, sigma, size=length)``, sigma drawn first from the same stream."""
+    sigma = np.empty(len(out))
+    for r, rng in enumerate(rngs):
+        sigma[r] = rng.uniform(*NOISE_SIGMA_RANGE)
+        rng.standard_normal(out=out[r])
+    np.multiply(out, sigma[:, None], out=out)
+    # normal(0.0, sigma) returns 0.0 + sigma * z, which turns a -0.0 into +0.0
+    np.add(out, 0.0, out=out)
+    return out
 
 
 def apply_mv_transform(series: np.ndarray, transform: MvTransform) -> np.ndarray:
     """Derive the second variate: axis flips or a circular temporal shift."""
     series = np.asarray(series, dtype=np.float64)
-    if transform.kind == "x_flip":
-        return series[::-1].copy()
-    if transform.kind == "y_flip":
-        return -series
-    d = int(transform.shift_distance)
-    return np.roll(series, d if transform.kind == "shift_forward" else -d)
+    if series.ndim != 1:
+        raise ContractViolation(f"a transform applies to one series, got shape {series.shape}")
+    return _transform_rows(series[None], (transform,), np.empty((1, series.size)))[0]
+
+
+def _transform_rows(series: np.ndarray, transforms: Sequence[MvTransform], out: np.ndarray) -> np.ndarray:
+    """Row r of ``out`` becomes row r of ``series``, an (n, length) array, under ``transforms[r]``.
+
+    Each row is a gather: x_flip reads t from length - 1 - t, a shift by d
+    forward (backward) reads t from t - d (t + d) modulo length, y_flip reads
+    t from t and negates.
+    """
+    n, length = series.shape
+    sign = np.ones((n, 1), dtype=np.intp)
+    start = np.zeros((n, 1), dtype=np.intp)  # where t = 0 reads from
+    negate = np.zeros((n, 1), dtype=bool)
+    for r, transform in enumerate(transforms):
+        if transform.kind == "x_flip":
+            sign[r], start[r] = -1, length - 1
+        elif transform.kind == "y_flip":
+            negate[r] = True
+        else:
+            d = int(transform.shift_distance)
+            start[r] = -d if transform.kind == "shift_forward" else d
+    source = (sign * np.arange(length) + start) % length + np.arange(n)[:, None] * length
+    np.take(series, source, out=out)
+    return np.negative(out, out=out, where=negate)
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +369,40 @@ def univariate_components(
     length: int,
 ) -> dict[str, np.ndarray]:
     """Recompute the five named components for one sample from its keyed streams."""
-    rng_season = sample_rng(seed, sample_index, _P_SEASON)
-    amp = rng_season.uniform(*SEASON_AMPLITUDE_RANGE)
-    phase = rng_season.uniform(0.0, 2.0 * np.pi)
-    rng_hf = sample_rng(seed, sample_index, _P_HF)
-    hf_amp = rng_hf.uniform(*HF_AMPLITUDE_RANGE)
-    hf_phase = rng_hf.uniform(0.0, 2.0 * np.pi)
-    return {
-        "trend": trend_component(primary.trend_type, primary.trend_direction, length),
-        "season": sinusoid_component(primary.season_cycles, amp, phase, length),
-        "local": _place_shapelets(
-            secondary.segment_shapelets, sample_rng(seed, sample_index, _P_SHAPELET_PLACE), length
-        ),
-        "hf": sinusoid_component(secondary.hf_cycles, hf_amp, hf_phase, length),
-        "noise": noise_component(sample_rng(seed, sample_index, _P_NOISE), length),
-    }
+    trend = trend_component(primary.trend_type, primary.trend_direction, length)
+    season, local, hf, noise = np.empty((4, 1, length))
+    _component_rows(primary, (secondary,), _sample_keys(seed, sample_index, 1), season, local, hf, noise)
+    return {"trend": trend, "season": season[0], "local": local[0], "hf": hf[0], "noise": noise[0]}
+
+
+def _component_rows(
+    primary: PrimaryAttrs,
+    secondaries: Sequence[SecondaryAttrs],
+    keys: np.ndarray,
+    season: np.ndarray,
+    local: np.ndarray,
+    hf: np.ndarray,
+    noise: np.ndarray,
+) -> None:
+    """Fill row j of the four (n, length) buffers with sample j's components, n = len(keys).
+
+    Sample j has secondary attributes ``secondaries[j]`` and stream keys
+    ``keys[j]`` (see ``_sample_keys``); each stream yields its draws in the
+    same order as it always has.
+    """
+    draws = np.empty((4, len(keys)))  # season amplitude, season phase, hf amplitude, hf phase
+    local.fill(0.0)
+    for j, (secondary, key) in enumerate(zip(secondaries, keys)):
+        rng = sample_rng(key[_P_SEASON])
+        draws[0, j] = rng.uniform(*SEASON_AMPLITUDE_RANGE)
+        draws[1, j] = rng.uniform(0.0, 2.0 * np.pi)
+        rng = sample_rng(key[_P_HF])
+        draws[2, j] = rng.uniform(*HF_AMPLITUDE_RANGE)
+        draws[3, j] = rng.uniform(0.0, 2.0 * np.pi)
+        _place_shapelets(secondary.segment_shapelets, sample_rng(key[_P_SHAPELET_PLACE]), local[j])
+    _sinusoid_rows(np.full(len(keys), primary.season_cycles), draws[0], draws[1], season)
+    _sinusoid_rows(np.array([s.hf_cycles for s in secondaries]), draws[2], draws[3], hf)
+    _noise_rows((sample_rng(key[_P_NOISE]) for key in keys), noise)
 
 
 def decode_attrs(attrs: Mapping[str, int]) -> tuple[PrimaryAttrs, SecondaryAttrs]:
@@ -418,37 +501,44 @@ def build_synth_dataset(
     data = np.empty((n_total, length, n_features))
     conditions: list[ConditionRecord] = []
     splits: dict[str, list[int]] = {"train": [], "valid": [], "test": []}
+    # one combination's components, reused for every combination
+    season, local, hf, noise = np.empty((4, n_per_combo, length))
+    split_keys = stream_keys(seeded_rows(seed, np.arange(len(combos)), _P_SPLIT))
 
     shapelet_index = {k: i for i, k in enumerate(SHAPELET_KINDS)}
     for combo_idx, primary in enumerate(combos):
         base = combo_idx * n_per_combo
-        for j in range(n_per_combo):
+        keys = _sample_keys(seed, base, n_per_combo)
+        primary_attrs = {
+            "trend_type": TREND_TYPES.index(primary.trend_type),
+            "trend_direction": TREND_DIRECTIONS.index(primary.trend_direction),
+            "season_cycles": SEASON_CYCLES.index(primary.season_cycles),
+        }
+        secondaries: list[SecondaryAttrs] = []
+        transforms: list[MvTransform] = []
+        for j, key in enumerate(keys):
             i = base + j
-            rng_secondary = sample_rng(seed, i, _P_SECONDARY)
-            hf = HF_CYCLES[rng_secondary.integers(0, len(HF_CYCLES))]
-            labels = _sample_segment_labels(sample_rng(seed, i, _P_SHAPELET_LABELS))
-            secondary = SecondaryAttrs(hf_cycles=hf, segment_shapelets=labels)
-            series = sum(univariate_components(primary, secondary, seed, i, length).values())
-            data[i, :, 0] = series
+            hf_idx = int(sample_rng(key[_P_SECONDARY]).integers(0, len(HF_CYCLES)))
+            labels = _sample_segment_labels(sample_rng(key[_P_SHAPELET_LABELS]))
+            secondary = SecondaryAttrs(hf_cycles=HF_CYCLES[hf_idx], segment_shapelets=labels)
+            secondaries.append(secondary)
 
             transform = None
             if variant == "m":
-                rng_t = sample_rng(seed, i, _P_TRANSFORM)
+                rng_t = sample_rng(key[_P_TRANSFORM])
                 kind = MV_TRANSFORMS[rng_t.integers(0, len(MV_TRANSFORMS))]
                 dist = None
                 if kind in ("shift_forward", "shift_backward"):
                     dist = int(rng_t.integers(SHIFT_DISTANCE_RANGE[0], SHIFT_DISTANCE_RANGE[1], endpoint=True))
                 transform = MvTransform(kind=kind, shift_distance=dist)
-                data[i, :, 1] = apply_mv_transform(series, transform)
+                transforms.append(transform)
 
             attrs = {
-                "trend_type": TREND_TYPES.index(primary.trend_type),
-                "trend_direction": TREND_DIRECTIONS.index(primary.trend_direction),
-                "season_cycles": SEASON_CYCLES.index(primary.season_cycles),
+                **primary_attrs,
                 "segment_1_shapelet": shapelet_index[labels[0]],
                 "segment_2_shapelet": shapelet_index[labels[1]],
                 "segment_3_shapelet": shapelet_index[labels[2]],
-                "hf_cycles": HF_CYCLES.index(hf),
+                "hf_cycles": hf_idx,
             }
             if transform is not None:
                 attrs["mv_transform"] = MV_TRANSFORMS.index(transform.kind)
@@ -461,12 +551,23 @@ def build_synth_dataset(
                 )
             )
 
+        _component_rows(primary, secondaries, keys, season, local, hf, noise)
+        # trend + season + local + hf + noise, added in that order, in place
+        series = np.add(season, trend_component(primary.trend_type, primary.trend_direction, length), out=season)
+        series += local
+        series += hf
+        series += noise
+        data[base : base + n_per_combo, :, 0] = series
+        if variant == "m":
+            data[base : base + n_per_combo, :, 1] = _transform_rows(series, transforms, local)
+
         n_train, n_valid, _ = _split_counts(n_per_combo)
-        perm = sample_rng(seed, combo_idx, _P_SPLIT).permutation(n_per_combo)
+        perm = sample_rng(split_keys[combo_idx]).permutation(n_per_combo)
         splits["train"].extend(sorted(int(base + p) for p in perm[:n_train]))
         splits["valid"].extend(sorted(int(base + p) for p in perm[n_train : n_train + n_valid]))
         splits["test"].extend(sorted(int(base + p) for p in perm[n_train + n_valid :]))
 
+    data.setflags(write=False)  # frozen, so the tensor takes it without a copy
     return SynthDataset(
         series=TimeSeriesTensor(data=data),
         conditions=tuple(conditions),

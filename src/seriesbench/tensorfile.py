@@ -54,7 +54,7 @@ def write_tensor(t: TimeSeriesTensor | EmbeddingMatrix | np.ndarray, path: str |
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(payload.tobytes())
+        fh.write(payload)  # the array's own buffer: no bytes copy of the payload
 
 
 def _read_tsb1(path: str | Path) -> np.ndarray:

@@ -709,6 +709,10 @@ CONTRACT_VIOLATION_CASES = {
     "rank-seed-mean-overflow": "protocol rank --reports-dir {b}/overflow_reports --grouping {i}/grouping.json --out {o}/r.json",
     "compgen-attr-index-negative": "protocol compgen --schema {i}/schema.json --train-conditions {i}/train.jsonl --test-conditions {b}/test_index_-1.jsonl --k 2 --out {o}/c.json",
     "compgen-attr-index-too-large": "protocol compgen --schema {i}/schema.json --train-conditions {b}/test_index_99.jsonl --test-conditions {i}/test.jsonl --k 2 --out {o}/c.json",
+    "synth-seed-negative": "synth --variant u --seed -1 --n-per-combo 8 --length 54 --out {o}/synth",
+    "retrieval-seed-negative": "protocol retrieval --gen-emb {i}/gen_emb.tsb --text-emb {i}/text_emb.tsb --pool-size 4 --seed -3 --out {o}/r.json",
+    "compgen-seed-negative": "protocol compgen --schema {i}/schema.json --train-conditions {i}/train.jsonl --test-conditions {i}/test.jsonl --k 2 --gen-emb {i}/gen_emb.tsb --text-emb {i}/text_emb.tsb --pool-size 4 --seed -1 --out {o}/c.json",
+    "discover-seed-negative": "schema discover --captions {i}/captions.txt --proposer mock:{i}/rules.json --batch 5 --seed -2 --out {o}/disc",
 }
 
 

@@ -64,6 +64,17 @@ def test_tensor_never_aliases_the_callers_array():
         assert source.flags.writeable
 
 
+def test_tensor_shares_a_frozen_array_that_owns_its_data():
+    owned = np.zeros((2, 3, 1))
+    owned.setflags(write=False)
+    assert TimeSeriesTensor(data=owned).data is owned
+    view = owned[:1]  # frozen, but a view: its base may still be writeable elsewhere
+    assert TimeSeriesTensor(data=view).data is not view
+    frozen32 = np.zeros((2, 3, 1), dtype=np.float32)
+    frozen32.setflags(write=False)
+    assert TimeSeriesTensor(data=frozen32).data.dtype == np.float64
+
+
 def test_embedding_rejects_wrong_rank():
     with pytest.raises(ContractViolation):
         EmbeddingMatrix(data=np.zeros((2, 3, 4)))

@@ -7,6 +7,7 @@ from seriesbench.core import (
     MetricReport,
     ReportContext,
 )
+from seriesbench import protocols
 from seriesbench.protocols import (
     RetrievalConfig,
     aggregate_ranks,
@@ -338,6 +339,27 @@ def test_retrieval_matches_two_pass_reference(pool_size, with_texts, query_indic
     else:
         expected = _retrieval_two_pass(gen, text, cfg, texts, query_indices)
         assert retrieval_acc1(gen, text, cfg, texts=texts, query_indices=query_indices) == expected
+
+
+@pytest.mark.parametrize("seed", [2**32 - 1, 2**32, 2**64])
+@pytest.mark.parametrize("block_rows", [1, 7, 4096])
+def test_retrieval_keys_match_reference_across_blocks_and_wide_seeds(seed, block_rows, monkeypatch):
+    # key blocks that split one query's repeats, and seeds SeedSequence stores in several words
+    monkeypatch.setattr(protocols, "_KEY_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(5)
+    texts = ["up"] * 10 + [("down", "flat")[i % 2] for i in range(14)]
+    text = rng.normal(size=(24, 5))
+    gen = text + 0.9 * rng.normal(size=(24, 5))
+    cfg = RetrievalConfig(pool_size=4, repeats=3, seed=seed)
+    for query_indices in (None, [5, 5, 0, 23]):
+        expected = _retrieval_two_pass(gen, text, cfg, texts, query_indices)
+        assert retrieval_acc1(gen, text, cfg, texts=texts, query_indices=query_indices) == expected
+
+
+def test_retrieval_rejects_negative_seed():
+    gen = np.random.default_rng(1).normal(size=(6, 3))
+    with pytest.raises(ContractViolation, match="non-negative"):
+        retrieval_acc1(gen, gen, RetrievalConfig(pool_size=2, repeats=1, seed=-3))
 
 
 def test_retrieval_invariant_under_orthogonal_rotation():

@@ -177,6 +177,26 @@ def test_discovery_deterministic():
     assert a.schema == b.schema
 
 
+@pytest.mark.parametrize("seed", [0, 5, 2**32, 2**64])
+def test_batches_come_from_the_seed_zero_stream(seed):
+    seen = []
+
+    def proposer(request):
+        seen.append(request["observations"])
+        return {"schema": SCHEMA_A}
+
+    discover(CORPUS, proposer, DiscoveryParams(batch_size=25, stability=2, max_iter=5, seed=seed))
+    # the sampler's stream is Generator(Philox(SeedSequence((seed, 0)))); it reshuffles on exhaustion
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0))))
+    order = [int(i) for _ in range(len(seen)) for i in rng.permutation(len(CORPUS))]
+    assert seen == [[CORPUS[i] for i in order[k * 25 : (k + 1) * 25]] for k in range(len(seen))]
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ContractViolation, match="non-negative"):
+        discover(CORPUS, ConstantProposer(), DiscoveryParams(batch_size=5, seed=-1))
+
+
 # ---------------------------------------------------------------------------
 # value assignment
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from seriesbench.core import ContractViolation
 from seriesbench import synthgen
+from seriesbench.streams import seeded_rows, stream_keys
 from seriesbench.synthgen import (
     MvTransform,
     PrimaryAttrs,
@@ -174,24 +175,25 @@ def test_injected_template_confined_to_segment():
 
 
 def test_noise_std_matches_drawn_sigma():
-    sigma = sample_rng(3, 0, 4).uniform(0.04, 0.06)  # identical stream, first draw
-    noise = noise_component(sample_rng(3, 0, 4), 1_000_000)
+    key = stream_keys([(3, 0, 4)])[0]
+    sigma = sample_rng(key).uniform(0.04, 0.06)  # identical stream, first draw
+    noise = noise_component(sample_rng(key), 1_000_000)
     assert abs(noise.std() - sigma) < 0.001
     assert abs(noise.mean()) < 0.001
 
 
 def test_noise_deterministic_per_stream():
-    a = noise_component(sample_rng(9, 4, 4), 128)
-    b = noise_component(sample_rng(9, 4, 4), 128)
+    key = stream_keys([(9, 4, 4)])[0]
+    a = noise_component(sample_rng(key), 128)
+    b = noise_component(sample_rng(key), 128)
     assert np.array_equal(a, b)
 
 
 def test_noise_sigma_uniform_over_samples():
     from scipy.stats import kstest
 
-    sigmas = np.array(
-        [sample_rng(1, i, 4).uniform(0.04, 0.06) for i in range(100_000)]
-    )
+    keys = stream_keys(seeded_rows(1, np.arange(100_000), 4))
+    sigmas = np.array([sample_rng(key).uniform(0.04, 0.06) for key in keys])
     stat = kstest(sigmas, "uniform", args=(0.04, 0.02)).pvalue
     assert stat > 1e-4
     assert sigmas.min() >= 0.04 and sigmas.max() <= 0.06
@@ -350,3 +352,148 @@ def test_build_rejects_small_n_per_combo():
 def test_build_rejects_bad_length():
     with pytest.raises(ContractViolation):
         build_synth_dataset("u", seed=0, n_per_combo=8, length=100)
+
+
+# ---------------------------------------------------------------------------
+# the batched build against the per-sample build it replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_rng(seed, index, purpose):
+    return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence((seed, index, purpose))))
+
+
+def _ref_sinusoid(n_cycle, amplitude, phase, length):
+    if n_cycle == 0:
+        return np.zeros(length)
+    t = np.linspace(0.0, float(n_cycle), length)
+    return amplitude * np.sin(2.0 * np.pi * t + phase)
+
+
+def _ref_template(kind, peak_height):
+    i = np.arange(9)
+    peak = peak_height * (1.0 - np.abs(i - 4) / 4)
+    if kind == "single_peak":
+        return peak
+    if kind == "sag":
+        return -peak
+    return np.concatenate([peak, peak])
+
+
+def _ref_components(primary, secondary, seed, i, length):
+    """The per-sample body of ``univariate_components`` before the batched kernel."""
+    rng_season = _ref_rng(seed, i, 0)
+    amp = rng_season.uniform(0.4, 0.6)
+    phase = rng_season.uniform(0.0, 2.0 * np.pi)
+    rng_hf = _ref_rng(seed, i, 1)
+    hf_amp = rng_hf.uniform(0.1, 0.3)
+    hf_phase = rng_hf.uniform(0.0, 2.0 * np.pi)
+    local = np.zeros(length)
+    rng_place = _ref_rng(seed, i, 3)
+    seg = length // 3
+    for k, kind in enumerate(secondary.segment_shapelets):
+        if kind == "none":
+            continue
+        template = _ref_template(kind, rng_place.uniform(1.0, 1.2))
+        offset = int(rng_place.integers(0, seg - len(template), endpoint=True))
+        local[k * seg + offset : k * seg + offset + len(template)] += template
+    rng_noise = _ref_rng(seed, i, 4)
+    sigma = rng_noise.uniform(0.04, 0.06)
+    return {
+        "trend": trend_component(primary.trend_type, primary.trend_direction, length),
+        "season": _ref_sinusoid(primary.season_cycles, amp, phase, length),
+        "local": local,
+        "hf": _ref_sinusoid(secondary.hf_cycles, hf_amp, hf_phase, length),
+        "noise": rng_noise.normal(0.0, sigma, size=length),
+    }
+
+
+def _ref_build(variant, seed, n_per_combo, length):
+    """The per-sample ``build_synth_dataset`` before the batched kernel: series, records, splits."""
+    n_features = 1 if variant == "u" else 2
+    data = np.empty((32 * n_per_combo, length, n_features))
+    records, splits = [], {"train": [], "valid": [], "test": []}
+    for combo_idx, primary in enumerate(primary_combinations()):
+        base = combo_idx * n_per_combo
+        for j in range(n_per_combo):
+            i = base + j
+            hf = synthgen.HF_CYCLES[_ref_rng(seed, i, 5).integers(0, 4)]
+            idx = _ref_rng(seed, i, 2).choice(4, size=3, p=synthgen.SHAPELET_PROBS)
+            labels = tuple(synthgen.SHAPELET_KINDS[k] for k in idx)
+            secondary = SecondaryAttrs(hf_cycles=hf, segment_shapelets=labels)
+            series = sum(_ref_components(primary, secondary, seed, i, length).values())
+            data[i, :, 0] = series
+            transform = None
+            if variant == "m":
+                rng_t = _ref_rng(seed, i, 6)
+                kind = synthgen.MV_TRANSFORMS[rng_t.integers(0, 4)]
+                dist = int(rng_t.integers(20, 40, endpoint=True)) if kind.startswith("shift") else None
+                transform = MvTransform(kind, dist)
+                data[i, :, 1] = apply_mv_transform(series, transform)
+            records.append((f"{variant}-{i:06d}", render_caption(primary, secondary, transform), combo_idx))
+        n_train, n_valid = n_per_combo - 2 * (n_per_combo // 8), n_per_combo // 8
+        perm = _ref_rng(seed, combo_idx, 7).permutation(n_per_combo)
+        splits["train"].extend(sorted(int(base + p) for p in perm[:n_train]))
+        splits["valid"].extend(sorted(int(base + p) for p in perm[n_train : n_train + n_valid]))
+        splits["test"].extend(sorted(int(base + p) for p in perm[n_train + n_valid :]))
+    return data, records, splits
+
+
+@pytest.mark.parametrize(
+    "variant, seed, n_per_combo, length",
+    [
+        ("u", 0, 8, 96),
+        ("m", 1, 9, 57),
+        ("u", 2, 17, 75),
+        ("m", 3, 17, 111),
+        ("m", 0, 250, 96),
+        ("u", 2**32 - 1, 8, 57),
+        ("m", 2**32, 9, 96),
+        ("m", 2**64, 8, 75),
+    ],
+)
+def test_build_matches_per_sample_reference_bitwise(variant, seed, n_per_combo, length):
+    ds = build_synth_dataset(variant, seed, n_per_combo, length)
+    data, records, splits = _ref_build(variant, seed, n_per_combo, length)
+    assert ds.series.data.view(np.uint64).tobytes() == data.view(np.uint64).tobytes()
+    assert [(r.sample_id, r.text, r.label) for r in ds.conditions] == records
+    assert ds.splits == splits
+    for i in (0, n_per_combo + 1, len(records) - 1):
+        primary, secondary = synthgen.decode_attrs(ds.conditions[i].attrs)
+        got = univariate_components(primary, secondary, seed, i, length)
+        want = _ref_components(primary, secondary, seed, i, length)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_sinusoid_and_noise_match_reference_bitwise():
+    for n_cycle in synthgen.SEASON_CYCLES + synthgen.HF_CYCLES:
+        for length in (2, 57, 96):
+            got = sinusoid_component(n_cycle, 0.37, 5.9, length)
+            assert got.tobytes() == _ref_sinusoid(n_cycle, 0.37, 5.9, length).tobytes()
+    for key, row in zip(stream_keys(seeded_rows(4, np.arange(50), 4)), range(50)):
+        got = noise_component(sample_rng(key), 33)
+        ref = _ref_rng(4, row, 4)
+        assert got.tobytes() == ref.normal(0.0, ref.uniform(0.04, 0.06), size=33).tobytes()
+
+
+def test_build_rejects_negative_seed():
+    with pytest.raises(ContractViolation, match="non-negative"):
+        build_synth_dataset("u", seed=-1, n_per_combo=8, length=96)
+
+
+def test_build_m_scratch_peak_stays_bounded():
+    import tracemalloc
+
+    build_synth_dataset("m", 0, 8)  # warm imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        ds = build_synth_dataset("m", 0, 250)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the per-sample build peaked at 31-31.8 MiB, holding the array and the tensor's copy of it;
+    # frozen, the array becomes the tensor's data and the peak is ~20 MiB
+    assert peak <= 24 * 2**20, peak / 2**20
+    assert not ds.series.data.flags.writeable

@@ -131,6 +131,45 @@ def test_read_tensor_makes_one_float64_copy(tmp_path):
     assert arr.dtype == np.float64 and np.array_equal(arr, tensor.data)
 
 
+def _tsb1_bytes_by_copy(arr) -> bytes:
+    """The file a writer that copies the payload with ``tobytes`` produced."""
+    arr = np.asarray(arr)
+    header = {"byte_order": "little", "dtype": "f32", "magic": "TSB1", "order": "row_major", "shape": list(arr.shape)}
+    payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + payload
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.random.default_rng(1).normal(size=(40, 96, 2)),
+        np.random.default_rng(2).normal(size=(9, 7, 3))[:, ::2],  # not contiguous
+        np.random.default_rng(3).normal(size=(5, 4)).astype(np.float32),
+        np.zeros((0, 54, 1)),
+        np.zeros((10, 0)),
+        np.float64(2.5),
+    ],
+)
+def test_write_tensor_bytes_match_the_copying_writer(tmp_path, arr):
+    tensorfile.write_tensor(arr, tmp_path / "x.tsb")
+    assert (tmp_path / "x.tsb").read_bytes() == _tsb1_bytes_by_copy(arr)
+
+
+def test_write_tensor_makes_no_copy_of_the_payload(tmp_path):
+    import tracemalloc
+
+    arr = np.random.default_rng(0).normal(size=(8000, 96, 2))
+    payload_bytes = arr.size * 4
+    tracemalloc.start()
+    try:
+        tensorfile.write_tensor(arr, tmp_path / "x.tsb")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 payload itself; a bytes copy of it reads 2x
+    assert peak <= 1.1 * payload_bytes, peak / payload_bytes
+
+
 # ---------------------------------------------------------------------------
 # The JSON shape check
 # ---------------------------------------------------------------------------
