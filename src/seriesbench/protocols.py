@@ -198,10 +198,10 @@ def retrieval_acc1(
                         f"pool_size {cfg.pool_size} needs {cfg.pool_size - 1} distractors, "
                         f"only {cand.size} available for query {q}"
                     )
-                truth_score = float(gen[q] @ text[q])
+                query, truth_score = gen[q], float(gen[q] @ text[q])
             distractors = open_stream(key).choice(cand, size=cfg.pool_size - 1, replace=False)
             if distractors.size:
-                best_distractor = float((text[distractors] @ gen[q]).max())
+                best_distractor = float((text.take(distractors, axis=0) @ query).max())
                 hits[repeat] += truth_score > best_distractor  # ties count as misses
             else:
                 hits[repeat] += 1
