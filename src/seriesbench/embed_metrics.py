@@ -9,11 +9,16 @@ eigendecomposition on a PSD argument.
 Precision/recall follow the kNN-hypersphere manifold construction: a query
 lies in the manifold when it falls inside the closed ball around any
 reference point whose radius is the distance to that point's k-th nearest
-neighbour (self excluded).  kNN is exact.  Distances are computed in row
-blocks into two (rows, n) float64 buffers that are allocated once per call
-and reused for every block; ``rows`` is sized so that each buffer holds at
-most ``_BLOCK_BYTES`` (8 MiB), so a pass needs ~16 MiB of scratch whatever n
-is (a single row is kept when one row of n distances is larger than that).
+neighbour (self excluded).  kNN is exact.  The kernel works on squared
+distances: ``x ↦ sqrt(max(x, 0))`` is monotone, so a radius is the root of
+the k-th smallest squared distance, taken once per point, and a query is
+inside a ball when its squared distance is at most the largest square whose
+root does not exceed the radius.  The products are formed in row blocks of a
+(rows, n) float64 gram buffer of at most ``_BLOCK_BYTES`` (8 MiB); each block
+is then finished and consumed in row tiles of a buffer of at most
+``_TILE_BYTES`` (256 KiB), small enough to stay in cache, so a pass needs
+~8 MiB plus one tile of scratch whatever n is (a single row is kept when one
+row of n distances is larger than that).
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ from seriesbench.core import ContractViolation, EmbeddingMatrix, as_embedding_ar
 
 _EIG_CLAMP_REL = 1e-10
 _SYMMETRY_TOL = 1e-8
-_BLOCK_BYTES = 8 << 20  # bytes per distance-block buffer; two buffers are live per pass
+_BLOCK_BYTES = 8 << 20  # bytes per gram block; its height sets the BLAS call shapes
+_TILE_BYTES = 256 << 10  # bytes per squared-distance tile, finished and consumed in cache
+_THRESHOLD_STEPS = 8  # nextafter steps allowed from r*r to a radius's threshold
 
 
 @dataclass(frozen=True)
@@ -106,30 +113,61 @@ def fid(real_emb: EmbeddingMatrix | np.ndarray, gen_emb: EmbeddingMatrix | np.nd
 
 
 def _distance_blocks(queries: np.ndarray, points: np.ndarray):
-    """Yield ``(start, stop, d)``: Euclidean distances of queries[start:stop] to all points.
+    """Yield ``(start, stop, d)``: squared Euclidean distances of queries[start:stop] to all points.
 
-    ``d`` is a view of a buffer that the next block overwrites, so a caller
-    reads or reduces it before asking for the next one and may modify it in
-    place.  Each block evaluates ``sqrt(max(q_sq + p_sq - (2.0 * q) @ points.T, 0))``
-    in that order.  The BLAS may round a product differently with its height
-    (a one-row product goes through gemv), so a distance is bitwise stable
-    across block budgets only where the products' shapes round alike.
+    ``d`` is a view of a tile buffer that the next tile overwrites, so a
+    caller reads or reduces it before asking for the next one and may modify
+    it in place.  Values are raw: ``q_sq + p_sq - (2.0 * q) @ points.T`` in
+    that order, neither clamped at 0 nor rooted, and inf or NaN where the
+    squares overflow.  The product is one matmul per block of up to
+    ``_BLOCK_BYTES``; the sum and the difference run per tile, a run of that
+    block's rows of up to ``_TILE_BYTES``.  The BLAS may round a product
+    differently with its height (a one-row product goes through gemv), so a
+    distance is bitwise stable across block budgets only where the products'
+    shapes round alike; the tile height changes no value.
     """
     n_queries, n = queries.shape[0], points.shape[0]
     rows = max(1, min(n_queries, _BLOCK_BYTES // (8 * n)))
-    sq = np.empty((rows, n))
+    tile_rows = max(1, min(rows, _TILE_BYTES // (8 * n)))
     gram = np.empty((rows, n))
+    tile = np.empty((tile_rows, n))
     q_sq = (queries**2).sum(axis=1)
     p_sq = (points**2).sum(axis=1)
-    for start in range(0, n_queries, rows):
-        stop = min(start + rows, n_queries)
-        d, g = sq[: stop - start], gram[: stop - start]
-        np.add(q_sq[start:stop, None], p_sq, out=d)
-        np.matmul(2.0 * queries[start:stop], points.T, out=g)
-        np.subtract(d, g, out=d)
-        np.maximum(d, 0.0, out=d)
-        np.sqrt(d, out=d)
-        yield start, stop, d
+    for block in range(0, n_queries, rows):
+        block_stop = min(block + rows, n_queries)
+        g = gram[: block_stop - block]
+        np.matmul(2.0 * queries[block:block_stop], points.T, out=g)
+        for start in range(block, block_stop, tile_rows):
+            stop = min(start + tile_rows, block_stop)
+            d = tile[: stop - start]
+            np.add(q_sq[start:stop, None], p_sq, out=d)
+            np.subtract(d, g[start - block : stop - block], out=d)
+            yield start, stop, d
+
+
+def _root(sq: np.ndarray) -> np.ndarray:
+    """Distances from squared distances: ``sqrt(max(sq, 0))``, monotone in ``sq``."""
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def _radius_thresholds(radii: np.ndarray) -> np.ndarray:
+    """Largest ``t`` with ``_root(t) <= r`` per radius ``r``, so ``_root(x) <= r`` iff ``x <= t``.
+
+    Starts from ``r * r`` and steps by ``nextafter`` until ``t`` is maximal:
+    ``_root(t) <= r`` and ``t == inf`` or ``_root(nextafter(t, inf)) > r``.  A
+    NaN radius gives NaN, and a negative one, which no square reaches, NaN
+    too, so no ``x`` passes either.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        t = np.where(radii < 0.0, np.nan, radii * radii)
+        for _ in range(_THRESHOLD_STEPS):
+            above = _root(t) > radii
+            up = np.nextafter(t, np.inf)
+            below = (t < np.inf) & (_root(up) <= radii)
+            if not (above.any() or below.any()):
+                return t
+            t = np.where(above, np.nextafter(t, -np.inf), np.where(below, up, t))
+    raise ArithmeticError(f"radius thresholds not maximal after {_THRESHOLD_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -146,12 +184,13 @@ class ManifoldIndex:
         n = points.shape[0]
         if not 1 <= k < n:
             raise ContractViolation(f"k must satisfy 1 <= k < n_points, got k={k}, n={n}")
-        radii = np.empty(n)
+        kth = np.empty(n)
         for start, stop, d in _distance_blocks(points, points):
             d[np.arange(stop - start), np.arange(start, stop)] = np.inf  # exclude self
             d.partition(k - 1, axis=1)
-            radii[start:stop] = d[:, k - 1]
-        return cls(points=points, k=k, radii=radii)
+            kth[start:stop] = d[:, k - 1]
+        # the k-th smallest root is the root of the k-th smallest square
+        return cls(points=points, k=k, radii=_root(kth))
 
     def contains(self, queries: np.ndarray) -> np.ndarray:
         """Boolean per query: inside the closed ball of at least one point."""
@@ -160,9 +199,10 @@ class ManifoldIndex:
             raise ContractViolation(
                 f"queries must be (m, {self.points.shape[1]}), got shape {queries.shape}"
             )
+        thresholds = _radius_thresholds(self.radii)
         out = np.zeros(queries.shape[0], dtype=bool)
         for start, stop, d in _distance_blocks(queries, self.points):
-            out[start:stop] = (d <= self.radii).any(axis=1)
+            out[start:stop] = (d <= thresholds).any(axis=1)
         return out
 
 
@@ -215,7 +255,9 @@ def joint_embed(
     cond = as_embedding_array(cond_emb)
     if ts.shape[0] != cond.shape[0]:
         raise ContractViolation(f"sample count mismatch: {ts.shape[0]} vs {cond.shape[0]}")
-    return EmbeddingMatrix(data=np.concatenate([ts, cond], axis=1))
+    joint = np.concatenate([ts, cond], axis=1)
+    joint.setflags(write=False)  # frozen and owning its memory, so EmbeddingMatrix shares it
+    return EmbeddingMatrix(data=joint)
 
 
 def j_ftsd(

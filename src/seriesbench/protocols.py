@@ -173,6 +173,9 @@ def retrieval_acc1(
     queries = np.arange(n) if query_indices is None else np.asarray(query_indices, dtype=np.int64)
     if queries.size == 0:
         raise ContractViolation("no queries")
+    outside = np.flatnonzero((queries < 0) | (queries >= n))
+    if outside.size:
+        raise ContractViolation(f"query index {queries[outside[0]]} is outside [0, {n})")
 
     if texts is None:
         gid = np.arange(n)

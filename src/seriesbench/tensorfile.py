@@ -208,9 +208,10 @@ def load_jsonl(path: str | Path, shape) -> Iterator[tuple[int, object]]:
 
 def dump_jsonl(docs: Iterable[Mapping], path: str | Path) -> None:
     """Write one compact, key-sorted JSON object per line."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     with open(path, "w", encoding="utf-8") as fh:
         for doc in docs:
-            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+            fh.write(encode(doc))
             fh.write("\n")
 
 

@@ -311,6 +311,94 @@ def test_kernel_bitwise_parity_at_bench_size():
     _assert_kernel_parity(points, queries, 5)
 
 
+def _assert_contains_parity(points, radii, queries):
+    index = ManifoldIndex(points=points, k=1, radii=radii)
+    assert np.array_equal(index.contains(queries), _ref_contains(points, radii, queries))
+
+
+def test_kernel_bitwise_parity_with_duplicate_points_and_zero_radii():
+    points = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 4.0]]), [3, 2, 4], axis=0)
+    queries = np.array([[0.0, 0.0], [1.0, 0.0], [1e-300, 0.0], [5e-324, 0.0], [0.5, 0.0], [3.0, 4.0]])
+    assert np.all(ManifoldIndex.build(points, 1).radii == 0.0)
+    for k in (1, 2, 3, 5):
+        _assert_kernel_parity(points, queries, k)
+
+
+def test_contains_bitwise_parity_at_subnormal_radii():
+    # no squared distance has a subnormal root, so only a radius set by hand is
+    # subnormal; a query whose square underflows is at distance 0 and inside,
+    # one with a subnormal square (1e-160) is outside
+    points = np.zeros((3, 1))
+    radii = np.array([5e-324, 1e-310, 2.2250738585072014e-308])
+    queries = np.array([[0.0], [5e-324], [-5e-324], [1e-310], [1e-160], [1.5e-154]])
+    _assert_contains_parity(points, radii, queries)
+    assert np.array_equal(ManifoldIndex(points, 1, radii).contains(queries), [1, 1, 1, 1, 0, 0])
+
+
+def test_kernel_bitwise_parity_near_sqrt_dbl_max():
+    big = math.sqrt(np.finfo(np.float64).max)
+    points = np.array([[0.0], [big * 0.5], [big * 0.999999], [big]])
+    queries = np.array([[-big * 0.5], [big * 0.75], [-big * 0.999], [big * 1.0000001], [-big]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in (1, 2, 3):
+            _assert_kernel_parity(points, queries, k)
+        # radii at and just around sqrt(DBL_MAX), where r * r overflows
+        radii = np.array([np.nextafter(big, 0.0), big, np.nextafter(big, np.inf), 1.5 * big])
+        _assert_contains_parity(points, radii, queries)
+
+
+def test_kernel_bitwise_parity_when_squares_overflow():
+    # squares of 1e155 overflow: a distance to the origin is inf, and between
+    # two huge points inf - inf gives NaN, which partition sorts last
+    rng = np.random.default_rng(4)
+    points = np.concatenate([rng.normal(size=(6, 2)), [[1e155, 0.0], [2e155, 0.0], [0.0, -3e155]]])
+    queries = np.concatenate([rng.normal(size=(5, 2)), [[1e155, 0.0], [0.0, 1e160], [-4e155, 1.0]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        radii = ManifoldIndex.build(points, 1).radii
+        assert np.isinf(radii).any() or np.isnan(radii).any()
+        for k in (1, 3, 8):
+            _assert_kernel_parity(points, queries, k)
+        _assert_contains_parity(points, np.full(points.shape[0], np.inf), queries)
+        _assert_contains_parity(points, np.full(points.shape[0], np.nan), queries)
+
+
+@pytest.mark.parametrize("block_rows, tile_rows", [(37, 1), (7, 3), (7, 7), (8, 3), (4, 9)])
+def test_kernel_bitwise_parity_at_forced_tile_height(block_rows, tile_rows, monkeypatch):
+    # tiles of one row, tiles that do not divide the block (7 = 3 + 3 + 1 leaves
+    # a lone last tile), tiles as high as the block, and a tile budget above
+    # the block's, which is cut to the block
+    from seriesbench import embed_metrics
+
+    monkeypatch.setattr(embed_metrics, "_BLOCK_BYTES", 8 * 37 * block_rows)
+    monkeypatch.setattr(embed_metrics, "_TILE_BYTES", 8 * 37 * tile_rows)
+    rng = np.random.default_rng(12)
+    points = rng.normal(size=(37, 3))
+    queries = rng.normal(size=(53, 3))
+    for k in (1, 5):
+        _assert_kernel_parity(points, queries, k, block_rows=block_rows)
+
+
+_EDGE_RADII = [
+    0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1.4916681462400413e-154, 1e-10, 0.5, 1.0, 2.0, 3.0,
+    1e150, 1.3407807929942596e154, 1.3407807929942597e154, 1e200, np.finfo(np.float64).max, np.inf,
+]
+
+
+def test_radius_threshold_is_the_largest_square_inside():
+    from seriesbench.embed_metrics import _radius_thresholds
+
+    rng = np.random.default_rng(13)
+    radii = np.concatenate([_EDGE_RADII, rng.integers(1, 0x7FF0000000000000, size=20_000).view(np.float64)])
+    t = _radius_thresholds(radii)
+    with np.errstate(over="ignore"):
+        root = np.sqrt(np.maximum(t, 0.0))
+        root_up = np.sqrt(np.maximum(np.nextafter(t, np.inf), 0.0))
+    assert np.all(root <= radii)
+    assert np.all((t == np.inf) | (root_up > radii))
+    # no square passes a NaN or a negative radius
+    assert np.isnan(_radius_thresholds(np.array([np.nan, -1.0]))).all()
+
+
 def test_precision_scratch_memory_is_bounded():
     import tracemalloc
 
@@ -369,6 +457,15 @@ def test_joint_embed_concatenates():
     assert joint.data.shape == (3, 5)
     assert np.array_equal(joint.data[:, :2], ts)
     assert np.array_equal(joint.data[:, 2:], cond)
+
+
+def test_joint_embed_owns_one_frozen_copy():
+    rng = np.random.default_rng(19)
+    ts = rng.normal(size=(9, 4))
+    cond = rng.normal(size=(9, 3))
+    data = joint_embed(ts, cond).data
+    assert data.base is None and data.flags.owndata and not data.flags.writeable
+    assert np.array_equal(data.view(np.uint64), np.concatenate([ts, cond], axis=1).view(np.uint64))
 
 
 def test_j_ftsd_identical_is_zero():

@@ -271,6 +271,15 @@ def test_retrieval_caption_ids_match_string_masks(query_indices):
     assert got == _retrieval_string_masks(gen, text, cfg, texts, query_indices)
 
 
+@pytest.mark.parametrize("bad", [12, -1])
+def test_retrieval_rejects_query_index_outside_rows(bad):
+    rng = np.random.default_rng(7)
+    gen = rng.normal(size=(10, 3))
+    cfg = RetrievalConfig(pool_size=3, repeats=1, seed=0)
+    with pytest.raises(ContractViolation, match=rf"query index {bad} is outside \[0, 10\)"):
+        retrieval_acc1(gen, gen, cfg, query_indices=[0, bad, 11])
+
+
 @pytest.mark.parametrize("n_texts", [19, 21])
 def test_retrieval_rejects_caption_count_mismatch(n_texts):
     rng = np.random.default_rng(6)

@@ -250,6 +250,18 @@ def test_shape_mismatch_value_is_truncated(tmp_path):
     assert str(info.value) == f'{path}.a: expected an integer, got "{"x" * 39}'
 
 
+def test_dump_jsonl_bytes_equal_per_record_dumps(tmp_path):
+    docs = [
+        {"text": "Zürich — 東京 ☃", "b": 1, "a": [1.5, None, True]},
+        {"z": {"y": {"x": "é", "w": -0.0}, "v": []}, "a": "\u0000"},
+        {},
+    ]
+    path = tmp_path / "rows.jsonl"
+    tensorfile.dump_jsonl(docs, path)
+    expected = "".join(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n" for d in docs)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_jsonl_shape_mismatch_names_line(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"a": 1}\n\n{"a": 2}\n{"a": 2.5}\n')
