@@ -186,7 +186,8 @@ class ManifoldIndex:
             raise ContractViolation(f"k must satisfy 1 <= k < n_points, got k={k}, n={n}")
         kth = np.empty(n)
         for start, stop, d in _distance_blocks(points, points):
-            d[np.arange(stop - start), np.arange(start, stop)] = np.inf  # exclude self
+            # exclude self: in the C-contiguous tile, row r's own distance sits at flat index start + r(n + 1)
+            d.reshape(-1)[start :: n + 1] = np.inf
             d.partition(k - 1, axis=1)
             kth[start:stop] = d[:, k - 1]
         # the k-th smallest root is the root of the k-th smallest square
@@ -201,8 +202,11 @@ class ManifoldIndex:
             )
         thresholds = _radius_thresholds(self.radii)
         out = np.zeros(queries.shape[0], dtype=bool)
+        inside = None
         for start, stop, d in _distance_blocks(queries, self.points):
-            out[start:stop] = (d <= thresholds).any(axis=1)
+            if inside is None:
+                inside = np.empty(d.shape, dtype=bool)  # the first tile is the tallest
+            np.less_equal(d, thresholds, out=inside[: stop - start]).any(axis=1, out=out[start:stop])
         return out
 
 

@@ -20,7 +20,7 @@ from seriesbench.core import (
     MetricReport,
     as_embedding_array,
 )
-from seriesbench.streams import open_stream, seeded_rows, stream_keys
+from seriesbench.streams import open_stream, stream_keys
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def retrieval_acc1(
     for first in range(0, pairs, _KEY_BLOCK_ROWS):
         pair = np.arange(first, min(first + _KEY_BLOCK_ROWS, pairs))
         block_queries, block_repeats = queries[pair // cfg.repeats], pair % cfg.repeats
-        keys = stream_keys(seeded_rows(cfg.seed, block_repeats, block_queries))
+        keys = stream_keys(cfg.seed, block_repeats, block_queries)
         for q, repeat, key in zip(block_queries.tolist(), block_repeats.tolist(), keys):
             if q != current:
                 current, cand = q, np.flatnonzero(gid != gid[q])
@@ -239,15 +239,6 @@ def temporal_order_eval(
         confusion[row] = np.bincount(retrieved[:, row], minlength=p)
     confusion /= confusion.sum(axis=1, keepdims=True)
     return confusion, float(np.diag(confusion).mean())
-
-
-def joint_segment_accuracy(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
-    """Fraction of samples whose P segment labels all match."""
-    pred = np.asarray(pred_labels)
-    true = np.asarray(true_labels)
-    if pred.shape != true.shape or pred.ndim != 2:
-        raise ContractViolation(f"label arrays must share (n, P), got {pred.shape} vs {true.shape}")
-    return float((pred == true).all(axis=1).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from seriesbench.core import (
     ContractViolation,
     ProposerError,
 )
-from seriesbench.streams import open_stream, seeded_rows, stream_keys
+from seriesbench.streams import open_stream, stream_keys
 from seriesbench.tensorfile import canonical_json, load_json
 
 OTHER_VALUE = "other"
@@ -224,7 +224,7 @@ class _BatchSampler:
 
     def __init__(self, corpus: Sequence[str], seed: int) -> None:
         self.corpus = list(corpus)
-        self.rng = open_stream(stream_keys(seeded_rows(seed, 0))[0])  # the stream of (seed, 0)
+        self.rng = open_stream(stream_keys(seed, 0)[0])  # the stream of (seed, 0)
         self.pool: list[int] = []
 
     def next_batch(self, n: int) -> list[str]:

@@ -8,12 +8,13 @@ turns one key into a fresh Generator without building a ``SeedSequence``, so
 the draws are those of the seeded generator at a fraction of its cost.
 
 NumPy imports ``numpy.random`` lazily; this module touches it only when a
-stream is opened or a row is too wide for the vectorised hash.
+stream is opened.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -67,46 +68,36 @@ def _hashed_keys(words: np.ndarray) -> np.ndarray:
     return state.view("<u8").astype(np.uint64)
 
 
-def stream_keys(rows) -> np.ndarray:
-    """Philox keys of entropy rows: key ``r`` is ``SeedSequence(tuple(rows[r])).generate_state(2, np.uint64)``.
+def stream_keys(seed: int, *columns) -> np.ndarray:
+    """Philox keys of the entropy rows ``(seed, c1, c2, ...)``, one per element of the broadcast ``columns`` in C order.
 
-    ``rows`` is an (n, w) array (or nested sequence) of non-negative integers;
-    returns an (n, 2) uint64 array.  A row holding a word of 2**32 or more,
-    which SeedSequence splits into several uint32 words, is hashed by
-    SeedSequence itself.
+    Key ``r`` is ``SeedSequence((seed, *row_r)).generate_state(2, np.uint64)``.
+    SeedSequence reads a seed as its little-endian uint32 words (one word for
+    0) and each column value as one word, so the seed is split once and every
+    seed size takes the same vectorised pass.  Column values must be integers
+    in [0, 2**32); returns an (n, 2) uint64 array.
     """
-    rows = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
-    if rows.ndim != 2 or rows.dtype.kind not in "iuO":
-        raise ContractViolation(f"stream entropy must be an (n, words) integer array, got {rows.dtype} {rows.shape}")
-    if rows.dtype == object and not all(isinstance(v, (int, np.integer)) for v in rows.flat):
-        raise ContractViolation("stream entropy words must be integers")
-    negative = np.asarray(rows < 0, dtype=bool).any(axis=1)
-    if negative.any():
-        row = tuple(int(v) for v in rows[np.argmax(negative)])
-        raise ContractViolation(f"seeds and stream indices must be non-negative, got entropy row {row}")
-    wide = np.asarray(rows > _MASK32, dtype=bool).any(axis=1)
-    if not wide.any():
-        return _hashed_keys(rows.astype(np.uint32))
-    keys = np.empty((rows.shape[0], 2), dtype=np.uint64)
-    keys[~wide] = _hashed_keys(rows[~wide].astype(np.uint32))
-    for r in np.flatnonzero(wide):
-        keys[r] = np.random.SeedSequence([int(v) for v in rows[r]]).generate_state(2, np.uint64)
-    return keys
-
-
-def seeded_rows(seed: int, *columns) -> np.ndarray:
-    """Entropy rows ``(seed, c1, c2, ...)``, one per element of the broadcast ``columns`` in C order.
-
-    The rows are int64 unless the seed does not fit, in which case they hold
-    Python ints; ``stream_keys`` takes either.
-    """
-    cols = np.broadcast_arrays(*(np.asarray(c, dtype=np.int64) for c in columns))
-    fits = -(2**63) <= seed < 2**63
-    rows = np.empty((cols[0].size if cols else 1, 1 + len(cols)), dtype=np.int64 if fits else object)
-    rows[:, 0] = seed
-    for k, col in enumerate(cols, start=1):
-        rows[:, k] = col.ravel()
-    return rows
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ContractViolation(f"a stream seed must be one integer, got {type(seed).__name__}") from None
+    if seed < 0:
+        raise ContractViolation(f"seeds must be non-negative, got {seed}")
+    seed_words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    arrays = [np.asarray(c) for c in columns]
+    for col in arrays:
+        if col.dtype.kind not in "iu":
+            raise ContractViolation(f"stream indices must be integers, got {col.dtype}")
+        if col.size and not 0 <= col.min() <= col.max() <= _MASK32:
+            raise ContractViolation(
+                f"stream indices must be non-negative and below 2**32, got values in [{col.min()}, {col.max()}]"
+            )
+    cols = np.broadcast_arrays(*arrays)
+    words = np.empty((cols[0].size if cols else 1, len(seed_words) + len(cols)), dtype=np.uint32)
+    words[:, : len(seed_words)] = seed_words
+    for k, col in enumerate(cols, start=len(seed_words)):
+        words[:, k] = col.ravel()
+    return _hashed_keys(words)
 
 
 @functools.cache

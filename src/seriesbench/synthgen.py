@@ -37,7 +37,7 @@ from seriesbench.core import (
     ContractViolation,
     TimeSeriesTensor,
 )
-from seriesbench.streams import open_stream, seeded_rows, stream_keys
+from seriesbench.streams import open_stream, stream_keys
 
 TREND_TYPES = ("linear", "quadratic", "exponential", "logistic")
 TREND_DIRECTIONS = ("up", "down")
@@ -75,8 +75,8 @@ def sample_rng(key: np.ndarray) -> np.random.Generator:
 
 def _sample_keys(seed: int, first: int, n: int) -> np.ndarray:
     """(n, 7, 2) stream keys of samples ``first .. first + n - 1``, indexed by purpose."""
-    rows = seeded_rows(seed, np.arange(first, first + n)[:, None], np.arange(_N_SAMPLE_PURPOSES))
-    return stream_keys(rows).reshape(n, _N_SAMPLE_PURPOSES, 2)
+    keys = stream_keys(seed, np.arange(first, first + n)[:, None], np.arange(_N_SAMPLE_PURPOSES))
+    return keys.reshape(n, _N_SAMPLE_PURPOSES, 2)
 
 
 @dataclass(frozen=True)
@@ -165,16 +165,6 @@ def trend_component(trend_type: str, direction: str, length: int) -> np.ndarray:
     return x
 
 
-def sinusoid_component(n_cycle: int, amplitude: float, phase: float, length: int) -> np.ndarray:
-    """a * sin(2*pi*t + phase) with t evenly spaced over [0, n_cycle]; zero cycles means a zero series."""
-    if n_cycle not in SEASON_CYCLES and n_cycle not in HF_CYCLES:
-        raise ContractViolation(f"cycle count {n_cycle} not in {set(SEASON_CYCLES) | set(HF_CYCLES)}")
-    if length < 2:
-        raise ContractViolation("sinusoid needs length >= 2")
-    out = np.empty((1, length))
-    return _sinusoid_rows(np.array([n_cycle]), np.array([amplitude]), np.array([phase]), out)[0]
-
-
 def _sinusoid_rows(n_cycles: np.ndarray, amplitude: np.ndarray, phase: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Row r of ``out`` becomes the sinusoid of ``n_cycles[r]``, ``amplitude[r]`` and ``phase[r]``."""
     for n_cycle in np.unique(n_cycles):
@@ -247,11 +237,6 @@ def _place_shapelets(labels: tuple[str, ...], rng: np.random.Generator, out: np.
     return out
 
 
-def noise_component(rng: np.random.Generator, length: int) -> np.ndarray:
-    """i.i.d. zero-mean Gaussian noise with sigma drawn once from U(0.04, 0.06)."""
-    return _noise_rows((rng,), np.empty((1, length)))[0]
-
-
 def _noise_rows(rngs: Iterable[np.random.Generator], out: np.ndarray) -> np.ndarray:
     """Row r of ``out`` becomes ``rngs[r].normal(0.0, sigma, size=length)``, sigma drawn first from the same stream."""
     sigma = np.empty(len(out))
@@ -262,14 +247,6 @@ def _noise_rows(rngs: Iterable[np.random.Generator], out: np.ndarray) -> np.ndar
     # normal(0.0, sigma) returns 0.0 + sigma * z, which turns a -0.0 into +0.0
     np.add(out, 0.0, out=out)
     return out
-
-
-def apply_mv_transform(series: np.ndarray, transform: MvTransform) -> np.ndarray:
-    """Derive the second variate: axis flips or a circular temporal shift."""
-    series = np.asarray(series, dtype=np.float64)
-    if series.ndim != 1:
-        raise ContractViolation(f"a transform applies to one series, got shape {series.shape}")
-    return _transform_rows(series[None], (transform,), np.empty((1, series.size)))[0]
 
 
 def _transform_rows(series: np.ndarray, transforms: Sequence[MvTransform], out: np.ndarray) -> np.ndarray:
@@ -503,7 +480,7 @@ def build_synth_dataset(
     splits: dict[str, list[int]] = {"train": [], "valid": [], "test": []}
     # one combination's components, reused for every combination
     season, local, hf, noise = np.empty((4, n_per_combo, length))
-    split_keys = stream_keys(seeded_rows(seed, np.arange(len(combos)), _P_SPLIT))
+    split_keys = stream_keys(seed, np.arange(len(combos)), _P_SPLIT)
 
     shapelet_index = {k: i for i, k in enumerate(SHAPELET_KINDS)}
     for combo_idx, primary in enumerate(combos):

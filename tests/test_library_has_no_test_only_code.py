@@ -1,0 +1,57 @@
+"""Every public function of the library has a caller outside the tests.
+
+A public module-level function of ``seriesbench`` that nothing in ``src/``,
+``demos/`` or ``bench/`` refers to is code that only tests call: either
+delete it or, if it is an oracle entry point the tests check the library
+through, name it below with the reason.
+"""
+
+import ast
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "seriesbench"
+
+ORACLE_ENTRY_POINTS = {
+    "align_metrics.dtw": "the one-pair case of dtw_score; the acceptance criteria check DTW values through it",
+    "align_metrics.crps_instance": "the one-ensemble case of crps_score; the acceptance criteria check CRPS through it",
+    "protocols.dknn": "the one-row case of dknn_values; the acceptance criteria check dknn through it",
+    "protocols.hamming": "the attribute distance; the acceptance criteria check that it is a metric",
+    "tensorfile.read_splits": "reads splits.json back; the acceptance criteria check the 6:1:1 splits with it",
+}
+
+
+def _referenced_names() -> set[str]:
+    names: set[str] = set()
+    for root in (REPO / "src", REPO / "demos", REPO / "bench"):
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names.update(part for alias in node.names for part in alias.name.split("."))
+    return names
+
+
+def _unreferenced_public_functions() -> set[str]:
+    referenced = _referenced_names()
+    unreferenced = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            is_function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if is_function and not node.name.startswith("_") and node.name not in referenced:
+                unreferenced.add(f"{path.stem}.{node.name}")
+    return unreferenced
+
+
+def test_every_public_function_outside_the_allowlist_has_a_library_caller():
+    test_only = sorted(_unreferenced_public_functions() - ORACLE_ENTRY_POINTS.keys())
+    assert not test_only, f"public functions that only tests call: {test_only}"
+
+
+def test_allowlist_names_only_uncalled_functions():
+    # an entry that gained a caller, or whose function is gone, no longer belongs here
+    stale = sorted(ORACLE_ENTRY_POINTS.keys() - _unreferenced_public_functions())
+    assert not stale, f"allowlisted functions that now have a caller or no longer exist: {stale}"

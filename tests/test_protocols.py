@@ -16,7 +16,6 @@ from seriesbench.protocols import (
     drop_rate,
     hamming,
     head_tail_split,
-    joint_segment_accuracy,
     normalized_accuracy,
     retrieval_acc1,
     temporal_order_eval,
@@ -423,28 +422,6 @@ def test_temporal_random_near_chance():
 def test_temporal_shape_mismatch():
     with pytest.raises(ContractViolation):
         temporal_order_eval(np.zeros((3, 4, 2)), np.zeros((3, 5, 2)))
-
-
-# ---------------------------------------------------------------------------
-# joint segment accuracy
-# ---------------------------------------------------------------------------
-
-
-def test_joint_accuracy_extremes():
-    true = np.array([[0, 1, 2], [1, 1, 0]])
-    assert joint_segment_accuracy(true, true) == 1.0
-    wrong = true.copy()
-    wrong[:, 0] += 1
-    assert joint_segment_accuracy(wrong, true) == 0.0
-
-
-def test_joint_accuracy_independence_model():
-    rng = np.random.default_rng(9)
-    p, segments, n = 0.8, 3, 20_000
-    true = rng.integers(0, 4, size=(n, segments))
-    flip = rng.random(size=(n, segments)) > p
-    pred = np.where(flip, true + 1, true)
-    assert joint_segment_accuracy(pred, true) == pytest.approx(p**segments, abs=0.02)
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,16 @@ import pytest
 
 from seriesbench.core import ContractViolation
 from seriesbench import synthgen
-from seriesbench.streams import seeded_rows, stream_keys
+from seriesbench.streams import stream_keys
 from seriesbench.synthgen import (
     MvTransform,
     PrimaryAttrs,
     SecondaryAttrs,
-    apply_mv_transform,
     build_synth_dataset,
-    noise_component,
     primary_combinations,
     render_caption,
     sample_rng,
     shapelet_template,
-    sinusoid_component,
     trend_component,
     univariate_components,
 )
@@ -62,17 +59,23 @@ def test_logistic_midpoint_half():
 # ---------------------------------------------------------------------------
 
 
+def _sinusoid(n_cycle, amplitude, phase, length):
+    """One row of the batched sinusoid kernel."""
+    out = np.empty((1, length))
+    return synthgen._sinusoid_rows(np.array([n_cycle]), np.array([amplitude]), np.array([phase]), out)[0]
+
+
 def test_sinusoid_quarter_cycle_value():
-    x = sinusoid_component(1, 0.5, 0.0, 5)  # t = 0, .25, .5, .75, 1
+    x = _sinusoid(1, 0.5, 0.0, 5)  # t = 0, .25, .5, .75, 1
     assert x[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sinusoid_zero_cycles_is_zero_series():
-    assert np.array_equal(sinusoid_component(0, 0.7, 1.3, 40), np.zeros(40))
+    assert np.array_equal(_sinusoid(0, 0.7, 1.3, 40), np.zeros(40))
 
 
 def test_sinusoid_two_cycles_against_scalar_oracle():
-    x = sinusoid_component(2, 0.5, 0.0, 9)
+    x = _sinusoid(2, 0.5, 0.0, 9)
     expected = [0.5 * math.sin(2.0 * math.pi * (0.25 * i)) for i in range(9)]
     assert np.allclose(x, expected, atol=1e-12)
 
@@ -174,25 +177,30 @@ def test_injected_template_confined_to_segment():
 # ---------------------------------------------------------------------------
 
 
+def _noise(rng, length):
+    """One row of the batched noise kernel."""
+    return synthgen._noise_rows((rng,), np.empty((1, length)))[0]
+
+
 def test_noise_std_matches_drawn_sigma():
-    key = stream_keys([(3, 0, 4)])[0]
+    key = stream_keys(3, 0, 4)[0]
     sigma = sample_rng(key).uniform(0.04, 0.06)  # identical stream, first draw
-    noise = noise_component(sample_rng(key), 1_000_000)
+    noise = _noise(sample_rng(key), 1_000_000)
     assert abs(noise.std() - sigma) < 0.001
     assert abs(noise.mean()) < 0.001
 
 
 def test_noise_deterministic_per_stream():
-    key = stream_keys([(9, 4, 4)])[0]
-    a = noise_component(sample_rng(key), 128)
-    b = noise_component(sample_rng(key), 128)
+    key = stream_keys(9, 4, 4)[0]
+    a = _noise(sample_rng(key), 128)
+    b = _noise(sample_rng(key), 128)
     assert np.array_equal(a, b)
 
 
 def test_noise_sigma_uniform_over_samples():
     from scipy.stats import kstest
 
-    keys = stream_keys(seeded_rows(1, np.arange(100_000), 4))
+    keys = stream_keys(1, np.arange(100_000), 4)
     sigmas = np.array([sample_rng(key).uniform(0.04, 0.06) for key in keys])
     stat = kstest(sigmas, "uniform", args=(0.04, 0.02)).pvalue
     assert stat > 1e-4
@@ -240,22 +248,27 @@ def test_caption_contains_all_five_attribute_phrases():
 # ---------------------------------------------------------------------------
 
 
+def _transform(series, transform):
+    """One row of the batched transform gather."""
+    return synthgen._transform_rows(series[None], (transform,), np.empty((1, series.size)))[0]
+
+
 def test_xflip_is_involution():
     series = np.arange(96, dtype=float)
     t = MvTransform("x_flip")
-    assert np.array_equal(apply_mv_transform(apply_mv_transform(series, t), t), series)
+    assert np.array_equal(_transform(_transform(series, t), t), series)
 
 
 def test_yflip_negates():
     assert np.array_equal(
-        apply_mv_transform(np.array([1.0, -2.0]), MvTransform("y_flip")), [-1.0, 2.0]
+        _transform(np.array([1.0, -2.0]), MvTransform("y_flip")), [-1.0, 2.0]
     )
 
 
 def test_shifts_invert_each_other():
     series = np.sin(np.arange(96) / 5.0)
-    fwd = apply_mv_transform(series, MvTransform("shift_forward", 20))
-    back = apply_mv_transform(fwd, MvTransform("shift_backward", 20))
+    fwd = _transform(series, MvTransform("shift_forward", 20))
+    back = _transform(fwd, MvTransform("shift_backward", 20))
     assert np.array_equal(back, series)
 
 
@@ -380,6 +393,15 @@ def _ref_template(kind, peak_height):
     return np.concatenate([peak, peak])
 
 
+def _ref_transform(series, transform):
+    if transform.kind == "x_flip":
+        return series[::-1]
+    if transform.kind == "y_flip":
+        return -series
+    d = transform.shift_distance
+    return np.roll(series, d if transform.kind == "shift_forward" else -d)
+
+
 def _ref_components(primary, secondary, seed, i, length):
     """The per-sample body of ``univariate_components`` before the batched kernel."""
     rng_season = _ref_rng(seed, i, 0)
@@ -429,7 +451,7 @@ def _ref_build(variant, seed, n_per_combo, length):
                 kind = synthgen.MV_TRANSFORMS[rng_t.integers(0, 4)]
                 dist = int(rng_t.integers(20, 40, endpoint=True)) if kind.startswith("shift") else None
                 transform = MvTransform(kind, dist)
-                data[i, :, 1] = apply_mv_transform(series, transform)
+                data[i, :, 1] = _ref_transform(series, transform)
             records.append((f"{variant}-{i:06d}", render_caption(primary, secondary, transform), combo_idx))
         n_train, n_valid = n_per_combo - 2 * (n_per_combo // 8), n_per_combo // 8
         perm = _ref_rng(seed, combo_idx, 7).permutation(n_per_combo)
@@ -470,10 +492,10 @@ def test_build_matches_per_sample_reference_bitwise(variant, seed, n_per_combo, 
 def test_sinusoid_and_noise_match_reference_bitwise():
     for n_cycle in synthgen.SEASON_CYCLES + synthgen.HF_CYCLES:
         for length in (2, 57, 96):
-            got = sinusoid_component(n_cycle, 0.37, 5.9, length)
+            got = _sinusoid(n_cycle, 0.37, 5.9, length)
             assert got.tobytes() == _ref_sinusoid(n_cycle, 0.37, 5.9, length).tobytes()
-    for key, row in zip(stream_keys(seeded_rows(4, np.arange(50), 4)), range(50)):
-        got = noise_component(sample_rng(key), 33)
+    for key, row in zip(stream_keys(4, np.arange(50), 4), range(50)):
+        got = _noise(sample_rng(key), 33)
         ref = _ref_rng(4, row, 4)
         assert got.tobytes() == ref.normal(0.0, ref.uniform(0.04, 0.06), size=33).tobytes()
 
