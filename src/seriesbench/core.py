@@ -122,12 +122,6 @@ class AttributeSchema:
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
-    def attribute(self, name: str) -> Attribute:
-        for a in self.attributes:
-            if a.name == name:
-                return a
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {
             "attributes": [

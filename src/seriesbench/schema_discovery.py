@@ -37,6 +37,7 @@ from seriesbench.core import (
     Attribute,
     AttributeSchema,
     ContractViolation,
+    InputFormatError,
     ProposerError,
 )
 from seriesbench.streams import open_stream, stream_keys
@@ -151,6 +152,10 @@ class MockProposer:
     @classmethod
     def from_rules_file(cls, path: str | Path) -> "MockProposer":
         doc = load_json(path, {"schema": {}, "keywords?": {str: {str: [str]}}})
+        try:  # the check every discovery round applies to the schema this proposer answers with
+            _parse_schema_response({"schema": doc["schema"]})
+        except ValueError as exc:
+            raise InputFormatError(f"{path}: unusable rules schema: {exc}") from exc
         return cls(schema_doc=doc["schema"], keywords=doc.get("keywords", {}))
 
     def __call__(self, request: dict) -> dict:

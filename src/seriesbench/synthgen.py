@@ -17,8 +17,10 @@ draws each sample's scalars and noise from its streams, then sums trend +
 season + local + hf + noise over the combination's (n_per_combo, length)
 block in a few buffers reused across combinations; ``univariate_components``
 is the one-row case of the same kernel.  The generator is its own ground
-truth: segment labels in the emitted conditions always match the injected
-patterns.
+truth: ``ATTRIBUTE_TABLE`` holds each attribute's name, definition, values
+and per-value caption clause, and the schema, each sample's attribute-index
+vector, the caption rendered from that vector and ``decode_attrs`` all read
+it, so a caption always agrees with its vector and the injected patterns.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -274,63 +276,100 @@ def _transform_rows(series: np.ndarray, transforms: Sequence[MvTransform], out: 
 
 
 # ---------------------------------------------------------------------------
-# Captions
+# The attribute table: schema, attribute vectors and captions
 # ---------------------------------------------------------------------------
+
+
+class _Row(NamedTuple):
+    name: str
+    definition: str
+    values: tuple  # the schema names each value with str()
+    clauses: tuple  # caption clause per value: None adds no clause, "{}" takes the shift distance
+
+
+# rows in schema order, which is also caption order; Synth-U has all but the last
+ATTRIBUTE_TABLE = (
+    _Row("trend_type", "shape family of the overall trend", TREND_TYPES,
+         tuple(f"the overall trend is {t}" for t in TREND_TYPES)),
+    _Row("trend_direction", "whether the trend rises or falls", TREND_DIRECTIONS,
+         ("the trend moves upward", "the trend moves downward")),
+    _Row("season_cycles", "number of seasonal cycles across the series", SEASON_CYCLES,
+         ("there is no seasonal pattern",
+          *(f"the seasonal pattern repeats {c} times" for c in SEASON_CYCLES[1:]))),
+    *(
+        _Row(f"segment_{k}_shapelet", f"local pattern injected into segment {k}", SHAPELET_KINDS,
+             (None, *(f"segment {k} contains {p}" for p in ("a single peak", "a sag", "double peaks"))))
+        for k in range(1, N_SEGMENTS + 1)
+    ),
+    _Row("hf_cycles", "number of high-frequency oscillation cycles", HF_CYCLES,
+         ("no high-frequency oscillation is present",
+          *(f"a high-frequency oscillation repeats {c} times" for c in HF_CYCLES[1:]))),
+    _Row("mv_transform", "rule deriving the second variable", MV_TRANSFORMS, (
+        "the second variable mirrors the first along the time axis",
+        "the second variable mirrors the first along the value axis",
+        "the second variable repeats the first shifted forward by {} steps",
+        "the second variable repeats the first shifted backward by {} steps",
+    )),
+)
+_CLAUSES = {(row.name, str(v)): clause for row in ATTRIBUTE_TABLE for v, clause in zip(row.values, row.clauses)}
+_SEGMENT_ROWS = slice(3, 3 + N_SEGMENTS)  # after the three primary attributes
+
+
+def synth_schema(variant: str) -> AttributeSchema:
+    """The governing attribute schema for a synthetic dataset variant ('u' or 'm')."""
+    if variant not in ("u", "m"):
+        raise ContractViolation(f"variant must be 'u' or 'm', got {variant!r}")
+    rows = ATTRIBUTE_TABLE if variant == "m" else ATTRIBUTE_TABLE[:-1]
+    return AttributeSchema(tuple(Attribute(r.name, r.definition, tuple(map(str, r.values))) for r in rows))
 
 
 def caption_clause(attr_name: str, value: str, shift_distance: int | None = None) -> str:
     """Fixed clause for one attribute value; captions concatenate these in schema order."""
-    if attr_name == "trend_type":
-        return f"the overall trend is {value}"
-    if attr_name == "trend_direction":
-        return "the trend moves upward" if value == "up" else "the trend moves downward"
-    if attr_name == "season_cycles":
-        if value == "0":
-            return "there is no seasonal pattern"
-        return f"the seasonal pattern repeats {value} times"
-    if attr_name == "hf_cycles":
-        if value == "0":
-            return "no high-frequency oscillation is present"
-        return f"a high-frequency oscillation repeats {value} times"
-    if attr_name.endswith("_shapelet"):
-        segment = attr_name.split("_")[1]
-        phrases = {
-            "single_peak": "a single peak",
-            "sag": "a sag",
-            "double_peaks": "double peaks",
-        }
-        return f"segment {segment} contains {phrases[value]}"
-    if attr_name == "mv_transform":
-        if value == "x_flip":
-            return "the second variable mirrors the first along the time axis"
-        if value == "y_flip":
-            return "the second variable mirrors the first along the value axis"
-        word = "forward" if value == "shift_forward" else "backward"
-        return f"the second variable repeats the first shifted {word} by {shift_distance} steps"
-    raise ContractViolation(f"no caption clause for attribute {attr_name!r}")
+    if (attr_name, value) not in _CLAUSES:
+        raise ContractViolation(f"no attribute {attr_name!r} with value {value!r}")
+    clause = _CLAUSES[attr_name, value]
+    if clause is None:
+        raise ContractViolation(f"{attr_name}={value} adds no caption clause")
+    if ("{}" in clause) != (shift_distance is not None):
+        raise ContractViolation(f"shift distance {shift_distance!r} does not fit {attr_name}={value}")
+    return clause.format(shift_distance)
+
+
+def _attr_vector(primary: PrimaryAttrs, secondary: SecondaryAttrs, transform: MvTransform | None) -> list[int]:
+    """The value indices of a sample's attributes, in schema order."""
+    values = (primary.trend_type, primary.trend_direction, primary.season_cycles,
+              *secondary.segment_shapelets, secondary.hf_cycles)
+    if transform is not None:
+        values += (transform.kind,)
+    return [row.values.index(v) for row, v in zip(ATTRIBUTE_TABLE, values)]
+
+
+def _caption(vector: Sequence[int], shift_distance: int | None) -> str:
+    """The caption of an attribute vector: its clauses in schema order, joined into one sentence."""
+    clauses = [row.clauses[i] for row, i in zip(ATTRIBUTE_TABLE, vector)]
+    if not any(clauses[_SEGMENT_ROWS]):  # one clause stands in for three absent segment clauses
+        clauses[_SEGMENT_ROWS.start] = "no local patterns appear in any segment"
+    text = "; ".join(c for c in clauses if c is not None).format(shift_distance)
+    return text[0].upper() + text[1:] + "."
 
 
 def render_caption(
     primary: PrimaryAttrs, secondary: SecondaryAttrs, transform: MvTransform | None = None
 ) -> str:
-    clauses = [
-        caption_clause("trend_type", primary.trend_type),
-        caption_clause("trend_direction", primary.trend_direction),
-        caption_clause("season_cycles", str(primary.season_cycles)),
-    ]
-    shapelet_clauses = [
-        caption_clause(f"segment_{k + 1}_shapelet", kind)
-        for k, kind in enumerate(secondary.segment_shapelets)
-        if kind != "none"
-    ]
-    if not shapelet_clauses:
-        shapelet_clauses = ["no local patterns appear in any segment"]
-    clauses.extend(shapelet_clauses)
-    clauses.append(caption_clause("hf_cycles", str(secondary.hf_cycles)))
-    if transform is not None:
-        clauses.append(caption_clause("mv_transform", transform.kind, transform.shift_distance))
-    text = "; ".join(clauses)
-    return text[0].upper() + text[1:] + "."
+    shift_distance = None if transform is None else transform.shift_distance
+    return _caption(_attr_vector(primary, secondary, transform), shift_distance)
+
+
+def decode_attrs(attrs: Mapping[str, int]) -> tuple[PrimaryAttrs, SecondaryAttrs]:
+    """Rebuild the attribute dataclasses from a condition record's value indices.
+
+    The multivariable transform is not recoverable here: its shift distance
+    lives only in the caption, not in the attribute vector.
+    """
+    if problem := synth_schema("u").misfit(attrs):
+        raise ContractViolation(problem)
+    values = [row.values[attrs[row.name]] for row in ATTRIBUTE_TABLE[:-1]]
+    return PrimaryAttrs(*values[:3]), SecondaryAttrs(values[-1], values[_SEGMENT_ROWS])
 
 
 # ---------------------------------------------------------------------------
@@ -382,54 +421,6 @@ def _component_rows(
     _noise_rows((sample_rng(key[_P_NOISE]) for key in keys), noise)
 
 
-def decode_attrs(attrs: Mapping[str, int]) -> tuple[PrimaryAttrs, SecondaryAttrs]:
-    """Rebuild the attribute dataclasses from a condition record's value indices.
-
-    The multivariable transform is not recoverable here: its shift distance
-    lives only in the caption, not in the attribute vector.
-    """
-    primary = PrimaryAttrs(
-        trend_type=TREND_TYPES[attrs["trend_type"]],
-        trend_direction=TREND_DIRECTIONS[attrs["trend_direction"]],
-        season_cycles=SEASON_CYCLES[attrs["season_cycles"]],
-    )
-    secondary = SecondaryAttrs(
-        hf_cycles=HF_CYCLES[attrs["hf_cycles"]],
-        segment_shapelets=tuple(
-            SHAPELET_KINDS[attrs[f"segment_{k}_shapelet"]] for k in (1, 2, 3)
-        ),
-    )
-    return primary, secondary
-
-
-def synth_schema(variant: str) -> AttributeSchema:
-    """The governing attribute schema for a synthetic dataset variant ('u' or 'm')."""
-    attrs = [
-        Attribute("trend_type", "shape family of the overall trend", TREND_TYPES),
-        Attribute("trend_direction", "whether the trend rises or falls", TREND_DIRECTIONS),
-        Attribute(
-            "season_cycles",
-            "number of seasonal cycles across the series",
-            tuple(str(v) for v in SEASON_CYCLES),
-        ),
-        Attribute("segment_1_shapelet", "local pattern injected into segment 1", SHAPELET_KINDS),
-        Attribute("segment_2_shapelet", "local pattern injected into segment 2", SHAPELET_KINDS),
-        Attribute("segment_3_shapelet", "local pattern injected into segment 3", SHAPELET_KINDS),
-        Attribute(
-            "hf_cycles",
-            "number of high-frequency oscillation cycles",
-            tuple(str(v) for v in HF_CYCLES),
-        ),
-    ]
-    if variant == "m":
-        attrs.append(
-            Attribute("mv_transform", "rule deriving the second variable", MV_TRANSFORMS)
-        )
-    elif variant != "u":
-        raise ContractViolation(f"variant must be 'u' or 'm', got {variant!r}")
-    return AttributeSchema(attributes=tuple(attrs))
-
-
 def primary_combinations() -> list[PrimaryAttrs]:
     """All 32 primary combinations in label order (lexicographic by value indices)."""
     return [
@@ -446,13 +437,6 @@ class SynthDataset:
     splits: dict[str, list[int]]
 
 
-def _split_counts(n: int) -> tuple[int, int, int]:
-    # 6:1:1; valid and test get floor(n/8) each, train the rest
-    n_valid = n // 8
-    n_test = n // 8
-    return n - n_valid - n_test, n_valid, n_test
-
-
 def build_synth_dataset(
     variant: str,
     seed: int,
@@ -465,12 +449,10 @@ def build_synth_dataset(
     ``primary_combinations()`` order.  The multivariate variant appends a
     second feature derived from the first by a uniformly sampled transform.
     """
-    if variant not in ("u", "m"):
-        raise ContractViolation(f"variant must be 'u' or 'm', got {variant!r}")
+    schema = synth_schema(variant)
     if n_per_combo < 8:
         raise ContractViolation("n_per_combo must be >= 8 to split 6:1:1")
     _segment_bounds(length)  # fail fast on bad length
-    schema = synth_schema(variant)
     combos = primary_combinations()
     n_features = 1 if variant == "u" else 2
     n_total = len(combos) * n_per_combo
@@ -481,16 +463,13 @@ def build_synth_dataset(
     # one combination's components, reused for every combination
     season, local, hf, noise = np.empty((4, n_per_combo, length))
     split_keys = stream_keys(seed, np.arange(len(combos)), _P_SPLIT)
+    n_valid = n_per_combo // 8  # 6:1:1; valid and test get floor(n/8) each, train the rest
+    n_train = n_per_combo - 2 * n_valid
+    names = schema.names
 
-    shapelet_index = {k: i for i, k in enumerate(SHAPELET_KINDS)}
     for combo_idx, primary in enumerate(combos):
         base = combo_idx * n_per_combo
         keys = _sample_keys(seed, base, n_per_combo)
-        primary_attrs = {
-            "trend_type": TREND_TYPES.index(primary.trend_type),
-            "trend_direction": TREND_DIRECTIONS.index(primary.trend_direction),
-            "season_cycles": SEASON_CYCLES.index(primary.season_cycles),
-        }
         secondaries: list[SecondaryAttrs] = []
         transforms: list[MvTransform] = []
         for j, key in enumerate(keys):
@@ -500,30 +479,21 @@ def build_synth_dataset(
             secondary = SecondaryAttrs(hf_cycles=HF_CYCLES[hf_idx], segment_shapelets=labels)
             secondaries.append(secondary)
 
-            transform = None
+            transform = dist = None
             if variant == "m":
                 rng_t = sample_rng(key[_P_TRANSFORM])
                 kind = MV_TRANSFORMS[rng_t.integers(0, len(MV_TRANSFORMS))]
-                dist = None
                 if kind in ("shift_forward", "shift_backward"):
                     dist = int(rng_t.integers(SHIFT_DISTANCE_RANGE[0], SHIFT_DISTANCE_RANGE[1], endpoint=True))
                 transform = MvTransform(kind=kind, shift_distance=dist)
                 transforms.append(transform)
 
-            attrs = {
-                **primary_attrs,
-                "segment_1_shapelet": shapelet_index[labels[0]],
-                "segment_2_shapelet": shapelet_index[labels[1]],
-                "segment_3_shapelet": shapelet_index[labels[2]],
-                "hf_cycles": hf_idx,
-            }
-            if transform is not None:
-                attrs["mv_transform"] = MV_TRANSFORMS.index(transform.kind)
+            vector = _attr_vector(primary, secondary, transform)
             conditions.append(
                 ConditionRecord(
                     sample_id=f"{variant}-{i:06d}",
-                    text=render_caption(primary, secondary, transform),
-                    attrs=attrs,
+                    text=_caption(vector, dist),
+                    attrs=dict(zip(names, vector)),
                     label=combo_idx,
                 )
             )
@@ -538,7 +508,6 @@ def build_synth_dataset(
         if variant == "m":
             data[base : base + n_per_combo, :, 1] = _transform_rows(series, transforms, local)
 
-        n_train, n_valid, _ = _split_counts(n_per_combo)
         perm = sample_rng(split_keys[combo_idx]).permutation(n_per_combo)
         splits["train"].extend(sorted(int(base + p) for p in perm[:n_train]))
         splits["valid"].extend(sorted(int(base + p) for p in perm[n_train : n_train + n_valid]))

@@ -631,6 +631,30 @@ def test_malformed_input_via_module_has_no_traceback(contract_inputs, bad_inputs
     assert "attrs_missing.jsonl:2" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "schema, code",
+    [
+        ({"attributes": 5}, 2),
+        ({"attributes": [{"name": "trend", "values": "up"}]}, 2),
+        ({"attributes": []}, 2),
+        ({"attributes": [{"name": "trend", "values": [1, 2]}]}, 0),  # value names are coerced, as before
+    ],
+    ids=["attributes-not-a-list", "values-not-a-list", "no-attributes", "numeric-values"],
+)
+def test_rules_schema_is_checked_when_the_rules_file_loads(schema, code, contract_inputs, tmp_path, capsys):
+    # a schema that every discovery round would reject fails at load, not after --max-iter rounds
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"schema": schema}))
+    argv = _argv(
+        "schema discover --captions {i}/captions.txt --proposer mock:{r} --batch 5 --out {o}/d",
+        i=contract_inputs, r=rules, o=tmp_path,
+    )
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith(f"input error: {rules}: "), err
+
+
 @pytest.mark.parametrize("rows", [10, 70])
 def test_retrieval_caption_count_mismatch_exits_3(rows, contract_inputs, tmp_path, capsys):
     # gen_emb.tsb and text_emb.tsb hold 64 rows

@@ -1,9 +1,10 @@
-"""Every public function of the library has a caller outside the tests.
+"""Every public function and method of the library has a caller outside the tests.
 
-A public module-level function of ``seriesbench`` that nothing in ``src/``,
-``demos/`` or ``bench/`` refers to is code that only tests call: either
-delete it or, if it is an oracle entry point the tests check the library
-through, name it below with the reason.
+A public module-level function of ``seriesbench``, or a public method of one
+of its public module-level classes, that nothing in ``src/``, ``demos/`` or
+``bench/`` refers to is code that only tests call: either delete it or, if it
+is an oracle entry point the tests check the library through, name it below
+with the reason.
 """
 
 import ast
@@ -17,6 +18,9 @@ ORACLE_ENTRY_POINTS = {
     "align_metrics.crps_instance": "the one-ensemble case of crps_score; the acceptance criteria check CRPS through it",
     "protocols.dknn": "the one-row case of dknn_values; the acceptance criteria check dknn through it",
     "protocols.hamming": "the attribute distance; the acceptance criteria check that it is a metric",
+    "synthgen.caption_clause": "one attribute value's caption clause; the caption tests check clauses through it",
+    "synthgen.render_caption": "the caption of one sample's attribute dataclasses; the build renders the same "
+    "text from its attribute vector, and the reference build checks captions through it",
     "tensorfile.read_splits": "reads splits.json back; the acceptance criteria check the 6:1:1 splits with it",
 }
 
@@ -35,20 +39,33 @@ def _referenced_names() -> set[str]:
     return names
 
 
+def _is_public_function(node: ast.stmt) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+
+
+def _public_functions(path: Path):
+    """(qualified name, name) of each public function of a module and each public method of its public classes."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if _is_public_function(node):
+            yield f"{path.stem}.{node.name}", node.name
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in filter(_is_public_function, node.body):
+                yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
 def _unreferenced_public_functions() -> set[str]:
     referenced = _referenced_names()
-    unreferenced = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            is_function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            if is_function and not node.name.startswith("_") and node.name not in referenced:
-                unreferenced.add(f"{path.stem}.{node.name}")
-    return unreferenced
+    return {
+        qualified
+        for path in PACKAGE.glob("*.py")
+        for qualified, name in _public_functions(path)
+        if name not in referenced
+    }
 
 
 def test_every_public_function_outside_the_allowlist_has_a_library_caller():
     test_only = sorted(_unreferenced_public_functions() - ORACLE_ENTRY_POINTS.keys())
-    assert not test_only, f"public functions that only tests call: {test_only}"
+    assert not test_only, f"public functions and methods that only tests call: {test_only}"
 
 
 def test_allowlist_names_only_uncalled_functions():

@@ -216,15 +216,15 @@ def mock_proposer():
 def test_assign_keyword_match(mock_proposer):
     schema = canonicalize(SCHEMA_A)
     vector = assign_attributes_batch(["a calm series with an upward trend"], schema, mock_proposer)[0]
-    assert vector["trend"] == schema.attribute("trend").values.index("up")
-    assert vector["volatility"] == schema.attribute("volatility").values.index("low")
+    assert vector["trend"] == schema.attributes[schema.names.index("trend")].values.index("up")
+    assert vector["volatility"] == schema.attributes[schema.names.index("volatility")].values.index("low")
 
 
 def test_assign_falls_back_to_other(mock_proposer):
     schema = canonicalize(SCHEMA_A)
     vector = assign_attributes_batch(["nothing matches here"], schema, mock_proposer)[0]
-    assert vector["trend"] == schema.attribute("trend").values.index("other")
-    assert vector["volatility"] == schema.attribute("volatility").values.index("other")
+    assert vector["trend"] == schema.attributes[schema.names.index("trend")].values.index("other")
+    assert vector["volatility"] == schema.attributes[schema.names.index("volatility")].values.index("other")
 
 
 def test_assign_unknown_value_maps_to_other():
@@ -235,14 +235,14 @@ def test_assign_unknown_value_maps_to_other():
 
     schema = canonicalize(SCHEMA_A)
     vector = assign_attributes_batch(["whatever"], schema, WeirdProposer())[0]
-    assert vector["trend"] == schema.attribute("trend").values.index("other")
+    assert vector["trend"] == schema.attributes[schema.names.index("trend")].values.index("other")
 
 
 def test_assign_batch_preserves_order(mock_proposer):
     schema = canonicalize(SCHEMA_A)
     captions = ["rising and calm", "falling and noisy", "plain"]
     vectors = assign_attributes_batch(captions, schema, mock_proposer)
-    trend = schema.attribute("trend")
+    trend = schema.attributes[schema.names.index("trend")]
     assert trend.values[vectors[0]["trend"]] == "up"
     assert trend.values[vectors[1]["trend"]] == "down"
     assert trend.values[vectors[2]["trend"]] == "other"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -243,6 +244,42 @@ def test_caption_contains_all_five_attribute_phrases():
         assert phrase in caption.lower()
 
 
+DECODABLE = {"trend_type": 0, "trend_direction": 1, "season_cycles": 2, "segment_1_shapelet": 0,
+             "segment_2_shapelet": 1, "segment_3_shapelet": 3, "hf_cycles": 2}
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (synthgen.caption_clause, ("trend_direction", "sideways")),
+        (synthgen.caption_clause, ("trend_type", "bogus")),
+        (synthgen.caption_clause, ("season_cycles", "3")),
+        (synthgen.caption_clause, ("mv_transform", "nope")),
+        (synthgen.caption_clause, ("mv_transform", "shift_backward")),
+        (synthgen.caption_clause, ("mv_transform", "x_flip", 25)),
+        (synthgen.caption_clause, ("segment_1_shapelet", "none")),
+        (synthgen.caption_clause, ("segment_4_shapelet", "sag")),
+        (synthgen.decode_attrs, ({**DECODABLE, "trend_type": -1},)),
+        (synthgen.decode_attrs, ({**DECODABLE, "hf_cycles": 9},)),
+        (synthgen.decode_attrs, ({k: v for k, v in DECODABLE.items() if k != "segment_2_shapelet"},)),
+    ],
+    ids=[
+        "unknown-direction", "unknown-trend-type", "unknown-cycle-count", "unknown-transform",
+        "shift-without-distance", "flip-with-distance", "shapelet-none-has-no-clause", "unknown-attribute",
+        "decode-negative-index", "decode-index-past-end", "decode-missing-attribute",
+    ],
+)
+def test_invalid_caption_or_decode_input_is_a_contract_violation(fn, args):
+    with pytest.raises(ContractViolation):
+        fn(*args)
+
+
+def test_decodable_attrs_decode():
+    primary, secondary = synthgen.decode_attrs(DECODABLE)
+    assert primary == PrimaryAttrs("linear", "down", 2)
+    assert secondary == SecondaryAttrs(32, ("none", "single_peak", "double_peaks"))
+
+
 # ---------------------------------------------------------------------------
 # multivariable transforms
 # ---------------------------------------------------------------------------
@@ -365,6 +402,35 @@ def test_build_rejects_small_n_per_combo():
 def test_build_rejects_bad_length():
     with pytest.raises(ContractViolation):
         build_synth_dataset("u", seed=0, n_per_combo=8, length=100)
+
+
+# sha256 of the four files ``seriesbench synth`` writes; captions, attribute
+# vectors, schema and splits change these, so an edit to any of them shows here
+GOLDEN_SHA256 = {
+    ("u", 0, 8, 96): {
+        "series.tsb": "4c05e34b9dc639bc27b690e8f3fba758b3fb609c85816d33777d49f328a380a9",
+        "conditions.jsonl": "d2e697ee7f10a2943cca05a29169655d49536cde8dfc414a118d2c45ac23daa0",
+        "schema.json": "ca65914fef1f686d8f7007a87154c9e4632cc745305ed447c4ca2fb855cacbc3",
+        "splits.json": "eb7058120c1b631f8856c12e0a5831fb88eb3be9a79f129a4d3bf8ad88529209",
+    },
+    ("m", 1, 9, 57): {
+        "series.tsb": "70784bc3091b1d7b7ec55cfe5faa918f5cd67017dd9a8f03e73ae7256359ee00",
+        "conditions.jsonl": "73c58c249847587afa3210f87ea22c174ea105115f747dd92ca6d2c3cbb566cf",
+        "schema.json": "4a97418a41ced662a307a50104e7fedfbb11ddb8225f1138af742d59ac6c6819",
+        "splits.json": "8432370cf90297a2fdc47386c1e3aef7ac7c96b7557b2371d9d1be5e63b3fa19",
+    },
+}
+
+
+@pytest.mark.parametrize("variant, seed, n_per_combo, length", sorted(GOLDEN_SHA256))
+def test_synth_outputs_match_golden_digests(variant, seed, n_per_combo, length, tmp_path):
+    from seriesbench.cli import main
+
+    argv = ["synth", "--variant", variant, "--seed", str(seed), "--n-per-combo", str(n_per_combo),
+            "--length", str(length), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    want = GOLDEN_SHA256[variant, seed, n_per_combo, length]
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want} == want
 
 
 # ---------------------------------------------------------------------------
