@@ -18,9 +18,10 @@ season + local + hf + noise over the combination's (n_per_combo, length)
 block in a few buffers reused across combinations; ``univariate_components``
 is the one-row case of the same kernel.  The generator is its own ground
 truth: ``ATTRIBUTE_TABLE`` holds each attribute's name, definition, values
-and per-value caption clause, and the schema, each sample's attribute-index
-vector, the caption rendered from that vector and ``decode_attrs`` all read
-it, so a caption always agrees with its vector and the injected patterns.
+and per-value caption clause.  The schema, ``decode_attrs``, each sample's
+attribute-index vector and its caption (``caption_clause`` per value, in
+schema order) all read it from the same attribute values, so a caption
+always agrees with its vector and the injected patterns.
 """
 
 from __future__ import annotations
@@ -311,7 +312,8 @@ ATTRIBUTE_TABLE = (
         "the second variable repeats the first shifted backward by {} steps",
     )),
 )
-_CLAUSES = {(row.name, str(v)): clause for row in ATTRIBUTE_TABLE for v, clause in zip(row.values, row.clauses)}
+# each row by name, with the names the schema gives its values
+_ROWS = {row.name: (row, tuple(map(str, row.values))) for row in ATTRIBUTE_TABLE}
 _SEGMENT_ROWS = slice(3, 3 + N_SEGMENTS)  # after the three primary attributes
 
 
@@ -320,14 +322,16 @@ def synth_schema(variant: str) -> AttributeSchema:
     if variant not in ("u", "m"):
         raise ContractViolation(f"variant must be 'u' or 'm', got {variant!r}")
     rows = ATTRIBUTE_TABLE if variant == "m" else ATTRIBUTE_TABLE[:-1]
-    return AttributeSchema(tuple(Attribute(r.name, r.definition, tuple(map(str, r.values))) for r in rows))
+    return AttributeSchema(tuple(Attribute(r.name, r.definition, _ROWS[r.name][1]) for r in rows))
 
 
+@functools.cache  # a caption is eight lookups of a few dozen clauses
 def caption_clause(attr_name: str, value: str, shift_distance: int | None = None) -> str:
     """Fixed clause for one attribute value; captions concatenate these in schema order."""
-    if (attr_name, value) not in _CLAUSES:
+    row, names = _ROWS.get(attr_name, (None, ()))
+    if value not in names:
         raise ContractViolation(f"no attribute {attr_name!r} with value {value!r}")
-    clause = _CLAUSES[attr_name, value]
+    clause = row.clauses[names.index(value)]
     if clause is None:
         raise ContractViolation(f"{attr_name}={value} adds no caption clause")
     if ("{}" in clause) != (shift_distance is not None):
@@ -335,29 +339,28 @@ def caption_clause(attr_name: str, value: str, shift_distance: int | None = None
     return clause.format(shift_distance)
 
 
-def _attr_vector(primary: PrimaryAttrs, secondary: SecondaryAttrs, transform: MvTransform | None) -> list[int]:
-    """The value indices of a sample's attributes, in schema order."""
+def _attr_values(primary: PrimaryAttrs, secondary: SecondaryAttrs, transform: MvTransform | None) -> tuple:
+    """A sample's attribute values in schema order; the transform's only for Synth-M."""
     values = (primary.trend_type, primary.trend_direction, primary.season_cycles,
               *secondary.segment_shapelets, secondary.hf_cycles)
-    if transform is not None:
-        values += (transform.kind,)
-    return [row.values.index(v) for row, v in zip(ATTRIBUTE_TABLE, values)]
-
-
-def _caption(vector: Sequence[int], shift_distance: int | None) -> str:
-    """The caption of an attribute vector: its clauses in schema order, joined into one sentence."""
-    clauses = [row.clauses[i] for row, i in zip(ATTRIBUTE_TABLE, vector)]
-    if not any(clauses[_SEGMENT_ROWS]):  # one clause stands in for three absent segment clauses
-        clauses[_SEGMENT_ROWS.start] = "no local patterns appear in any segment"
-    text = "; ".join(c for c in clauses if c is not None).format(shift_distance)
-    return text[0].upper() + text[1:] + "."
+    return values if transform is None else (*values, transform.kind)
 
 
 def render_caption(
     primary: PrimaryAttrs, secondary: SecondaryAttrs, transform: MvTransform | None = None
 ) -> str:
-    shift_distance = None if transform is None else transform.shift_distance
-    return _caption(_attr_vector(primary, secondary, transform), shift_distance)
+    """A sample's caption: the clauses of its attribute values in schema order, joined into one sentence."""
+    clauses = [
+        caption_clause(row.name, str(value))
+        for row, value in zip(ATTRIBUTE_TABLE, _attr_values(primary, secondary, None))
+        if value != "none"  # a segment without a shapelet adds no clause
+    ]
+    if set(secondary.segment_shapelets) == {"none"}:  # one clause stands in for three absent segment clauses
+        clauses.insert(_SEGMENT_ROWS.start, "no local patterns appear in any segment")
+    if transform is not None:
+        clauses.append(caption_clause(ATTRIBUTE_TABLE[-1].name, transform.kind, transform.shift_distance))
+    text = "; ".join(clauses)
+    return text[0].upper() + text[1:] + "."
 
 
 def decode_attrs(attrs: Mapping[str, int]) -> tuple[PrimaryAttrs, SecondaryAttrs]:
@@ -466,6 +469,7 @@ def build_synth_dataset(
     n_valid = n_per_combo // 8  # 6:1:1; valid and test get floor(n/8) each, train the rest
     n_train = n_per_combo - 2 * n_valid
     names = schema.names
+    row_values = [row.values for row in ATTRIBUTE_TABLE]  # the attribute vector indexes these
 
     for combo_idx, primary in enumerate(combos):
         base = combo_idx * n_per_combo
@@ -479,21 +483,21 @@ def build_synth_dataset(
             secondary = SecondaryAttrs(hf_cycles=HF_CYCLES[hf_idx], segment_shapelets=labels)
             secondaries.append(secondary)
 
-            transform = dist = None
+            transform = None
             if variant == "m":
                 rng_t = sample_rng(key[_P_TRANSFORM])
                 kind = MV_TRANSFORMS[rng_t.integers(0, len(MV_TRANSFORMS))]
+                dist = None
                 if kind in ("shift_forward", "shift_backward"):
                     dist = int(rng_t.integers(SHIFT_DISTANCE_RANGE[0], SHIFT_DISTANCE_RANGE[1], endpoint=True))
                 transform = MvTransform(kind=kind, shift_distance=dist)
                 transforms.append(transform)
 
-            vector = _attr_vector(primary, secondary, transform)
             conditions.append(
                 ConditionRecord(
                     sample_id=f"{variant}-{i:06d}",
-                    text=_caption(vector, dist),
-                    attrs=dict(zip(names, vector)),
+                    text=render_caption(primary, secondary, transform),
+                    attrs=dict(zip(names, map(tuple.index, row_values, _attr_values(primary, secondary, transform)))),
                     label=combo_idx,
                 )
             )

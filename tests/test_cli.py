@@ -641,15 +641,20 @@ def test_malformed_input_via_module_has_no_traceback(contract_inputs, bad_inputs
     ],
     ids=["attributes-not-a-list", "values-not-a-list", "no-attributes", "numeric-values"],
 )
-def test_rules_schema_is_checked_when_the_rules_file_loads(schema, code, contract_inputs, tmp_path, capsys):
-    # a schema that every discovery round would reject fails at load, not after --max-iter rounds
+@pytest.mark.parametrize(
+    "command",
+    [
+        "schema discover --captions {i}/captions.txt --proposer mock:{r} --batch 5 --out {o}/d",
+        "schema assign --captions {i}/captions.txt --schema {i}/rules_schema.json --proposer mock:{r} --out {o}/a.jsonl",
+    ],
+    ids=["discover", "assign"],
+)
+def test_rules_schema_is_checked_when_the_rules_file_loads(command, schema, code, contract_inputs, tmp_path, capsys):
+    # a schema that every discovery round would reject fails at load, not after --max-iter rounds;
+    # assign, which takes its schema from --schema, loads the same rules file and checks it too
     rules = tmp_path / "rules.json"
     rules.write_text(json.dumps({"schema": schema}))
-    argv = _argv(
-        "schema discover --captions {i}/captions.txt --proposer mock:{r} --batch 5 --out {o}/d",
-        i=contract_inputs, r=rules, o=tmp_path,
-    )
-    assert main(argv) == code
+    assert main(_argv(command, i=contract_inputs, r=rules, o=tmp_path)) == code
     err = capsys.readouterr().err
     if code:
         assert len(err.splitlines()) == 1 and err.startswith(f"input error: {rules}: "), err

@@ -18,9 +18,6 @@ ORACLE_ENTRY_POINTS = {
     "align_metrics.crps_instance": "the one-ensemble case of crps_score; the acceptance criteria check CRPS through it",
     "protocols.dknn": "the one-row case of dknn_values; the acceptance criteria check dknn through it",
     "protocols.hamming": "the attribute distance; the acceptance criteria check that it is a metric",
-    "synthgen.caption_clause": "one attribute value's caption clause; the caption tests check clauses through it",
-    "synthgen.render_caption": "the caption of one sample's attribute dataclasses; the build renders the same "
-    "text from its attribute vector, and the reference build checks captions through it",
     "tensorfile.read_splits": "reads splits.json back; the acceptance criteria check the 6:1:1 splits with it",
 }
 

@@ -497,7 +497,11 @@ def _ref_components(primary, secondary, seed, i, length):
 
 
 def _ref_build(variant, seed, n_per_combo, length):
-    """The per-sample ``build_synth_dataset`` before the batched kernel: series, records, splits."""
+    """The per-sample ``build_synth_dataset`` before the batched kernel: series, records, splits.
+
+    A record's attribute indices come from its draws and its combination
+    index, not from the attribute table the build reads.
+    """
     n_features = 1 if variant == "u" else 2
     data = np.empty((32 * n_per_combo, length, n_features))
     records, splits = [], {"train": [], "valid": [], "test": []}
@@ -505,20 +509,26 @@ def _ref_build(variant, seed, n_per_combo, length):
         base = combo_idx * n_per_combo
         for j in range(n_per_combo):
             i = base + j
-            hf = synthgen.HF_CYCLES[_ref_rng(seed, i, 5).integers(0, 4)]
+            hf_idx = _ref_rng(seed, i, 5).integers(0, 4)
+            hf = synthgen.HF_CYCLES[hf_idx]
             idx = _ref_rng(seed, i, 2).choice(4, size=3, p=synthgen.SHAPELET_PROBS)
             labels = tuple(synthgen.SHAPELET_KINDS[k] for k in idx)
             secondary = SecondaryAttrs(hf_cycles=hf, segment_shapelets=labels)
             series = sum(_ref_components(primary, secondary, seed, i, length).values())
             data[i, :, 0] = series
+            trend_idx, direction_idx, season_idx = np.unravel_index(combo_idx, (4, 2, 4))
+            attrs = {"trend_type": trend_idx, "trend_direction": direction_idx, "season_cycles": season_idx,
+                     "segment_1_shapelet": idx[0], "segment_2_shapelet": idx[1], "segment_3_shapelet": idx[2],
+                     "hf_cycles": hf_idx}
             transform = None
             if variant == "m":
                 rng_t = _ref_rng(seed, i, 6)
-                kind = synthgen.MV_TRANSFORMS[rng_t.integers(0, 4)]
+                attrs["mv_transform"] = rng_t.integers(0, 4)
+                kind = synthgen.MV_TRANSFORMS[attrs["mv_transform"]]
                 dist = int(rng_t.integers(20, 40, endpoint=True)) if kind.startswith("shift") else None
                 transform = MvTransform(kind, dist)
                 data[i, :, 1] = _ref_transform(series, transform)
-            records.append((f"{variant}-{i:06d}", render_caption(primary, secondary, transform), combo_idx))
+            records.append((f"{variant}-{i:06d}", render_caption(primary, secondary, transform), attrs, combo_idx))
         n_train, n_valid = n_per_combo - 2 * (n_per_combo // 8), n_per_combo // 8
         perm = _ref_rng(seed, combo_idx, 7).permutation(n_per_combo)
         splits["train"].extend(sorted(int(base + p) for p in perm[:n_train]))
@@ -544,7 +554,7 @@ def test_build_matches_per_sample_reference_bitwise(variant, seed, n_per_combo, 
     ds = build_synth_dataset(variant, seed, n_per_combo, length)
     data, records, splits = _ref_build(variant, seed, n_per_combo, length)
     assert ds.series.data.view(np.uint64).tobytes() == data.view(np.uint64).tobytes()
-    assert [(r.sample_id, r.text, r.label) for r in ds.conditions] == records
+    assert [(r.sample_id, r.text, dict(r.attrs), r.label) for r in ds.conditions] == records
     assert ds.splits == splits
     for i in (0, n_per_combo + 1, len(records) - 1):
         primary, secondary = synthgen.decode_attrs(ds.conditions[i].attrs)
