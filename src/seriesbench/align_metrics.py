@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seriesbench.core import ContractViolation, TimeSeriesTensor, as_series_array
+from seriesbench.core import ContractViolation, TimeSeriesTensor, as_series_array, checked_array
 
 _CHUNK_BYTES = 16 << 20  # cost-matrix budget per chunk of DTW pairs
 
@@ -32,12 +32,7 @@ class GenerationBundle:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 4:
-            raise ContractViolation(f"bundle must be (n, K, L, F), got shape {data.shape}")
-        if data.shape[1] < 1:
-            raise ContractViolation("bundle needs K >= 1 samples per reference")
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", checked_array(self.data, 4, "generation bundle"))
 
     @property
     def n_samples(self) -> int:
@@ -57,12 +52,9 @@ class GenerationBundle:
 
 
 def _as_points(x: np.ndarray) -> np.ndarray:
+    """A (N,) or (N, F) series as checked (N, F) points."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ContractViolation(f"series must be non-empty (N,) or (N, F), got shape {x.shape}")
-    return x
+    return checked_array(x[:, None] if x.ndim == 1 else x, 2, "series")
 
 
 def dtw(x: np.ndarray, y: np.ndarray) -> float:
@@ -140,8 +132,6 @@ def dtw_score(refs: TimeSeriesTensor | np.ndarray, bundle: GenerationBundle) -> 
     """Mean over references of the best-of-K DTW distance."""
     r = _aligned_refs(refs, bundle)
     n, k, length, f = bundle.data.shape
-    if length < 1:
-        raise ContractViolation("series must be non-empty")
     pairs = _dtw_batch(np.repeat(r, k, axis=0), bundle.data.reshape(n * k, length, f))
     total = 0.0
     for best in pairs.reshape(n, k).min(axis=1).tolist():

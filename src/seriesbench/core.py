@@ -8,6 +8,11 @@ provenance only.
 All payloads are float32 on disk and widened to float64 for arithmetic; the
 types below always hold float64.  Instances are immutable after construction
 (arrays are marked read-only) and safe to share across threads.
+
+Every array input meets one contract, checked by ``checked_array``: the
+expected number of dimensions, no zero-length dimension and finite values.
+The wrappers check it once; ``as_series_array`` and ``as_embedding_array``
+return a wrapper's array as it is and check a plain ndarray like a wrapper.
 """
 
 from __future__ import annotations
@@ -30,19 +35,33 @@ class ProposerError(RuntimeError):
     """Schema proposer unreachable or persistently unparseable (CLI exit code 4)."""
 
 
-def _frozen_float64(data: np.ndarray | Sequence, ndim: int, what: str) -> np.ndarray:
-    if isinstance(data, np.ndarray) and data.dtype == np.float64 and data.base is None and not data.flags.writeable:
-        arr = data  # already frozen and owning its memory: shared as is, not copied
-    else:
-        arr = np.array(data, dtype=np.float64)  # widens and copies: a writeable array is never aliased
+def checked_array(data: np.ndarray | Sequence, ndim: int, what: str) -> np.ndarray:
+    """``data`` as a float64 array (as it is if it is one) that meets the array contract."""
+    arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != ndim:
         raise ContractViolation(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ContractViolation(f"{what} must have no zero-length dimension, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ContractViolation(f"{what} contains non-finite values")
+    return arr
+
+
+def _frozen_float64(data: np.ndarray | Sequence, ndim: int, what: str) -> np.ndarray:
+    keep = isinstance(data, np.ndarray) and data.dtype == np.float64 and data.base is None and not data.flags.writeable
+    # a frozen array owning its memory is shared as is; a copy keeps a writeable one from being aliased
+    arr = checked_array(data if keep else np.array(data, dtype=np.float64), ndim, what)
     arr.setflags(write=False)
     return arr
+
+
+def row_norms(x: np.ndarray, what: str) -> np.ndarray:
+    """Norms of ``x`` over its last axis, kept as an axis; a zero or overflowing norm raises, unwarned."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
+        raise ContractViolation(f"zero-norm or overflowing row in {what}")
+    return norms
 
 
 @dataclass(frozen=True)
@@ -103,6 +122,15 @@ class Attribute:
             raise ContractViolation(f"attribute {self.name!r} has duplicate values")
 
 
+def _index_problem(name: str, idx, n_values: int) -> str | None:
+    """Why ``idx`` is no value index, a non-bool integer in [0, n_values); None if it is one."""
+    if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+        return f"value index {idx!r} of attribute {name!r} is not an integer"
+    if not 0 <= idx < n_values:
+        return f"value index {idx} out of range for attribute {name!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class AttributeSchema:
     """Ordered list of attributes; the governing vocabulary for conditions."""
@@ -131,12 +159,12 @@ class AttributeSchema:
         }
 
     def misfit(self, attrs: Mapping[str, int]) -> str | None:
-        """Describe the first attribute ``attrs`` lacks or indexes out of range; None if it fits."""
+        """Describe the first attribute ``attrs`` lacks or indexes badly; None if it fits."""
         for a in self.attributes:
             if a.name not in attrs:
                 return f"missing attribute {a.name!r}"
-            if not 0 <= attrs[a.name] < len(a.values):
-                return f"value index {attrs[a.name]} out of range for attribute {a.name!r}"
+            if problem := _index_problem(a.name, attrs[a.name], len(a.values)):
+                return problem
         return None
 
     @classmethod
@@ -161,7 +189,7 @@ class ConditionRecord:
             raise ContractViolation(f"label must be non-negative, got {self.label}")
 
     def vector(self, schema: AttributeSchema) -> tuple[int, ...]:
-        """Attribute vector in schema order; a missing or out-of-range attribute is an error."""
+        """Attribute vector in schema order; a missing attribute or a bad value index is an error."""
         if problem := schema.misfit(self.attrs):
             raise ContractViolation(f"record {self.sample_id!r}: {problem}")
         return tuple(self.attrs[name] for name in schema.names)
@@ -226,11 +254,12 @@ def validate_dataset(
     """Cross-check a (series, conditions, schema) triple.
 
     Reported violations: sample-count mismatch, attribute names outside the
-    schema, schema attributes a record lacks, value indices out of range, and
-    label inconsistency (two records with identical attribute vectors must
-    carry the same label).  Series values are finite by construction: the
-    ``TimeSeriesTensor`` constructor refuses anything else.  A passing report
-    is the precondition every metric operation assumes.
+    schema, schema attributes a record lacks, value indices that are not
+    integers or out of range, and label inconsistency (two records with
+    identical attribute vectors must carry the same label).  Series values
+    are finite by construction: the ``TimeSeriesTensor`` constructor refuses
+    anything else.  A passing report is the precondition every metric
+    operation assumes.
     """
     violations: list[str] = []
     if series.n_samples != len(conditions):
@@ -244,10 +273,8 @@ def validate_dataset(
         for name, idx in rec.attrs.items():
             if name not in options:
                 violations.append(f"record {i}: unknown attribute {name!r}")
-            elif not 0 <= idx < options[name]:
-                violations.append(
-                    f"record {i}: value index {idx} out of range for attribute {name!r}"
-                )
+            elif problem := _index_problem(name, idx, options[name]):
+                violations.append(f"record {i}: {problem}")
         for name in options:
             if name not in rec.attrs:
                 violations.append(f"record {i}: missing attribute {name!r}")
@@ -264,20 +291,10 @@ def validate_dataset(
 
 
 def as_series_array(x: TimeSeriesTensor | np.ndarray) -> np.ndarray:
-    """Coerce a tensor argument to a float64 (N, L, F) array."""
-    if isinstance(x, TimeSeriesTensor):
-        return x.data
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ContractViolation(f"expected (N, L, F) array, got shape {arr.shape}")
-    return arr
+    """A tensor argument as a float64 (N, L, F) array; a plain array is checked like a tensor."""
+    return x.data if isinstance(x, TimeSeriesTensor) else checked_array(x, 3, "series tensor")
 
 
 def as_embedding_array(x: EmbeddingMatrix | np.ndarray) -> np.ndarray:
-    """Coerce an embedding argument to a float64 (N, d) array."""
-    if isinstance(x, EmbeddingMatrix):
-        return x.data
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ContractViolation(f"expected (N, d) array, got shape {arr.shape}")
-    return arr
+    """An embedding argument as a float64 (N, d) array; a plain array is checked like a matrix."""
+    return x.data if isinstance(x, EmbeddingMatrix) else checked_array(x, 2, "embedding matrix")

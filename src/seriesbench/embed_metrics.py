@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seriesbench.core import ContractViolation, EmbeddingMatrix, as_embedding_array
+from seriesbench.core import ContractViolation, EmbeddingMatrix, as_embedding_array, row_norms
 
 _EIG_CLAMP_REL = 1e-10
 _SYMMETRY_TOL = 1e-8
@@ -193,10 +193,10 @@ class ManifoldIndex:
         # the k-th smallest root is the root of the k-th smallest square
         return cls(points=points, k=k, radii=_root(kth))
 
-    def contains(self, queries: np.ndarray) -> np.ndarray:
-        """Boolean per query: inside the closed ball of at least one point."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if queries.ndim != 2 or queries.shape[1] != self.points.shape[1]:
+    def contains(self, queries: EmbeddingMatrix | np.ndarray) -> np.ndarray:
+        """Boolean per query row: inside the closed ball of at least one point."""
+        queries = as_embedding_array(queries)
+        if queries.shape[1] != self.points.shape[1]:
             raise ContractViolation(
                 f"queries must be (m, {self.points.shape[1]}), got shape {queries.shape}"
             )
@@ -220,8 +220,8 @@ def precision(
     gen = as_embedding_array(gen_emb)
     if real.shape[0] <= k or gen.shape[0] <= k:
         raise ContractViolation(f"both sets need more than k={k} points")
-    index = ManifoldIndex.build(real, k)
-    return float(index.contains(gen).mean())
+    # the arguments, so a wrapper's array is not checked again
+    return float(ManifoldIndex.build(real_emb, k).contains(gen_emb).mean())
 
 
 def recall(
@@ -244,10 +244,8 @@ def cttp_score(ts_emb: EmbeddingMatrix | np.ndarray, text_emb: EmbeddingMatrix |
     text = as_embedding_array(text_emb)
     if ts.shape != text.shape:
         raise ContractViolation(f"shape mismatch: {ts.shape} vs {text.shape}")
-    ts_norm = np.linalg.norm(ts, axis=1)
-    text_norm = np.linalg.norm(text, axis=1)
-    if np.any(ts_norm == 0.0) or np.any(text_norm == 0.0):
-        raise ContractViolation("zero-norm embedding row")
+    ts_norm = row_norms(ts, "series embeddings")[:, 0]
+    text_norm = row_norms(text, "text embeddings")[:, 0]
     return float(((ts * text).sum(axis=1) / (ts_norm * text_norm)).mean())
 
 

@@ -19,6 +19,8 @@ from seriesbench.core import (
     EmbeddingMatrix,
     MetricReport,
     as_embedding_array,
+    checked_array,
+    row_norms,
 )
 from seriesbench.streams import open_stream, stream_keys
 
@@ -139,12 +141,8 @@ class RetrievalConfig:
 
 
 def _unit_rows(x: np.ndarray, what: str) -> np.ndarray:
-    """``x`` scaled to unit norm over its last axis; a zero or overflowing norm raises, unwarned."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    if not np.all(np.isfinite(norms) & (norms > 0.0)):
-        raise ContractViolation(f"zero-norm or overflowing row in {what}")
-    return x / norms
+    """``x`` scaled to unit norm over its last axis."""
+    return x / row_norms(x, what)
 
 
 def retrieval_acc1(
@@ -222,15 +220,11 @@ def temporal_order_eval(
     cosine argmax.  Returns the row-normalized P x P confusion matrix and the
     mean of its diagonal.
     """
-    seg = np.asarray(segment_emb, dtype=np.float64)
-    txt = np.asarray(text_emb, dtype=np.float64)
-    if seg.ndim != 3 or seg.shape != txt.shape:
-        raise ContractViolation(
-            f"segment and text embeddings must share (n, P, d), got {seg.shape} vs {txt.shape}"
-        )
-    n, p, _ = seg.shape
-    if n == 0 or p == 0:
-        raise ContractViolation(f"need at least one series and one segment, got shape {seg.shape}")
+    seg = checked_array(segment_emb, 3, "segment embeddings")
+    txt = checked_array(text_emb, 3, "text embeddings")
+    if seg.shape != txt.shape:
+        raise ContractViolation(f"segment and text embeddings must share (n, P, d), got {seg.shape} vs {txt.shape}")
+    p = seg.shape[1]
     seg_n, txt_n = _unit_rows(seg, "segment embeddings"), _unit_rows(txt, "text embeddings")
     sims = np.einsum("npd,nqd->npq", seg_n, txt_n)
     retrieved = sims.argmax(axis=2)  # (n, P)

@@ -1,8 +1,9 @@
 """The span hooks of ``bench/tracing.py`` still fit the library.
 
 The benchmark traces a run by patching library functions by name and counts
-``synthgen.sample_rng`` spans as the number of RNG streams a build opens.  A
-renamed function or a change in the number of streams would otherwise show
+``synthgen.sample_rng`` spans as the number of RNG streams a build opens, and
+``ManifoldIndex.build``/``contains`` spans as manifold builds and distance
+flops.  A renamed function or a change in those counts would otherwise show
 only in a traced benchmark run; here it fails the test suite.  The module is
 imported from ``bench/`` as the benchmark imports it, and left unchanged.
 """
@@ -11,6 +12,7 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -39,3 +41,25 @@ def test_traced_synth_m_build_opens_seven_streams_per_sample_and_one_per_combina
     assert metrics["synthgen.samples"] == 32 * 8
     assert metrics["synthgen.rng_streams"] == 7 * 32 * 8 + 32
     assert synthgen.sample_rng is original
+
+
+def test_traced_metrics_embed_builds_four_manifolds_and_counts_their_distance_flops(tracing, tmp_path):
+    from seriesbench import cli, tensorfile
+
+    n, d = 60, 5
+    rng = np.random.default_rng(3)
+    for name in ("real", "gen", "cond"):
+        tensorfile.write_tensor(rng.normal(size=(n, d)), tmp_path / f"{name}.tsb")
+    argv = ["metrics", "embed", "--real-emb", str(tmp_path / "real.tsb"), "--gen-emb", str(tmp_path / "gen.tsb"),
+            "--cond-emb", str(tmp_path / "cond.tsb"), "--k", "5", "--out", str(tmp_path / "embed.json")]
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        uninstall()
+    metrics = tracing.layer_metrics(tracer.spans)
+    # precision and recall on (n, d), then on the joint (n, 2d) space: four
+    # builds over n points and four containment passes of n queries
+    assert metrics["embed_metrics.manifold_builds"] == 4
+    assert metrics["embed_metrics.distance_flops"] == 2 * (2 * n * n * d + 2 * n * n * 2 * d) * 2

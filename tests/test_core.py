@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seriesbench.align_metrics import GenerationBundle, crps_score, dtw, dtw_score
 from seriesbench.core import (
     Attribute,
     AttributeSchema,
@@ -11,8 +12,21 @@ from seriesbench.core import (
     MetricReport,
     ReportContext,
     TimeSeriesTensor,
+    as_embedding_array,
+    as_series_array,
     validate_dataset,
 )
+from seriesbench.embed_metrics import (
+    ManifoldIndex,
+    cttp_score,
+    fid,
+    j_ftsd,
+    joint_precision_recall,
+    precision,
+    recall,
+)
+from seriesbench.protocols import RetrievalConfig, retrieval_acc1, temporal_order_eval
+from seriesbench.stat_metrics import HistogramSpec, acd, autocorrelation_profile, kd, mdd, sd
 from seriesbench.synthgen import build_synth_dataset
 
 
@@ -166,3 +180,90 @@ def test_vector_rejects_missing_or_out_of_range_index(schema, attrs, message):
 
 def test_vector_in_schema_order_ignores_extra_attributes(schema):
     assert _record(0, {"size": 2, "extra": 9, "color": 1}).vector(schema) == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# One array contract: plain ndarray arguments are checked like the wrappers
+# ---------------------------------------------------------------------------
+
+_RNG = np.random.default_rng(7)
+SERIES = _RNG.normal(size=(12, 8, 2))
+EMB = _RNG.normal(size=(12, 4))
+SEGMENTS = _RNG.normal(size=(6, 3, 4))
+BUNDLE = np.repeat(SERIES[:, None], 2, axis=1) + 0.1
+
+# name -> (a valid array, a call that passes a corrupted copy of it among valid arguments)
+RAW_ARRAY_CALLS = {
+    "mdd": (SERIES, lambda bad: mdd(SERIES, bad, HistogramSpec.from_training(SERIES))),
+    "acd": (SERIES, lambda bad: acd(SERIES, bad)),
+    "autocorrelation_profile": (SERIES, lambda bad: autocorrelation_profile(bad, 2)),
+    "sd": (SERIES, lambda bad: sd(bad, SERIES)),
+    "kd": (SERIES, lambda bad: kd(SERIES, bad)),
+    "HistogramSpec.from_training": (SERIES, lambda bad: HistogramSpec.from_training(bad)),
+    "fid": (EMB, lambda bad: fid(EMB, bad)),
+    "precision": (EMB, lambda bad: precision(EMB, bad, k=2)),
+    "recall": (EMB, lambda bad: recall(bad, EMB, k=2)),
+    "ManifoldIndex.contains": (EMB, lambda bad: ManifoldIndex.build(EMB, 2).contains(bad)),
+    "cttp_score": (EMB, lambda bad: cttp_score(EMB, bad)),
+    "j_ftsd": (EMB, lambda bad: j_ftsd(EMB, EMB, bad)),
+    "joint_precision_recall": (EMB, lambda bad: joint_precision_recall(EMB, bad, EMB, k=2)),
+    "GenerationBundle": (BUNDLE, lambda bad: GenerationBundle(bad)),
+    "dtw_score": (SERIES, lambda bad: dtw_score(bad, GenerationBundle(BUNDLE))),
+    "crps_score": (SERIES, lambda bad: crps_score(bad, GenerationBundle(BUNDLE))),
+    "dtw": (SERIES[0], lambda bad: dtw(SERIES[1], bad)),
+    "dtw-1d": (SERIES[0, :, 0], lambda bad: dtw(bad, SERIES[1, :, 0])),
+    "retrieval_acc1": (EMB, lambda bad: retrieval_acc1(bad, EMB, RetrievalConfig(pool_size=3, repeats=1))),
+    "temporal_order_eval": (SEGMENTS, lambda bad: temporal_order_eval(SEGMENTS, bad)),
+}
+
+
+def _corrupt(good, defect):
+    if defect == "zero-length":
+        return good[:0]
+    bad = good.copy()
+    bad.flat[len(bad.flat) // 2] = np.nan if defect == "nan" else np.inf
+    return bad
+
+
+@pytest.mark.parametrize("defect", ["nan", "inf", "zero-length"])
+@pytest.mark.parametrize("name", sorted(RAW_ARRAY_CALLS))
+def test_raw_array_arguments_meet_the_wrapper_contract(name, defect):
+    # the suite turns warnings into errors, so a RuntimeWarning on the way fails here too
+    good, call = RAW_ARRAY_CALLS[name]
+    call(good)  # the valid arguments pass
+    with pytest.raises(ContractViolation, match="non-finite values|zero-length dimension"):
+        call(_corrupt(good, defect))
+
+
+def test_wrapper_arguments_are_used_without_a_copy():
+    tensor = TimeSeriesTensor(data=SERIES)
+    matrix = EmbeddingMatrix(data=EMB)
+    assert as_series_array(tensor) is tensor.data
+    assert as_embedding_array(matrix) is matrix.data
+    assert np.shares_memory(GenerationBundle.from_flat(tensor, k=3).data, tensor.data)
+
+
+# ---------------------------------------------------------------------------
+# Attribute value indices are integers
+# ---------------------------------------------------------------------------
+
+NON_INTEGER_INDICES = [1.5, True, "1", None]
+
+
+@pytest.mark.parametrize("idx", NON_INTEGER_INDICES)
+def test_validate_reports_a_non_integer_index(schema, idx):
+    series = TimeSeriesTensor(data=np.zeros((1, 4, 1)))
+    report = validate_dataset(series, [_record(0, {"color": 0, "size": idx})], schema)
+    assert report.violations == (f"record 0: value index {idx!r} of attribute 'size' is not an integer",)
+
+
+@pytest.mark.parametrize("idx", NON_INTEGER_INDICES)
+def test_vector_rejects_a_non_integer_index(schema, idx):
+    with pytest.raises(ContractViolation, match="is not an integer"):
+        _record(0, {"color": idx, "size": 0}).vector(schema)
+
+
+def test_numpy_integer_indices_are_accepted(schema):
+    record = _record(0, {"color": np.int64(1), "size": np.uint8(2)})
+    assert record.vector(schema) == (1, 2)
+    assert validate_dataset(TimeSeriesTensor(data=np.zeros((1, 4, 1))), [record], schema).ok

@@ -524,3 +524,20 @@ def test_joint_constant_condition_matches_plain_pr():
         precision(ts_real, ts_gen, k=4),
         recall(ts_real, ts_gen, k=4),
     )
+
+
+def test_cttp_rejects_an_overflowing_row_without_warning():
+    # the suite turns warnings into errors, so an overflow warning would fail here first
+    ts = np.ones((4, 3))
+    ts[2] = 1e200  # its squared norm overflows to inf
+    with pytest.raises(ContractViolation, match="overflowing row in series embeddings"):
+        cttp_score(ts, np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("shape", [(6000, 64), (300, 8), (1001, 128)])
+def test_cttp_bitwise_equal_to_unkept_norms(shape):
+    # the checked norms keep their reduced axis; the score must not move by a bit
+    rng = np.random.default_rng(shape[0])
+    ts, text = rng.normal(size=shape), rng.normal(size=shape)
+    expected = ((ts * text).sum(axis=1) / (np.linalg.norm(ts, axis=1) * np.linalg.norm(text, axis=1))).mean()
+    assert cttp_score(ts, text) == float(expected)

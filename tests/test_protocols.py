@@ -582,7 +582,7 @@ def test_temporal_zero_norm_row_raises_without_warning():
 
 @pytest.mark.parametrize("shape", [(0, 4, 2), (3, 0, 2)])
 def test_temporal_rejects_empty_series_or_segments(shape):
-    with pytest.raises(ContractViolation, match="at least one series"):
+    with pytest.raises(ContractViolation, match="zero-length dimension"):
         temporal_order_eval(np.ones(shape), np.ones(shape))
 
 

@@ -595,3 +595,9 @@ def test_build_m_scratch_peak_stays_bounded():
     # frozen, the array becomes the tensor's data and the peak is ~20 MiB
     assert peak <= 24 * 2**20, peak / 2**20
     assert not ds.series.data.flags.writeable
+
+
+@pytest.mark.parametrize("idx", [1.5, True, "1"])
+def test_decode_rejects_a_non_integer_index(idx):
+    with pytest.raises(ContractViolation, match="is not an integer"):
+        synthgen.decode_attrs({**DECODABLE, "trend_type": idx})
