@@ -58,14 +58,17 @@ class GaussianSummary:
         return self.mean.size
 
 
-def gaussian_summary(emb: EmbeddingMatrix | np.ndarray) -> GaussianSummary:
+def gaussian_summary(emb: EmbeddingMatrix | np.ndarray, what: str = "embeddings") -> GaussianSummary:
     x = as_embedding_array(emb)
     if x.shape[0] < 2:
         raise ContractViolation("need at least 2 rows for a covariance estimate")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / (x.shape[0] - 1)
-    cov = (cov + cov.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        centered = x - mean
+        cov = centered.T @ centered / (x.shape[0] - 1)
+        cov = (cov + cov.T) / 2.0
+    if not np.isfinite(cov).all():
+        raise ContractViolation(f"the covariance of the {what} overflows float64")
     return GaussianSummary(mean=mean, covariance=cov)
 
 
@@ -104,7 +107,9 @@ def frechet_distance(a: GaussianSummary, b: GaussianSummary) -> float:
 
 def fid(real_emb: EmbeddingMatrix | np.ndarray, gen_emb: EmbeddingMatrix | np.ndarray) -> float:
     """Fréchet distance between the Gaussian summaries of two embedding sets."""
-    return frechet_distance(gaussian_summary(real_emb), gaussian_summary(gen_emb))
+    return frechet_distance(
+        gaussian_summary(real_emb, "real embeddings"), gaussian_summary(gen_emb, "generated embeddings")
+    )
 
 
 # ---------------------------------------------------------------------------

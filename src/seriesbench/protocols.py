@@ -22,7 +22,7 @@ from seriesbench.core import (
     checked_array,
     row_norms,
 )
-from seriesbench.streams import open_stream, stream_keys
+from seriesbench.streams import sample_sets, stream_keys
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +125,9 @@ def aggregate_ranks(
 # ---------------------------------------------------------------------------
 
 
-# retrieval derives the pool-stream keys of this many (query, repeat) pairs at once
+# retrieval draws and scores the pools of at most this many (query, repeat) pairs at once
 _KEY_BLOCK_ROWS = 4096
+_GATHER_BYTES = 2 << 20  # budget of a block's gathered distractor embeddings
 
 
 @dataclass(frozen=True)
@@ -162,12 +163,20 @@ def retrieval_acc1(
     true text is the unique argmax.  Accuracy is averaged over queries, then
     over repeats.  ``query_indices`` restricts the queries while distractors
     still come from the full set.
+
+    The distractors of (query q, repeat r) are
+    ``open_stream(stream_keys(seed, r, q)[0]).choice(candidates, pool_size - 1, replace=False)``.
+    Blocks of pairs draw their pools at once through ``sample_sets``, in the
+    order ``choice`` returns them, and score them in one stacked product that
+    rounds each pool's scores as its own matrix-vector product does.  The
+    order matters although a pool's score is a max: the BLAS may round a
+    row's score differently at another position in the pool.
     """
     gen = _unit_rows(as_embedding_array(gen_emb), "generated embeddings")
     text = _unit_rows(as_embedding_array(text_emb), "text embeddings")
     if gen.shape != text.shape:
         raise ContractViolation(f"shape mismatch: {gen.shape} vs {text.shape}")
-    n = gen.shape[0]
+    n, dim = gen.shape
     queries = np.arange(n) if query_indices is None else np.asarray(query_indices, dtype=np.int64)
     if queries.size == 0:
         raise ContractViolation("no queries")
@@ -183,29 +192,46 @@ def retrieval_acc1(
         # a dict, not np.unique: fixed-width NumPy strings drop trailing NULs
         ids: dict[str, int] = {}
         gid = np.fromiter((ids.setdefault(t, len(ids)) for t in texts), dtype=np.int64, count=n)
+    group_size = np.bincount(gid)
+    n_cand = n - group_size[gid]  # a row's candidates: the rows outside its caption group
+    size = cfg.pool_size - 1
+    short = np.flatnonzero(n_cand[queries] < size)
+    if short.size:
+        q = queries[short[0]]
+        raise ContractViolation(
+            f"pool_size {cfg.pool_size} needs {size} distractors, only {n_cand[q]} available for query {q}"
+        )
 
+    # Candidate p of a query in group g is row p + k, k the number of g's rows
+    # m_0 < m_1 < ... with m_i - i <= p (m_i - i rows outside g precede m_i).
+    # One sorted array answers every group: group g's values offset by g * (n + 1).
+    by_group = np.argsort(gid, kind="stable")
+    group_start = np.cumsum(group_size) - group_size
+    rank_in_group = np.arange(n) - group_start[gid[by_group]]
+    offset = gid * (n + 1)
+    outside_before = offset[by_group] + by_group - rank_in_group
+
+    truth = np.zeros(n)
+    for q in np.unique(queries).tolist():
+        truth[q] = gen[q] @ text[q]
     hits = np.zeros(cfg.repeats, dtype=np.int64)
-    pairs, current = queries.size * cfg.repeats, None
-    # (query, repeat) pairs in query-major order, their pool streams keyed a block at a time
-    for first in range(0, pairs, _KEY_BLOCK_ROWS):
-        pair = np.arange(first, min(first + _KEY_BLOCK_ROWS, pairs))
+    pairs = queries.size * cfg.repeats
+    block = max(1, min(_KEY_BLOCK_ROWS, _GATHER_BYTES // (8 * dim * max(size, 1))))
+    gathered = np.empty((block, size, dim))
+    scores = np.empty((block, size, 1))
+    # (query, repeat) pairs in query-major order
+    for first in range(0, pairs, block):
+        pair = np.arange(first, min(first + block, pairs))
         block_queries, block_repeats = queries[pair // cfg.repeats], pair % cfg.repeats
-        keys = stream_keys(cfg.seed, block_repeats, block_queries)
-        for q, repeat, key in zip(block_queries.tolist(), block_repeats.tolist(), keys):
-            if q != current:
-                current, cand = q, np.flatnonzero(gid != gid[q])
-                if cfg.pool_size - 1 > cand.size:
-                    raise ContractViolation(
-                        f"pool_size {cfg.pool_size} needs {cfg.pool_size - 1} distractors, "
-                        f"only {cand.size} available for query {q}"
-                    )
-                query, truth_score = gen[q], float(gen[q] @ text[q])
-            distractors = open_stream(key).choice(cand, size=cfg.pool_size - 1, replace=False)
-            if distractors.size:
-                best_distractor = float((text.take(distractors, axis=0) @ query).max())
-                hits[repeat] += truth_score > best_distractor  # ties count as misses
-            else:
-                hits[repeat] += 1
+        positions = sample_sets(stream_keys(cfg.seed, block_repeats, block_queries), n_cand[block_queries], size)
+        ahead = np.searchsorted(outside_before, offset[block_queries, None] + positions, side="right")
+        picks = positions + ahead - group_start[gid[block_queries], None]  # p + k
+        # indices are in range, so "clip" only spares take its buffered bounds check
+        np.take(text, picks, axis=0, out=gathered[: pair.size], mode="clip")
+        np.matmul(gathered[: pair.size], gen[block_queries, :, None], out=scores[: pair.size])
+        best = scores[: pair.size, :, 0].max(axis=1, initial=-np.inf)  # -inf for an empty pool
+        hit = truth[block_queries] > best  # ties count as misses
+        hits += np.bincount(block_repeats[hit], minlength=cfg.repeats)
     per_repeat = hits / queries.size
     return float(per_repeat.mean())
 

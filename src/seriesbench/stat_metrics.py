@@ -22,6 +22,7 @@ from seriesbench.core import ContractViolation, TimeSeriesTensor, as_series_arra
 
 _BLOCK_BYTES = 256 << 10  # lag-block buffer budget of the time-major ACD accumulation
 _MAX_BIN_CELLS = 1 << 24  # (L, F, n_bins) histogram cells a spec may ask for
+_MASS_BLOCK_BYTES = 4 << 20  # budget of one (channels, n_bins) block of MDD masses
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,15 @@ class HistogramSpec:
         return cls(lower=lower, upper=upper, n_bins=n_bins)
 
 
-def _bin_masses(data: np.ndarray, spec: HistogramSpec) -> np.ndarray:
-    """Histogram each (timestep, feature) channel; returns (L, F, B) probability masses."""
-    n, length, n_feat = data.shape
-    width = (spec.upper - spec.lower) / spec.n_bins
-    idx = np.floor((data - spec.lower) / width).astype(np.int64)
+def _bin_masses(data: np.ndarray, spec: HistogramSpec, lo: int, hi: int) -> np.ndarray:
+    """Histogram channels lo..hi-1 of (N, L*F) data, channel c = t*F + f; returns (hi - lo, B) probability masses."""
+    lower = spec.lower.reshape(-1)[lo:hi]
+    width = ((spec.upper - spec.lower) / spec.n_bins).reshape(-1)[lo:hi]
+    idx = np.floor((data[:, lo:hi] - lower) / width).astype(np.int64)
     np.clip(idx, 0, spec.n_bins - 1, out=idx)
-    channel = np.arange(length * n_feat).reshape(length, n_feat)
-    flat = (channel * spec.n_bins + idx).ravel()
-    counts = np.bincount(flat, minlength=length * n_feat * spec.n_bins)
-    return counts.reshape(length, n_feat, spec.n_bins) / n
+    flat = (np.arange(hi - lo) * spec.n_bins + idx).ravel()
+    counts = np.bincount(flat, minlength=(hi - lo) * spec.n_bins)
+    return counts.reshape(hi - lo, spec.n_bins) / data.shape[0]
 
 
 def mdd(
@@ -88,6 +88,10 @@ def mdd(
     bins and take (1/B) * sum_b |p_r(b) - p_g(b)|; the score is the
     unweighted mean over all channels.  Range [0, 2/B * ... ] collapses to
     [0, 2], zero iff every channel histogram matches.
+
+    Channels are histogrammed in blocks of at most ``_MASS_BLOCK_BYTES`` of
+    masses (one channel when a single one is larger).  A channel's sum over
+    its bins is the same whatever the block, and only the (L, F) sums are kept.
     """
     r = as_series_array(real)
     g = as_series_array(gen)
@@ -95,9 +99,16 @@ def mdd(
         raise ContractViolation(f"shape mismatch: {r.shape[1:]} vs {g.shape[1:]}")
     if r.shape[1:] != spec.lower.shape:
         raise ContractViolation("histogram spec does not cover every (timestep, feature)")
-    p_r = _bin_masses(r, spec)
-    p_g = _bin_masses(g, spec)
-    per_channel = np.abs(p_r - p_g).sum(axis=2) / spec.n_bins
+    channels = spec.lower.size
+    r, g = r.reshape(r.shape[0], channels), g.reshape(g.shape[0], channels)
+    bin_sums = np.empty(spec.lower.shape)
+    block = max(1, _MASS_BLOCK_BYTES // (8 * spec.n_bins))
+    for lo in range(0, channels, block):
+        hi = min(lo + block, channels)
+        gap = _bin_masses(r, spec, lo, hi) - _bin_masses(g, spec, lo, hi)
+        np.abs(gap, out=gap)
+        bin_sums.reshape(-1)[lo:hi] = gap.sum(axis=1)
+    per_channel = bin_sums / spec.n_bins
     return float(per_channel.mean())
 
 
@@ -113,8 +124,12 @@ def autocorrelation_profile(data: TimeSeriesTensor | np.ndarray, max_lag: int) -
         raise ContractViolation("autocorrelation needs length >= 2")
     if not 1 <= max_lag <= length - 1:
         raise ContractViolation(f"max_lag must be in [1, {length - 1}]")
-    centered = data - data.mean(axis=1, keepdims=True)
-    denom = (centered**2).sum(axis=1)  # (N, F)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = data - data.mean(axis=1, keepdims=True)
+        denom = (centered**2).sum(axis=1)  # (N, F)
+    # a finite sum of squares bounds every lag product and sum below it
+    if not np.isfinite(denom).all():
+        raise ContractViolation("a series' sum of squared deviations overflows float64")
     if n_feat == 1:
         num = np.empty((max_lag, n, n_feat))
         for k in range(1, max_lag + 1):
@@ -157,10 +172,13 @@ def acd(
 
 def _pooled_standardized_moment(data: np.ndarray, order: int) -> float:
     flat = data.ravel()
-    mu = flat.mean()
-    var = ((flat - mu) ** 2).mean()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = flat.mean()
+        var = ((flat - mu) ** 2).mean()
     if var <= 0.0:
         raise ContractViolation("pooled variance is zero")
+    if not np.isfinite(var):
+        raise ContractViolation("pooled variance overflows float64")
     return float((((flat - mu) / np.sqrt(var)) ** order).mean())
 
 

@@ -142,6 +142,13 @@ def test_frechet_dimension_mismatch():
         frechet_distance(a, b)
 
 
+@pytest.mark.parametrize("scale_real, scale_gen, failing", [(1.0, 1e160, "generated"), (1e160, 1.0, "real")])
+def test_fid_names_the_summary_whose_covariance_overflows(scale_real, scale_gen, failing):
+    emb = np.random.default_rng(4).normal(size=(30, 4))
+    with pytest.raises(ContractViolation, match=f"covariance of the {failing} embeddings overflows float64"):
+        fid(emb * scale_real, emb * scale_gen)
+
+
 # ---------------------------------------------------------------------------
 # Manifold precision / recall
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import seriesbench
 from seriesbench.core import (
     ContractViolation,
     MetricEntry,
@@ -253,7 +259,10 @@ def _retrieval_string_masks(gen, text, cfg, texts, query_indices=None):
             seed = np.random.SeedSequence((cfg.seed, repeat, q))
             rng = np.random.Generator(np.random.Philox(seed=seed))
             distractors = rng.choice(cand, size=cfg.pool_size - 1, replace=False)
-            hits += float(gen[q] @ text[q]) > float((text[distractors] @ gen[q]).max())
+            if distractors.size:
+                hits += float(gen[q] @ text[q]) > float((text[distractors] @ gen[q]).max())
+            else:
+                hits += 1  # a pool of one holds only the truth
         per_repeat.append(hits / len(queries))
     return float(np.mean(per_repeat))
 
@@ -268,6 +277,67 @@ def test_retrieval_caption_ids_match_string_masks(query_indices):
     cfg = RetrievalConfig(pool_size=4, repeats=6, seed=3)
     got = retrieval_acc1(gen, text, cfg, texts=texts, query_indices=query_indices)
     assert got == _retrieval_string_masks(gen, text, cfg, texts, query_indices)
+
+
+@pytest.mark.parametrize("d", [3, 32, 128])
+@pytest.mark.parametrize("seed", [0, 7, 2**33 + 5])
+def test_retrieval_matches_string_masks_for_every_pool_size(seed, d):
+    rng = np.random.default_rng([seed % 1000, d])
+    n = 16
+    text = rng.normal(size=(n, d))
+    gen = text + 0.5 * np.sqrt(d) * rng.normal(size=(n, d))  # hits and misses at every d
+    distinct = [f"caption {i}" for i in range(n)]
+    for pool_size in range(1, n):
+        cfg = RetrievalConfig(pool_size=pool_size, repeats=3, seed=seed)
+        assert retrieval_acc1(gen, text, cfg, texts=distinct) == _retrieval_string_masks(gen, text, cfg, distinct)
+
+    # duplicate captions: 7 rows share "up", so those queries have 9 distractors
+    texts = ["up"] * 7 + [("down", "flat", "up\x00")[i % 3] for i in range(n - 7)]
+    order = rng.permutation(n)
+    texts = [texts[i] for i in order]
+    for query_indices in (None, [int(order[0]), int(order[0]), 3, n - 1, 3]):
+        for pool_size in range(1, 11):
+            cfg = RetrievalConfig(pool_size=pool_size, repeats=4, seed=seed)
+            got = retrieval_acc1(gen, text, cfg, texts=texts, query_indices=query_indices)
+            assert got == _retrieval_string_masks(gen, text, cfg, texts, query_indices)
+
+
+def test_retrieval_matches_string_masks_at_a_larger_size():
+    # 250 captions over 2000 rows, pools of 10: hits and misses both common
+    rng = np.random.default_rng(31)
+    caption = rng.integers(0, 250, size=2000)
+    texts = [f"c{i}" for i in caption]
+    text = rng.normal(size=(250, 32))[caption] + 0.3 * rng.normal(size=(2000, 32))
+    gen = text + 4.0 * rng.normal(size=text.shape)
+    cfg = RetrievalConfig(pool_size=10, repeats=2, seed=3)
+    got = retrieval_acc1(gen, text, cfg, texts=texts)
+    assert 0.2 < got < 0.9
+    assert got == _retrieval_two_pass(gen, text, cfg, texts)
+
+
+@pytest.mark.parametrize("query_indices, first_short", [(None, 0), ([12, 7, 2], 7), ([15, 14, 9], 9)])
+def test_retrieval_pool_error_names_the_first_short_query(query_indices, first_short):
+    # "up" rows (0-9) have 6 distractors; a pool of 8 needs 7
+    texts = ["up"] * 10 + ["down"] * 3 + ["flat"] * 3
+    emb = np.random.default_rng(2).normal(size=(16, 4))
+    cfg = RetrievalConfig(pool_size=8, repeats=2, seed=0)
+    with pytest.raises(ContractViolation) as err:
+        retrieval_acc1(emb, emb, cfg, texts=texts, query_indices=query_indices)
+    assert str(err.value) == f"pool_size 8 needs 7 distractors, only 6 available for query {first_short}"
+
+
+def test_retrieval_leaves_numpy_random_unloaded():
+    # every pool here is drawn in bulk, so no Generator is ever opened
+    code = (
+        "import sys, numpy as np\n"
+        "from seriesbench.protocols import RetrievalConfig, retrieval_acc1\n"
+        "emb = np.arange(1.0, 241.0).reshape(60, 4) ** 0.5\n"
+        "retrieval_acc1(emb, emb[::-1], RetrievalConfig(pool_size=10, repeats=3, seed=1))\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(seriesbench.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("bad", [12, -1])

@@ -67,6 +67,47 @@ def test_mdd_bounded_and_permutation_invariant(random_pair):
     assert mdd(real[perm], gen[perm], spec) == pytest.approx(value)
 
 
+def _mdd_one_pass(real, gen, spec):
+    """Reference: MDD from whole (L, F, B) mass arrays."""
+
+    def masses(data):
+        n, length, n_feat = data.shape
+        idx = np.floor((data - spec.lower) / ((spec.upper - spec.lower) / spec.n_bins)).astype(np.int64)
+        idx = np.clip(idx, 0, spec.n_bins - 1)
+        flat = (np.arange(length * n_feat).reshape(length, n_feat) * spec.n_bins + idx).ravel()
+        return np.bincount(flat, minlength=length * n_feat * spec.n_bins).reshape(length, n_feat, spec.n_bins) / n
+
+    return float((np.abs(masses(real) - masses(gen)).sum(axis=2) / spec.n_bins).mean())
+
+
+@pytest.mark.parametrize("block_bytes", [8, 1000, 64 << 10, 4 << 20])
+def test_mdd_blocks_match_one_pass_bitwise(block_bytes, monkeypatch):
+    monkeypatch.setattr(stat_metrics, "_MASS_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(block_bytes)
+    for n_real, n_gen, length, n_feat, n_bins in [
+        (40, 40, 24, 2, 32), (7, 50, 13, 3, 2), (1, 1, 1, 1, 5), (30, 9, 5, 4, 1000), (12, 20, 3, 2, 70_000),
+    ]:
+        real = rng.normal(size=(n_real, length, n_feat))
+        gen = rng.standard_t(3, size=(n_gen, length, n_feat))
+        spec = HistogramSpec.from_training(real, n_bins)
+        assert mdd(real, gen, spec) == _mdd_one_pass(real, gen, spec)
+
+
+def test_mdd_memory_is_bounded_at_the_cell_cap():
+    # 20 x 16 channels x 2**15 bins: whole mass arrays would hold ~250 MiB
+    rng = np.random.default_rng(9)
+    real, gen = rng.normal(size=(20, 20, 16)), rng.normal(size=(20, 20, 16))
+    spec = HistogramSpec.from_training(real, 2**15)
+    tracemalloc.start()
+    try:
+        value = mdd(real, gen, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < value < 2.0
+    assert peak < 6 * stat_metrics._MASS_BLOCK_BYTES
+
+
 def test_mdd_shape_mismatch():
     spec = HistogramSpec(lower=np.zeros((2, 1)), upper=np.ones((2, 1)), n_bins=2)
     with pytest.raises(ContractViolation):
@@ -258,6 +299,18 @@ def test_sd_kd_affine_invariant(random_pair):
 def test_sd_rejects_zero_variance():
     with pytest.raises(ContractViolation):
         sd(_tensor([[1.0, 1.0]]), _tensor([[0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("metric", [sd, kd, acd])
+def test_overflowing_deviations_are_contract_violations(metric):
+    # finite values whose squared deviations overflow float64, with the suite's warnings as errors
+    real = np.random.default_rng(3).normal(size=(20, 12, 1))
+    gen = real.copy()
+    gen[4, 7, 0] = 1e200
+    with pytest.raises(ContractViolation, match="overflows float64"):
+        metric(real, gen)
+    with pytest.raises(ContractViolation, match="overflows float64"):
+        metric(gen, real)
 
 
 def test_histogram_spec_rejects_bad_bounds():

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import seriesbench
+from seriesbench import streams
 from seriesbench.core import ContractViolation
-from seriesbench.streams import open_stream, stream_keys
+from seriesbench.streams import open_stream, philox_blocks, sample_sets, stream_keys
 
 
 def _seed_sequence_keys(rows) -> np.ndarray:
@@ -122,6 +123,129 @@ def test_key_seed_serves_only_a_philox_key():
     seq = open_stream(stream_keys(1, 2)[0]).bit_generator.seed_seq
     with pytest.raises(ValueError):
         seq.generate_state(4, np.uint32)
+
+
+# ---------------------------------------------------------------------------
+# bulk draws: philox_blocks and sample_sets against NumPy's own generator
+# ---------------------------------------------------------------------------
+
+
+def test_philox_blocks_match_random_raw():
+    keys = stream_keys(11, np.arange(5000))
+    # keys at the ends of the word range, where the key schedule's adds wrap
+    keys[:3] = [[0, 0], [2**64 - 1, 2**64 - 1], [2**64 - 1, 0]]
+    blocks = philox_blocks(keys, 3)
+    assert blocks.dtype == np.uint64 and blocks.shape == (5000, 3, 4)
+    for key, row in zip(keys, blocks):
+        assert np.array_equal(row.ravel(), open_stream(key).bit_generator.random_raw(12))
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """The keys that sample_sets hands to Generator.choice, in call order."""
+    opened = []
+
+    def counting(key):
+        opened.append(tuple(key.tolist()))
+        return open_stream(key)
+
+    monkeypatch.setattr(streams, "open_stream", counting)
+    return opened
+
+
+def _choices(keys, pop, size):
+    return np.array([open_stream(k).choice(pop, size, replace=False) for k in keys]).reshape(len(keys), size)
+
+
+# (pop, size) across choice's branch boundary: it shuffles a tail of
+# arange(pop) when pop > 10000 and size > pop // 50, else runs Floyd's algorithm
+_BRANCH_GRID = [(10000, 200), (10000, 201), (10001, 200), (10001, 201)]
+
+
+@pytest.mark.parametrize("pop, size", _BRANCH_GRID)
+def test_sample_sets_match_choice_across_the_tail_shuffle_boundary(pop, size, fallback_rows):
+    keys = stream_keys(5, np.arange(300), 1)
+    got = sample_sets(keys, pop, size)
+    want = _choices(keys, pop, size)
+    assert np.array_equal(got, want)  # in choice's order, so also as sets
+    assert {frozenset(row) for row in got.tolist()} == {frozenset(row) for row in want.tolist()}
+    tail_shuffled = pop > 10000 and size > pop // 50
+    assert len(fallback_rows) == (len(keys) if tail_shuffled else 0)
+
+
+@pytest.mark.parametrize(
+    "pop, size",
+    [(1, 1), (5, 5), (7, 1), (100, 0), (50, 40), (3999, 9), (12000, 49), (12000, 240), (2**32, 3), (2**32 + 1, 3)],
+)
+def test_sample_sets_match_choice(pop, size, fallback_rows):
+    keys = stream_keys(2**40 + 1, np.arange(400), 3)
+    assert np.array_equal(sample_sets(keys, pop, size), _choices(keys, pop, size))
+    # draws on [0, j] for j >= 2**32 take uint64 words, which only choice reproduces
+    assert len(fallback_rows) == (len(keys) if pop > 2**32 else 0)
+
+
+def test_sample_sets_take_a_population_per_row():
+    keys = stream_keys(8, np.arange(3000))
+    pops = np.random.default_rng(0).integers(9, 20000, size=3000)
+    got = sample_sets(keys, pops, 9)
+    for key, pop, row in zip(keys, pops.tolist(), got):
+        assert np.array_equal(row, open_stream(key).choice(pop, 9, replace=False))
+
+
+def _scalar_choice(key, pop, size):
+    """Floyd's branch of choice(pop, size, replace=False), one bounded uint32 draw at a time; also the words read."""
+    raw = open_stream(key).bit_generator.random_raw(256).tolist()
+    words = [half for w in raw for half in (w & 0xFFFF_FFFF, w >> 32)]
+    read = 0
+
+    def bounded(high):
+        nonlocal read
+        if high == 0:
+            return 0
+        span = high + 1
+        while True:
+            product = words[read] * span
+            read += 1
+            if product & 0xFFFF_FFFF >= (2**32 - span) % span:
+                return product >> 32
+
+    sample = []
+    for j in range(pop - size, pop):
+        value = bounded(j)
+        sample.append(j if value in sample else value)
+    for i in range(size - 1, 0, -1):
+        swap = bounded(i)
+        sample[i], sample[swap] = sample[swap], sample[i]
+    return sample, read
+
+
+@pytest.mark.parametrize("pop", [3_000_000_000, 2**31 + 9])
+def test_sample_sets_reproduce_rows_with_lemire_rejections(pop, fallback_rows):
+    # near 2**31 about half of all words are rejected, near 3e9 about 30 %
+    size = 9
+    keys = stream_keys(13, np.arange(2000))
+    got = sample_sets(keys, pop, size)
+    rejecting = set()
+    for key, row in zip(keys, got.tolist()):
+        sample, read = _scalar_choice(key, pop, size)
+        assert sample == open_stream(key).choice(pop, size, replace=False).tolist()
+        assert row == sample
+        if read > 2 * size - 1:
+            rejecting.add(tuple(key.tolist()))
+    spilled = set(fallback_rows)
+    assert len(rejecting) > len(keys) // 2
+    # choice redraws only rows whose rejections outran the precomputed words;
+    # the others were reproduced with their rejections in bulk
+    assert spilled <= rejecting and len(spilled) < len(rejecting) // 4
+    if pop == 2**31 + 9:
+        assert spilled  # the word budget runs out for some rows
+
+
+def test_sample_sets_reject_a_population_smaller_than_the_sample():
+    keys = stream_keys(1, np.arange(3))
+    with pytest.raises(ContractViolation, match="cannot draw 5 distinct values"):
+        sample_sets(keys, np.array([9, 4, 9]), 5)
+    assert sample_sets(keys[:0], 3, 2).shape == (0, 2)
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
