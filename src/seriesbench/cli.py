@@ -216,7 +216,7 @@ def _cmd_protocol_temporal(args: argparse.Namespace) -> _Outcome:
     text = tensorfile.read_array(args.text_emb)
     if seg.ndim != 3 or text.ndim != 3:
         raise InputFormatError("segment and text embeddings must be (n, P, d) tensors")
-    if args.segments and seg.shape[1] != args.segments:
+    if args.segments is not None and seg.shape[1] != args.segments:
         raise ContractViolation(f"expected {args.segments} segments, file has {seg.shape[1]}")
     confusion, accuracy = protocols.temporal_order_eval(seg, text)
     doc = {
@@ -230,6 +230,10 @@ def _cmd_protocol_temporal(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_protocol_compgen(args: argparse.Namespace) -> _Outcome:
+    if args.gen_emb or args.text_emb or args.ref_emb:
+        missing = [flag for flag, path in (("--gen-emb", args.gen_emb), ("--text-emb", args.text_emb)) if not path]
+        if missing:
+            raise InputFormatError(f"head/tail retrieval needs --gen-emb and --text-emb; missing {' and '.join(missing)}")
     schema = tensorfile.read_schema(args.schema)
     train = tensorfile.read_conditions(args.train_conditions)
     test = tensorfile.read_conditions(args.test_conditions)
@@ -245,7 +249,7 @@ def _cmd_protocol_compgen(args: argparse.Namespace) -> _Outcome:
         "head_indices": head.tolist(),
         "tail_indices": tail.tolist(),
     }
-    if args.gen_emb and args.text_emb:
+    if args.gen_emb:
         gen = tensorfile.read_embedding(args.gen_emb)
         text = tensorfile.read_embedding(args.text_emb)
         inputs.extend([args.gen_emb, args.text_emb])

@@ -225,6 +225,11 @@ def precision(
     gen = as_embedding_array(gen_emb)
     if real.shape[0] <= k or gen.shape[0] <= k:
         raise ContractViolation(f"both sets need more than k={k} points")
+    with np.errstate(over="ignore"):
+        # |q - p|^2 <= 2 (|q|^2 + |p|^2): with a margin of 4, every distance of both passes is finite
+        bound = 4.0 * ((real**2).sum(axis=1).max() + (gen**2).sum(axis=1).max())
+    if not np.isfinite(bound):
+        raise ContractViolation("squared distances between the embeddings overflow float64")
     # the arguments, so a wrapper's array is not checked again
     return float(ManifoldIndex.build(real_emb, k).contains(gen_emb).mean())
 

@@ -398,8 +398,13 @@ class LabelIndex:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "LabelIndex":
-        """Build the index from a document shaped like the one ``to_dict`` returns."""
-        return cls(combos=tuple(tuple(c) for c in doc["combos"]))
+        """Build the index from a document shaped like the one ``to_dict`` returns; a repeated combination is refused."""
+        combos = tuple(tuple(c) for c in doc["combos"])
+        first = {}
+        for i, combo in enumerate(combos):
+            if first.setdefault(combo, i) != i:
+                raise InputFormatError(f"combination table repeats {list(combo)} at entries {first[combo]} and {i}")
+        return cls(combos=combos)
 
 
 def index_labels(attr_vectors: Sequence[Sequence[int]]) -> tuple[np.ndarray, LabelIndex]:

@@ -7,6 +7,11 @@ univariate variant emits one feature; the multivariate variant derives a
 second feature from the first through a sampled transform (axis flips or a
 circular temporal shift).
 
+A sample is one attribute-index vector: its value index per attribute, in
+schema order, plus a shift distance when its transform is a shift.  The build
+draws one such row per sample, and the sample's condition record, caption,
+components and second variate all derive from it.
+
 Randomness is drawn from named counter-based streams keyed by
 ``(seed, sample_index, purpose)`` so per-sample draws are order-independent:
 regenerating any single sample, or the whole dataset in any order, yields
@@ -18,10 +23,10 @@ season + local + hf + noise over the combination's (n_per_combo, length)
 block in a few buffers reused across combinations; ``univariate_components``
 is the one-row case of the same kernel.  The generator is its own ground
 truth: ``ATTRIBUTE_TABLE`` holds each attribute's name, definition, values
-and per-value caption clause.  The schema, ``decode_attrs``, each sample's
-attribute-index vector and its caption (``caption_clause`` per value, in
-schema order) all read it from the same attribute values, so a caption
-always agrees with its vector and the injected patterns.
+and per-value caption clause.  The schema, ``decode_attrs`` and each
+sample's caption (``render_caption``, one ``caption_clause`` per value of
+its vector, in schema order) all read it, so a caption always agrees with
+its vector and the injected patterns.
 """
 
 from __future__ import annotations
@@ -117,25 +122,6 @@ class SecondaryAttrs:
                 raise ContractViolation(f"unknown shapelet kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class MvTransform:
-    """Rule deriving the second variate from the first (Synth-M only)."""
-
-    kind: str
-    shift_distance: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in MV_TRANSFORMS:
-            raise ContractViolation(f"unknown transform kind {self.kind!r}")
-        is_shift = self.kind in ("shift_forward", "shift_backward")
-        if is_shift:
-            lo, hi = SHIFT_DISTANCE_RANGE
-            if self.shift_distance is None or not lo <= self.shift_distance <= hi:
-                raise ContractViolation(f"shift distance must be in [{lo}, {hi}]")
-        elif self.shift_distance is not None:
-            raise ContractViolation("shift distance only applies to shift transforms")
-
-
 # ---------------------------------------------------------------------------
 # Components
 # ---------------------------------------------------------------------------
@@ -217,24 +203,17 @@ def _segment_bounds(length: int) -> tuple[tuple[int, int], ...]:
     return tuple((k * seg, (k + 1) * seg) for k in range(N_SEGMENTS))
 
 
-def _sample_segment_labels(rng: np.random.Generator) -> tuple[str, str, str]:
-    # the draw of rng.choice(len(SHAPELET_KINDS), size=N_SEGMENTS, p=SHAPELET_PROBS),
-    # without the checks of p that choice repeats on every call
-    idx = _SHAPELET_CDF.searchsorted(rng.random(N_SEGMENTS), side="right")
-    return tuple(SHAPELET_KINDS[k] for k in idx)
-
-
-def _place_shapelets(labels: tuple[str, ...], rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Add one template per labelled segment onto ``out``, a zeroed row.
+def _place_shapelets(kinds: Sequence[int], rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Add one template per segment onto ``out``, a zeroed row; segment k's is ``SHAPELET_KINDS[kinds[k]]``.
 
     Heights are drawn uniformly from [1.0, 1.2]; the start offset is uniform
     over the positions where the template fits entirely inside its segment.
     """
-    for (start, stop), kind in zip(_segment_bounds(len(out)), labels):
-        if kind == "none":
+    for (start, stop), kind in zip(_segment_bounds(len(out)), kinds):
+        if kind == 0:  # none
             continue
         height = rng.uniform(*PEAK_HEIGHT_RANGE)
-        template = shapelet_template(kind, height)
+        template = shapelet_template(SHAPELET_KINDS[kind], height)
         offset = int(rng.integers(0, stop - start - len(template), endpoint=True))
         out[start + offset : start + offset + len(template)] += template
     return out
@@ -252,28 +231,20 @@ def _noise_rows(rngs: Iterable[np.random.Generator], out: np.ndarray) -> np.ndar
     return out
 
 
-def _transform_rows(series: np.ndarray, transforms: Sequence[MvTransform], out: np.ndarray) -> np.ndarray:
-    """Row r of ``out`` becomes row r of ``series``, an (n, length) array, under ``transforms[r]``.
+def _transform_rows(series: np.ndarray, kinds: np.ndarray, shifts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row r of ``out`` becomes row r of ``series``, an (n, length) array, under ``MV_TRANSFORMS[kinds[r]]``.
 
-    Each row is a gather: x_flip reads t from length - 1 - t, a shift by d
-    forward (backward) reads t from t - d (t + d) modulo length, y_flip reads
-    t from t and negates.
+    ``shifts[r]`` is the shift distance d, 0 for a flip.  Each row is a
+    gather: x_flip reads t from length - 1 - t, a shift by d forward
+    (backward) reads t from t - d (t + d) modulo length, y_flip reads t from
+    t and negates.
     """
     n, length = series.shape
-    sign = np.ones((n, 1), dtype=np.intp)
-    start = np.zeros((n, 1), dtype=np.intp)  # where t = 0 reads from
-    negate = np.zeros((n, 1), dtype=bool)
-    for r, transform in enumerate(transforms):
-        if transform.kind == "x_flip":
-            sign[r], start[r] = -1, length - 1
-        elif transform.kind == "y_flip":
-            negate[r] = True
-        else:
-            d = int(transform.shift_distance)
-            start[r] = -d if transform.kind == "shift_forward" else d
-    source = (sign * np.arange(length) + start) % length + np.arange(n)[:, None] * length
+    x_flip, y_flip, shift_forward = (kinds[:, None] == k for k in range(3))  # MV_TRANSFORMS order
+    start = np.where(x_flip, length - 1, np.where(shift_forward, -shifts[:, None], shifts[:, None]))
+    source = (np.where(x_flip, -1, 1) * np.arange(length) + start) % length + np.arange(n)[:, None] * length
     np.take(series, source, out=out)
-    return np.negative(out, out=out, where=negate)
+    return np.negative(out, out=out, where=y_flip)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +286,10 @@ ATTRIBUTE_TABLE = (
 # each row by name, with the names the schema gives its values
 _ROWS = {row.name: (row, tuple(map(str, row.values))) for row in ATTRIBUTE_TABLE}
 _SEGMENT_ROWS = slice(3, 3 + N_SEGMENTS)  # after the three primary attributes
+_HF_ROW = _SEGMENT_ROWS.stop  # then hf cycles, then (Synth-M only) the transform
 
 
+@functools.cache  # an AttributeSchema is frozen, so callers may share one
 def synth_schema(variant: str) -> AttributeSchema:
     """The governing attribute schema for a synthetic dataset variant ('u' or 'm')."""
     if variant not in ("u", "m"):
@@ -339,26 +312,26 @@ def caption_clause(attr_name: str, value: str, shift_distance: int | None = None
     return clause.format(shift_distance)
 
 
-def _attr_values(primary: PrimaryAttrs, secondary: SecondaryAttrs, transform: MvTransform | None) -> tuple:
-    """A sample's attribute values in schema order; the transform's only for Synth-M."""
-    values = (primary.trend_type, primary.trend_direction, primary.season_cycles,
-              *secondary.segment_shapelets, secondary.hf_cycles)
-    return values if transform is None else (*values, transform.kind)
+def render_caption(attrs: Mapping[str, int], shift_distance: int | None = None) -> str:
+    """A sample's caption from its attribute vector: the clauses of its values in schema order, in one sentence.
 
-
-def render_caption(
-    primary: PrimaryAttrs, secondary: SecondaryAttrs, transform: MvTransform | None = None
-) -> str:
-    """A sample's caption: the clauses of its attribute values in schema order, joined into one sentence."""
-    clauses = [
-        caption_clause(row.name, str(value))
-        for row, value in zip(ATTRIBUTE_TABLE, _attr_values(primary, secondary, None))
-        if value != "none"  # a segment without a shapelet adds no clause
-    ]
-    if set(secondary.segment_shapelets) == {"none"}:  # one clause stands in for three absent segment clauses
+    ``attrs`` maps each attribute to a value index, as a condition record
+    does; it is a Synth-M vector if it has an ``mv_transform``, and
+    ``shift_distance``, in ``SHIFT_DISTANCE_RANGE``, is given exactly when
+    that transform is a shift.
+    """
+    if problem := synth_schema("m" if "mv_transform" in attrs else "u").misfit(attrs):
+        raise ContractViolation(problem)
+    values = [(row.name, row.values[attrs[row.name]]) for row in ATTRIBUTE_TABLE[:-1]]
+    # a segment without a shapelet adds no clause
+    clauses = [caption_clause(name, str(value)) for name, value in values if value != "none"]
+    if not any(attrs[row.name] for row in ATTRIBUTE_TABLE[_SEGMENT_ROWS]):  # one clause for three absent ones
         clauses.insert(_SEGMENT_ROWS.start, "no local patterns appear in any segment")
-    if transform is not None:
-        clauses.append(caption_clause(ATTRIBUTE_TABLE[-1].name, transform.kind, transform.shift_distance))
+    lo, hi = SHIFT_DISTANCE_RANGE
+    if shift_distance is not None and ("mv_transform" not in attrs or not lo <= shift_distance <= hi):
+        raise ContractViolation(f"shift distance {shift_distance!r} needs a shift transform and must lie in [{lo}, {hi}]")
+    if "mv_transform" in attrs:
+        clauses.append(caption_clause("mv_transform", MV_TRANSFORMS[attrs["mv_transform"]], shift_distance))
     text = "; ".join(clauses)
     return text[0].upper() + text[1:] + "."
 
@@ -389,14 +362,17 @@ def univariate_components(
 ) -> dict[str, np.ndarray]:
     """Recompute the five named components for one sample from its keyed streams."""
     trend = trend_component(primary.trend_type, primary.trend_direction, length)
+    kinds = [[SHAPELET_KINDS.index(kind) for kind in secondary.segment_shapelets]]
     season, local, hf, noise = np.empty((4, 1, length))
-    _component_rows(primary, (secondary,), _sample_keys(seed, sample_index, 1), season, local, hf, noise)
+    _component_rows(primary.season_cycles, np.array([secondary.hf_cycles]), kinds,
+                    _sample_keys(seed, sample_index, 1), season, local, hf, noise)
     return {"trend": trend, "season": season[0], "local": local[0], "hf": hf[0], "noise": noise[0]}
 
 
 def _component_rows(
-    primary: PrimaryAttrs,
-    secondaries: Sequence[SecondaryAttrs],
+    season_cycles: int,
+    hf_cycles: np.ndarray,
+    kinds: Sequence[Sequence[int]],
     keys: np.ndarray,
     season: np.ndarray,
     local: np.ndarray,
@@ -405,22 +381,23 @@ def _component_rows(
 ) -> None:
     """Fill row j of the four (n, length) buffers with sample j's components, n = len(keys).
 
-    Sample j has secondary attributes ``secondaries[j]`` and stream keys
+    Every sample has ``season_cycles``; sample j has ``hf_cycles[j]``, the
+    segments' ``SHAPELET_KINDS`` indices ``kinds[j]`` and stream keys
     ``keys[j]`` (see ``_sample_keys``); each stream yields its draws in the
     same order as it always has.
     """
     draws = np.empty((4, len(keys)))  # season amplitude, season phase, hf amplitude, hf phase
     local.fill(0.0)
-    for j, (secondary, key) in enumerate(zip(secondaries, keys)):
+    for j, (segment_kinds, key) in enumerate(zip(kinds, keys)):
         rng = sample_rng(key[_P_SEASON])
         draws[0, j] = rng.uniform(*SEASON_AMPLITUDE_RANGE)
         draws[1, j] = rng.uniform(0.0, 2.0 * np.pi)
         rng = sample_rng(key[_P_HF])
         draws[2, j] = rng.uniform(*HF_AMPLITUDE_RANGE)
         draws[3, j] = rng.uniform(0.0, 2.0 * np.pi)
-        _place_shapelets(secondary.segment_shapelets, sample_rng(key[_P_SHAPELET_PLACE]), local[j])
-    _sinusoid_rows(np.full(len(keys), primary.season_cycles), draws[0], draws[1], season)
-    _sinusoid_rows(np.array([s.hf_cycles for s in secondaries]), draws[2], draws[3], hf)
+        _place_shapelets(segment_kinds, sample_rng(key[_P_SHAPELET_PLACE]), local[j])
+    _sinusoid_rows(np.full(len(keys), season_cycles), draws[0], draws[1], season)
+    _sinusoid_rows(hf_cycles, draws[2], draws[3], hf)
     _noise_rows((sample_rng(key[_P_NOISE]) for key in keys), noise)
 
 
@@ -469,40 +446,32 @@ def build_synth_dataset(
     n_valid = n_per_combo // 8  # 6:1:1; valid and test get floor(n/8) each, train the rest
     n_train = n_per_combo - 2 * n_valid
     names = schema.names
-    row_values = [row.values for row in ATTRIBUTE_TABLE]  # the attribute vector indexes these
+    primary_shape = tuple(len(row.values) for row in ATTRIBUTE_TABLE[:3])
+    # row j: sample j's attribute-index vector, in schema order, and its shift distance (0 without a shift)
+    attr_idx = np.empty((n_per_combo, len(names)), dtype=np.intp)
+    shifts = np.zeros(n_per_combo, dtype=np.intp)
 
     for combo_idx, primary in enumerate(combos):
         base = combo_idx * n_per_combo
         keys = _sample_keys(seed, base, n_per_combo)
-        secondaries: list[SecondaryAttrs] = []
-        transforms: list[MvTransform] = []
+        attr_idx[:, :3] = np.unravel_index(combo_idx, primary_shape)
         for j, key in enumerate(keys):
-            i = base + j
-            hf_idx = int(sample_rng(key[_P_SECONDARY]).integers(0, len(HF_CYCLES)))
-            labels = _sample_segment_labels(sample_rng(key[_P_SHAPELET_LABELS]))
-            secondary = SecondaryAttrs(hf_cycles=HF_CYCLES[hf_idx], segment_shapelets=labels)
-            secondaries.append(secondary)
-
-            transform = None
+            attr_idx[j, _HF_ROW] = sample_rng(key[_P_SECONDARY]).integers(0, len(HF_CYCLES))
+            # the draw of choice(len(SHAPELET_KINDS), N_SEGMENTS, p=SHAPELET_PROBS), without its checks of p
+            uniform = sample_rng(key[_P_SHAPELET_LABELS]).random(N_SEGMENTS)
+            attr_idx[j, _SEGMENT_ROWS] = _SHAPELET_CDF.searchsorted(uniform, side="right")
             if variant == "m":
                 rng_t = sample_rng(key[_P_TRANSFORM])
-                kind = MV_TRANSFORMS[rng_t.integers(0, len(MV_TRANSFORMS))]
-                dist = None
-                if kind in ("shift_forward", "shift_backward"):
-                    dist = int(rng_t.integers(SHIFT_DISTANCE_RANGE[0], SHIFT_DISTANCE_RANGE[1], endpoint=True))
-                transform = MvTransform(kind=kind, shift_distance=dist)
-                transforms.append(transform)
+                attr_idx[j, -1] = kind = rng_t.integers(0, len(MV_TRANSFORMS))
+                is_shift = MV_TRANSFORMS[kind].startswith("shift")
+                shifts[j] = rng_t.integers(*SHIFT_DISTANCE_RANGE, endpoint=True) if is_shift else 0
+        for j, (row, shift) in enumerate(zip(attr_idx.tolist(), shifts.tolist())):
+            attrs = dict(zip(names, row))
+            text = render_caption(attrs, shift or None)
+            conditions.append(ConditionRecord(f"{variant}-{base + j:06d}", text, attrs, combo_idx))
 
-            conditions.append(
-                ConditionRecord(
-                    sample_id=f"{variant}-{i:06d}",
-                    text=render_caption(primary, secondary, transform),
-                    attrs=dict(zip(names, map(tuple.index, row_values, _attr_values(primary, secondary, transform)))),
-                    label=combo_idx,
-                )
-            )
-
-        _component_rows(primary, secondaries, keys, season, local, hf, noise)
+        _component_rows(primary.season_cycles, np.take(HF_CYCLES, attr_idx[:, _HF_ROW]),
+                        attr_idx[:, _SEGMENT_ROWS].tolist(), keys, season, local, hf, noise)
         # trend + season + local + hf + noise, added in that order, in place
         series = np.add(season, trend_component(primary.trend_type, primary.trend_direction, length), out=season)
         series += local
@@ -510,7 +479,7 @@ def build_synth_dataset(
         series += noise
         data[base : base + n_per_combo, :, 0] = series
         if variant == "m":
-            data[base : base + n_per_combo, :, 1] = _transform_rows(series, transforms, local)
+            data[base : base + n_per_combo, :, 1] = _transform_rows(series, attr_idx[:, -1], shifts, local)
 
         perm = sample_rng(split_keys[combo_idx]).permutation(n_per_combo)
         splits["train"].extend(sorted(int(base + p) for p in perm[:n_train]))

@@ -553,6 +553,11 @@ MALFORMED_CASES = {
     "schema-values-not-strings": "validate --series {i}/series.tsb --conditions {i}/conditions.jsonl --schema {b}/schema_int_values.json",
     "schema-name-null": "validate --series {i}/series.tsb --conditions {i}/conditions.jsonl --schema {b}/schema_null_name.json",
     "rules-keywords-not-a-list": "schema assign --captions {i}/captions.txt --schema {i}/rules_schema.json --proposer mock:{b}/rules_keyword_number.json --out {o}/a.jsonl",
+    "label-combo-table-repeats": "schema label --attrs {i}/attrs.jsonl --schema {i}/rules_schema.json --combo-table {b}/combos_repeat.json --combo-table-out {o}/c.json --out {o}/l.jsonl",
+    # retrieval flags given in part: refused rather than silently ignored
+    "compgen-gen-emb-without-text-emb": "protocol compgen --schema {i}/schema.json --train-conditions {i}/train.jsonl --test-conditions {i}/test.jsonl --k 2 --gen-emb {i}/gen_emb.tsb --out {o}/c.json",
+    "compgen-text-emb-without-gen-emb": "protocol compgen --schema {i}/schema.json --train-conditions {i}/train.jsonl --test-conditions {i}/test.jsonl --k 2 --text-emb {i}/text_emb.tsb --out {o}/c.json",
+    "compgen-ref-emb-alone": "protocol compgen --schema {i}/schema.json --train-conditions {i}/train.jsonl --test-conditions {i}/test.jsonl --k 2 --ref-emb {i}/real.tsb --out {o}/c.json",
 }
 
 _REPORT = '{{"context":{{"dataset_id":"d1","model_id":"alpha","seed":{seed}}},"entries":[{{"direction":"higher_better","metric":"score","value":{value}}}]}}'
@@ -590,6 +595,7 @@ def bad_inputs(tmp_path_factory):
     (d / "attrs_inf.jsonl").write_text('{"attrs": {"trend": 1e400}}\n')
     (d / "attrs_out_of_range.jsonl").write_text('{"attrs": {"trend": 0}}\n{"attrs": {"trend": 3}}\n')
     (d / "combos_inf.json").write_text('{"combos": [[0], [1e400]]}')
+    (d / "combos_repeat.json").write_text('{"combos": [[0], [1], [0], [2], [1]]}')
     (d / "schema_int_values.json").write_text('{"attributes": [{"name": "trend", "values": [1, 2]}]}')
     (d / "schema_null_name.json").write_text('{"attributes": [{"name": null, "values": ["a", "b"]}]}')
     (d / "rules_keyword_number.json").write_text(
@@ -617,6 +623,22 @@ def test_malformed_input_exits_2_with_one_line(case, contract_inputs, bad_inputs
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("input error: "), captured.err
+
+
+MALFORMED_MESSAGES = {
+    "label-combo-table-repeats": "combination table repeats [0] at entries 0 and 2",
+    "compgen-gen-emb-without-text-emb": "needs --gen-emb and --text-emb; missing --text-emb",
+    "compgen-text-emb-without-gen-emb": "needs --gen-emb and --text-emb; missing --gen-emb",
+    "compgen-ref-emb-alone": "needs --gen-emb and --text-emb; missing --gen-emb and --text-emb",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MESSAGES))
+def test_malformed_input_names_its_fault_and_writes_nothing(case, contract_inputs, bad_inputs, tmp_path, capsys):
+    argv = _argv(MALFORMED_CASES[case], i=contract_inputs, b=bad_inputs, o=tmp_path)
+    assert main(argv) == 2
+    assert MALFORMED_MESSAGES[case] in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_malformed_input_via_module_has_no_traceback(contract_inputs, bad_inputs, tmp_path):
@@ -742,6 +764,8 @@ CONTRACT_VIOLATION_CASES = {
     "retrieval-seed-negative": "protocol retrieval --gen-emb {i}/gen_emb.tsb --text-emb {i}/text_emb.tsb --pool-size 4 --seed -3 --out {o}/r.json",
     "compgen-seed-negative": "protocol compgen --schema {i}/schema.json --train-conditions {i}/train.jsonl --test-conditions {i}/test.jsonl --k 2 --gen-emb {i}/gen_emb.tsb --text-emb {i}/text_emb.tsb --pool-size 4 --seed -1 --out {o}/c.json",
     "discover-seed-negative": "schema discover --captions {i}/captions.txt --proposer mock:{i}/rules.json --batch 5 --seed -2 --out {o}/disc",
+    # 0 is a segment count to compare, not an absent flag
+    "temporal-segments-zero": "protocol temporal --segment-emb {i}/seg.tsb --text-emb {i}/seg_text.tsb --segments 0 --out {o}/t.json",
 }
 
 

@@ -142,6 +142,17 @@ def test_frechet_dimension_mismatch():
         frechet_distance(a, b)
 
 
+@pytest.mark.parametrize("metric", [precision, recall, joint_precision_recall])
+@pytest.mark.parametrize("scale_real, scale_gen", [(1.0, 1e160), (1e160, 1.0), (1.0, 3e153)])
+def test_manifold_metrics_refuse_overflowing_distances_without_warning(metric, scale_real, scale_gen):
+    # the suite turns warnings into errors; at 3e153 the squared norms (6.9e307) are finite,
+    # but a distance between two generated rows overflows
+    emb = np.random.default_rng(4).normal(size=(30, 4))
+    args = (emb * scale_real, emb * scale_gen) + ((emb,) if metric is joint_precision_recall else ())
+    with pytest.raises(ContractViolation, match="squared distances between the embeddings overflow float64"):
+        metric(*args)
+
+
 @pytest.mark.parametrize("scale_real, scale_gen, failing", [(1.0, 1e160, "generated"), (1e160, 1.0, "real")])
 def test_fid_names_the_summary_whose_covariance_overflows(scale_real, scale_gen, failing):
     emb = np.random.default_rng(4).normal(size=(30, 4))

@@ -1,10 +1,10 @@
-"""Every public function and method of the library has a caller outside the tests.
+"""Every public class, function and method of the library has a user outside the tests.
 
-A public module-level function of ``seriesbench``, or a public method of one
-of its public module-level classes, that nothing in ``src/``, ``demos/`` or
-``bench/`` refers to is code that only tests call: either delete it or, if it
-is an oracle entry point the tests check the library through, name it below
-with the reason.
+A public module-level class or function of ``seriesbench``, or a public
+method of one of its public module-level classes, that nothing in ``src/``,
+``demos/`` or ``bench/`` names is code that only tests use: either delete it
+or, if it is an oracle entry point the tests check the library through, name
+it below with the reason.
 """
 
 import ast
@@ -40,32 +40,33 @@ def _is_public_function(node: ast.stmt) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
 
 
-def _public_functions(path: Path):
-    """(qualified name, name) of each public function of a module and each public method of its public classes."""
+def _public_definitions(path: Path):
+    """(qualified name, name) of each public class and function of a module and each public method of its classes."""
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if _is_public_function(node):
             yield f"{path.stem}.{node.name}", node.name
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield f"{path.stem}.{node.name}", node.name
             for item in filter(_is_public_function, node.body):
                 yield f"{path.stem}.{node.name}.{item.name}", item.name
 
 
-def _unreferenced_public_functions() -> set[str]:
+def _unreferenced_public_definitions() -> set[str]:
     referenced = _referenced_names()
     return {
         qualified
         for path in PACKAGE.glob("*.py")
-        for qualified, name in _public_functions(path)
+        for qualified, name in _public_definitions(path)
         if name not in referenced
     }
 
 
 def test_every_public_function_outside_the_allowlist_has_a_library_caller():
-    test_only = sorted(_unreferenced_public_functions() - ORACLE_ENTRY_POINTS.keys())
-    assert not test_only, f"public functions and methods that only tests call: {test_only}"
+    test_only = sorted(_unreferenced_public_definitions() - ORACLE_ENTRY_POINTS.keys())
+    assert not test_only, f"public classes, functions and methods that only tests use: {test_only}"
 
 
 def test_allowlist_names_only_uncalled_functions():
     # an entry that gained a caller, or whose function is gone, no longer belongs here
-    stale = sorted(ORACLE_ENTRY_POINTS.keys() - _unreferenced_public_functions())
+    stale = sorted(ORACLE_ENTRY_POINTS.keys() - _unreferenced_public_definitions())
     assert not stale, f"allowlisted functions that now have a caller or no longer exist: {stale}"

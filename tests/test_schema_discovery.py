@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seriesbench.core import ContractViolation, ProposerError
+from seriesbench.core import ContractViolation, InputFormatError, ProposerError
 from seriesbench.schema_discovery import (
     DiscoveryParams,
     LabelIndex,
@@ -313,6 +313,19 @@ def test_label_index_table_built_once():
 def test_label_index_round_trip():
     _, index = index_labels([(0, 2), (1, 0)])
     assert LabelIndex.from_dict(index.to_dict()) == index
+
+
+@pytest.mark.parametrize(
+    "combos, first_repeat",
+    [
+        ([[0, 1], [0, 1], [1, 0]], r"\[0, 1\] at entries 0 and 1"),
+        ([[0], [1], [2], [1], [0]], r"\[1\] at entries 1 and 3"),
+    ],
+)
+def test_label_index_refuses_a_repeated_combination(combos, first_repeat):
+    # a repeat would map its combination to the later label, so labels would skip the earlier one
+    with pytest.raises(InputFormatError, match=first_repeat):
+        LabelIndex.from_dict({"combos": combos})
 
 
 def test_index_labels_mixed_widths_rejected():

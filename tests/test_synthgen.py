@@ -9,7 +9,6 @@ from seriesbench.core import ContractViolation
 from seriesbench import synthgen
 from seriesbench.streams import stream_keys
 from seriesbench.synthgen import (
-    MvTransform,
     PrimaryAttrs,
     SecondaryAttrs,
     build_synth_dataset,
@@ -219,7 +218,8 @@ def test_compose_reduces_to_trend_when_everything_disabled():
     parts = univariate_components(primary, secondary, 0, 0, 96)
     series = sum(v for name, v in parts.items() if name != "noise")
     assert np.array_equal(series, trend_component("quadratic", "down", 96))
-    assert "quadratic" in render_caption(primary, secondary)
+    vector = {**dict.fromkeys(synthgen.synth_schema("u").names, 0), "trend_type": 1, "trend_direction": 1}
+    assert "quadratic" in render_caption(vector)
 
 
 def test_compose_monotone_linear_up():
@@ -231,9 +231,10 @@ def test_compose_monotone_linear_up():
 
 
 def test_caption_contains_all_five_attribute_phrases():
-    primary = PrimaryAttrs("linear", "up", 2)
-    secondary = SecondaryAttrs(hf_cycles=16, segment_shapelets=("none", "single_peak", "none"))
-    caption = render_caption(primary, secondary)
+    # linear, up, 2 seasonal cycles, a single peak in segment 2, 16 hf cycles
+    vector = {"trend_type": 0, "trend_direction": 0, "season_cycles": 2, "segment_1_shapelet": 0,
+              "segment_2_shapelet": 1, "segment_3_shapelet": 0, "hf_cycles": 1}
+    caption = render_caption(vector)
     for phrase in (
         synthgen.caption_clause("trend_type", "linear"),
         synthgen.caption_clause("trend_direction", "up"),
@@ -262,11 +263,23 @@ DECODABLE = {"trend_type": 0, "trend_direction": 1, "season_cycles": 2, "segment
         (synthgen.decode_attrs, ({**DECODABLE, "trend_type": -1},)),
         (synthgen.decode_attrs, ({**DECODABLE, "hf_cycles": 9},)),
         (synthgen.decode_attrs, ({k: v for k, v in DECODABLE.items() if k != "segment_2_shapelet"},)),
+        (render_caption, ({**DECODABLE, "trend_type": -1},)),
+        (render_caption, ({**DECODABLE, "hf_cycles": 4},)),
+        (render_caption, ({**DECODABLE, "mv_transform": 4},)),
+        (render_caption, ({k: v for k, v in DECODABLE.items() if k != "segment_2_shapelet"},)),
+        (render_caption, ({**DECODABLE, "mv_transform": 0}, 25)),
+        (render_caption, ({**DECODABLE, "mv_transform": 2},)),
+        (render_caption, (DECODABLE, 25)),
+        (render_caption, ({**DECODABLE, "mv_transform": 2}, 19)),
+        (render_caption, ({**DECODABLE, "mv_transform": 3}, 41)),
     ],
     ids=[
         "unknown-direction", "unknown-trend-type", "unknown-cycle-count", "unknown-transform",
         "shift-without-distance", "flip-with-distance", "shapelet-none-has-no-clause", "unknown-attribute",
         "decode-negative-index", "decode-index-past-end", "decode-missing-attribute",
+        "caption-negative-index", "caption-index-past-end", "caption-transform-past-end",
+        "caption-missing-attribute", "caption-flip-with-distance", "caption-shift-without-distance",
+        "caption-distance-without-transform", "caption-shift-below-range", "caption-shift-above-range",
     ],
 )
 def test_invalid_caption_or_decode_input_is_a_contract_violation(fn, args):
@@ -285,39 +298,28 @@ def test_decodable_attrs_decode():
 # ---------------------------------------------------------------------------
 
 
-def _transform(series, transform):
-    """One row of the batched transform gather."""
-    return synthgen._transform_rows(series[None], (transform,), np.empty((1, series.size)))[0]
+X_FLIP, Y_FLIP, SHIFT_FORWARD, SHIFT_BACKWARD = range(len(synthgen.MV_TRANSFORMS))  # kind indices
+
+
+def _transform(series, kind, shift=0):
+    """One row of the batched transform gather: transform ``MV_TRANSFORMS[kind]``, shift distance ``shift``."""
+    return synthgen._transform_rows(series[None], np.array([kind]), np.array([shift]), np.empty((1, series.size)))[0]
 
 
 def test_xflip_is_involution():
     series = np.arange(96, dtype=float)
-    t = MvTransform("x_flip")
-    assert np.array_equal(_transform(_transform(series, t), t), series)
+    assert np.array_equal(_transform(_transform(series, X_FLIP), X_FLIP), series)
 
 
 def test_yflip_negates():
-    assert np.array_equal(
-        _transform(np.array([1.0, -2.0]), MvTransform("y_flip")), [-1.0, 2.0]
-    )
+    assert np.array_equal(_transform(np.array([1.0, -2.0]), Y_FLIP), [-1.0, 2.0])
 
 
 def test_shifts_invert_each_other():
     series = np.sin(np.arange(96) / 5.0)
-    fwd = _transform(series, MvTransform("shift_forward", 20))
-    back = _transform(fwd, MvTransform("shift_backward", 20))
+    fwd = _transform(series, SHIFT_FORWARD, 20)
+    back = _transform(fwd, SHIFT_BACKWARD, 20)
     assert np.array_equal(back, series)
-
-
-def test_shift_distance_validated():
-    with pytest.raises(ContractViolation):
-        MvTransform("shift_forward", 19)
-    with pytest.raises(ContractViolation):
-        MvTransform("shift_forward", 41)
-    with pytest.raises(ContractViolation):
-        MvTransform("shift_forward", None)
-    with pytest.raises(ContractViolation):
-        MvTransform("x_flip", 25)
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +461,12 @@ def _ref_template(kind, peak_height):
     return np.concatenate([peak, peak])
 
 
-def _ref_transform(series, transform):
-    if transform.kind == "x_flip":
+def _ref_transform(series, kind, d):
+    if kind == "x_flip":
         return series[::-1]
-    if transform.kind == "y_flip":
+    if kind == "y_flip":
         return -series
-    d = transform.shift_distance
-    return np.roll(series, d if transform.kind == "shift_forward" else -d)
+    return np.roll(series, d if kind == "shift_forward" else -d)
 
 
 def _ref_components(primary, secondary, seed, i, length):
@@ -520,15 +521,14 @@ def _ref_build(variant, seed, n_per_combo, length):
             attrs = {"trend_type": trend_idx, "trend_direction": direction_idx, "season_cycles": season_idx,
                      "segment_1_shapelet": idx[0], "segment_2_shapelet": idx[1], "segment_3_shapelet": idx[2],
                      "hf_cycles": hf_idx}
-            transform = None
+            dist = None
             if variant == "m":
                 rng_t = _ref_rng(seed, i, 6)
                 attrs["mv_transform"] = rng_t.integers(0, 4)
                 kind = synthgen.MV_TRANSFORMS[attrs["mv_transform"]]
                 dist = int(rng_t.integers(20, 40, endpoint=True)) if kind.startswith("shift") else None
-                transform = MvTransform(kind, dist)
-                data[i, :, 1] = _ref_transform(series, transform)
-            records.append((f"{variant}-{i:06d}", render_caption(primary, secondary, transform), attrs, combo_idx))
+                data[i, :, 1] = _ref_transform(series, kind, dist)
+            records.append((f"{variant}-{i:06d}", render_caption(attrs, dist), attrs, combo_idx))
         n_train, n_valid = n_per_combo - 2 * (n_per_combo // 8), n_per_combo // 8
         perm = _ref_rng(seed, combo_idx, 7).permutation(n_per_combo)
         splits["train"].extend(sorted(int(base + p) for p in perm[:n_train]))
