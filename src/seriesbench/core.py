@@ -95,14 +95,6 @@ class EmbeddingMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "data", _frozen_float64(self.data, 2, "embedding matrix"))
 
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class Attribute:
@@ -143,9 +135,6 @@ class AttributeSchema:
         if len(set(names)) != len(names):
             raise ContractViolation("attribute names must be unique")
 
-    def __len__(self) -> int:
-        return len(self.attributes)
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
@@ -185,8 +174,6 @@ class ConditionRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "attrs", dict(self.attrs))
-        if self.label < 0:
-            raise ContractViolation(f"label must be non-negative, got {self.label}")
 
     def vector(self, schema: AttributeSchema) -> tuple[int, ...]:
         """Attribute vector in schema order; a missing attribute or a bad value index is an error."""
@@ -228,12 +215,6 @@ class MetricReport:
         if len(set(names)) != len(names):
             raise ContractViolation("metric names must be unique within a report")
 
-    def value(self, metric_name: str) -> float:
-        for e in self.entries:
-            if e.metric_name == metric_name:
-                return e.value
-        raise KeyError(metric_name)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -255,11 +236,11 @@ def validate_dataset(
 
     Reported violations: sample-count mismatch, attribute names outside the
     schema, schema attributes a record lacks, value indices that are not
-    integers or out of range, and label inconsistency (two records with
-    identical attribute vectors must carry the same label).  Series values
-    are finite by construction: the ``TimeSeriesTensor`` constructor refuses
-    anything else.  A passing report is the precondition every metric
-    operation assumes.
+    integers or out of range, negative labels, and label inconsistency (two
+    records with identical attribute vectors must carry the same label).
+    Series values are finite by construction: the ``TimeSeriesTensor``
+    constructor refuses anything else.  A passing report is the precondition
+    every metric operation assumes.
     """
     violations: list[str] = []
     if series.n_samples != len(conditions):
@@ -278,6 +259,8 @@ def validate_dataset(
         for name in options:
             if name not in rec.attrs:
                 violations.append(f"record {i}: missing attribute {name!r}")
+        if rec.label < 0:
+            violations.append(f"record {i}: label {rec.label} is negative")
         key = tuple(sorted(rec.attrs.items()))
         if key in label_by_vector:
             if label_by_vector[key] != rec.label:

@@ -123,8 +123,9 @@ def _distance_blocks(queries: np.ndarray, points: np.ndarray):
     ``d`` is a view of a tile buffer that the next tile overwrites, so a
     caller reads or reduces it before asking for the next one and may modify
     it in place.  Values are raw: ``q_sq + p_sq - (2.0 * q) @ points.T`` in
-    that order, neither clamped at 0 nor rooted, and inf or NaN where the
-    squares overflow.  The product is one matmul per block of up to
+    that order, neither clamped at 0 nor rooted.  Points whose distances may
+    overflow float64 raise ``ContractViolation`` before the first tile, so
+    every value is finite.  The product is one matmul per block of up to
     ``_BLOCK_BYTES``; the sum and the difference run per tile, a run of that
     block's rows of up to ``_TILE_BYTES``.  The BLAS may round a product
     differently with its height (a one-row product goes through gemv), so a
@@ -134,10 +135,15 @@ def _distance_blocks(queries: np.ndarray, points: np.ndarray):
     n_queries, n = queries.shape[0], points.shape[0]
     rows = max(1, min(n_queries, _BLOCK_BYTES // (8 * n)))
     tile_rows = max(1, min(rows, _TILE_BYTES // (8 * n)))
+    with np.errstate(over="ignore"):
+        q_sq = (queries**2).sum(axis=1)
+        p_sq = (points**2).sum(axis=1)
+        # |q - p|^2 <= 2 (|q|^2 + |p|^2): with a margin of 4, every distance and partial sum is finite
+        bound = 4.0 * (q_sq.max() + p_sq.max())
+    if not np.isfinite(bound):
+        raise ContractViolation("squared distances between the embeddings overflow float64")
     gram = np.empty((rows, n))
     tile = np.empty((tile_rows, n))
-    q_sq = (queries**2).sum(axis=1)
-    p_sq = (points**2).sum(axis=1)
     for block in range(0, n_queries, rows):
         block_stop = min(block + rows, n_queries)
         g = gram[: block_stop - block]
@@ -180,7 +186,6 @@ class ManifoldIndex:
     """Reference points plus the radius of each point's k-NN hypersphere."""
 
     points: np.ndarray
-    k: int
     radii: np.ndarray
 
     @classmethod
@@ -196,7 +201,7 @@ class ManifoldIndex:
             d.partition(k - 1, axis=1)
             kth[start:stop] = d[:, k - 1]
         # the k-th smallest root is the root of the k-th smallest square
-        return cls(points=points, k=k, radii=_root(kth))
+        return cls(points=points, radii=_root(kth))
 
     def contains(self, queries: EmbeddingMatrix | np.ndarray) -> np.ndarray:
         """Boolean per query row: inside the closed ball of at least one point."""
@@ -225,11 +230,6 @@ def precision(
     gen = as_embedding_array(gen_emb)
     if real.shape[0] <= k or gen.shape[0] <= k:
         raise ContractViolation(f"both sets need more than k={k} points")
-    with np.errstate(over="ignore"):
-        # |q - p|^2 <= 2 (|q|^2 + |p|^2): with a margin of 4, every distance of both passes is finite
-        bound = 4.0 * ((real**2).sum(axis=1).max() + (gen**2).sum(axis=1).max())
-    if not np.isfinite(bound):
-        raise ContractViolation("squared distances between the embeddings overflow float64")
     # the arguments, so a wrapper's array is not checked again
     return float(ManifoldIndex.build(real_emb, k).contains(gen_emb).mean())
 

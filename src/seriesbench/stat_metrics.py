@@ -154,18 +154,13 @@ def autocorrelation_profile(data: TimeSeriesTensor | np.ndarray, max_lag: int) -
     return num.mean(axis=(1, 2))
 
 
-def acd(
-    real: TimeSeriesTensor | np.ndarray,
-    gen: TimeSeriesTensor | np.ndarray,
-    max_lag: int | None = None,
-) -> float:
-    """Euclidean distance between mean autocorrelation profiles (lags 1..max_lag)."""
+def acd(real: TimeSeriesTensor | np.ndarray, gen: TimeSeriesTensor | np.ndarray) -> float:
+    """Euclidean distance between mean autocorrelation profiles over lags 1..L-1."""
     r = as_series_array(real)
     g = as_series_array(gen)
     if r.shape[1:] != g.shape[1:]:
         raise ContractViolation(f"shape mismatch: {r.shape[1:]} vs {g.shape[1:]}")
-    if max_lag is None:
-        max_lag = r.shape[1] - 1
+    max_lag = r.shape[1] - 1
     # the arguments, so a wrapper's array is not checked again
     return float(np.linalg.norm(autocorrelation_profile(real, max_lag) - autocorrelation_profile(gen, max_lag)))
 

@@ -32,7 +32,6 @@ its vector and the injected patterns.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -401,14 +400,6 @@ def _component_rows(
     _noise_rows((sample_rng(key[_P_NOISE]) for key in keys), noise)
 
 
-def primary_combinations() -> list[PrimaryAttrs]:
-    """All 32 primary combinations in label order (lexicographic by value indices)."""
-    return [
-        PrimaryAttrs(t, d, c)
-        for t, d, c in itertools.product(TREND_TYPES, TREND_DIRECTIONS, SEASON_CYCLES)
-    ]
-
-
 @dataclass(frozen=True)
 class SynthDataset:
     series: TimeSeriesTensor
@@ -425,36 +416,38 @@ def build_synth_dataset(
 ) -> SynthDataset:
     """Emit 32 * n_per_combo aligned samples with per-combination 6:1:1 splits.
 
-    The class label of a sample is the index of its primary combination in
-    ``primary_combinations()`` order.  The multivariate variant appends a
-    second feature derived from the first by a uniformly sampled transform.
+    The class label of a sample is the index of its primary combination (trend
+    type, trend direction, season cycles) in the lexicographic order of their
+    value indices.  The multivariate variant appends a second feature derived
+    from the first by a uniformly sampled transform.
     """
     schema = synth_schema(variant)
     if n_per_combo < 8:
         raise ContractViolation("n_per_combo must be >= 8 to split 6:1:1")
     _segment_bounds(length)  # fail fast on bad length
-    combos = primary_combinations()
+    primary_shape = tuple(len(row.values) for row in ATTRIBUTE_TABLE[:3])
+    n_combos = int(np.prod(primary_shape))
     n_features = 1 if variant == "u" else 2
-    n_total = len(combos) * n_per_combo
+    n_total = n_combos * n_per_combo
 
     data = np.empty((n_total, length, n_features))
     conditions: list[ConditionRecord] = []
     splits: dict[str, list[int]] = {"train": [], "valid": [], "test": []}
     # one combination's components, reused for every combination
     season, local, hf, noise = np.empty((4, n_per_combo, length))
-    split_keys = stream_keys(seed, np.arange(len(combos)), _P_SPLIT)
+    split_keys = stream_keys(seed, np.arange(n_combos), _P_SPLIT)
     n_valid = n_per_combo // 8  # 6:1:1; valid and test get floor(n/8) each, train the rest
     n_train = n_per_combo - 2 * n_valid
     names = schema.names
-    primary_shape = tuple(len(row.values) for row in ATTRIBUTE_TABLE[:3])
     # row j: sample j's attribute-index vector, in schema order, and its shift distance (0 without a shift)
     attr_idx = np.empty((n_per_combo, len(names)), dtype=np.intp)
     shifts = np.zeros(n_per_combo, dtype=np.intp)
 
-    for combo_idx, primary in enumerate(combos):
+    for combo_idx in range(n_combos):
         base = combo_idx * n_per_combo
         keys = _sample_keys(seed, base, n_per_combo)
         attr_idx[:, :3] = np.unravel_index(combo_idx, primary_shape)
+        trend_type, direction, season_cycles = (row.values[i] for row, i in zip(ATTRIBUTE_TABLE, attr_idx[0, :3]))
         for j, key in enumerate(keys):
             attr_idx[j, _HF_ROW] = sample_rng(key[_P_SECONDARY]).integers(0, len(HF_CYCLES))
             # the draw of choice(len(SHAPELET_KINDS), N_SEGMENTS, p=SHAPELET_PROBS), without its checks of p
@@ -470,10 +463,10 @@ def build_synth_dataset(
             text = render_caption(attrs, shift or None)
             conditions.append(ConditionRecord(f"{variant}-{base + j:06d}", text, attrs, combo_idx))
 
-        _component_rows(primary.season_cycles, np.take(HF_CYCLES, attr_idx[:, _HF_ROW]),
+        _component_rows(season_cycles, np.take(HF_CYCLES, attr_idx[:, _HF_ROW]),
                         attr_idx[:, _SEGMENT_ROWS].tolist(), keys, season, local, hf, noise)
         # trend + season + local + hf + noise, added in that order, in place
-        series = np.add(season, trend_component(primary.trend_type, primary.trend_direction, length), out=season)
+        series = np.add(season, trend_component(trend_type, direction, length), out=season)
         series += local
         series += hf
         series += noise

@@ -30,6 +30,10 @@ def _write_embeddings(tmp_path, n=40, d=6, seed=0):
     return paths
 
 
+def _report_values(path) -> dict[str, float]:
+    return {e.metric_name: e.value for e in tensorfile.read_report(path).entries}
+
+
 def test_synth_outputs_and_determinism(tmp_path, synth_dir):
     for name in ("series.tsb", "conditions.jsonl", "schema.json", "splits.json", "manifest.json"):
         assert (synth_dir / name).exists()
@@ -66,9 +70,9 @@ def test_metrics_stat_round_trip(tmp_path, synth_dir):
         ]
     )
     assert code == 0
-    report = tensorfile.read_report(report_path)
-    assert report.value("mdd") == 0.0
-    assert report.value("acd") == 0.0
+    values = _report_values(report_path)
+    assert values["mdd"] == 0.0
+    assert values["acd"] == 0.0
     assert (tmp_path / "stat.manifest.json").exists()
 
 
@@ -108,9 +112,9 @@ def test_metrics_align(tmp_path):
         ]
     )
     assert code == 0
-    report = tensorfile.read_report(out)
-    assert report.value("dtw_score") == pytest.approx(0.0, abs=1e-6)
-    assert report.value("crps_score") == pytest.approx(0.0, abs=1e-6)
+    values = _report_values(out)
+    assert values["dtw_score"] == pytest.approx(0.0, abs=1e-6)
+    assert values["crps_score"] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_protocol_retrieval_pool_one(tmp_path):
@@ -127,7 +131,7 @@ def test_protocol_retrieval_pool_one(tmp_path):
         ]
     )
     assert code == 0
-    assert tensorfile.read_report(out).value("retrieval_acc1") == 1.0
+    assert _report_values(out)["retrieval_acc1"] == 1.0
 
 
 def test_protocol_temporal(tmp_path):
@@ -696,6 +700,38 @@ def test_retrieval_caption_count_mismatch_exits_3(rows, contract_inputs, tmp_pat
     assert main(argv) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == [f"contract violation: {rows} captions for 64 embedding rows"]
+
+
+def _with_negative_label(conditions, out, record=3):
+    rows = [json.loads(line) for line in conditions.read_text().splitlines()]
+    rows[record]["label"] = -1
+    tensorfile.dump_jsonl(rows, out)
+    return out
+
+
+def test_validate_reports_a_negative_label(contract_inputs, tmp_path, capsys):
+    conditions = _with_negative_label(contract_inputs / "conditions.jsonl", tmp_path / "conditions.jsonl")
+    argv = _argv(
+        "validate --series {i}/series.tsb --conditions {c} --schema {i}/schema.json --out {o}/validate.json",
+        i=contract_inputs, c=conditions, o=tmp_path,
+    )
+    assert main(argv) == 0
+    doc = json.loads((tmp_path / "validate.json").read_text())
+    assert doc["ok"] is False
+    assert doc["violations"][0] == "record 3: label -1 is negative"
+    assert "  - record 3: label -1 is negative" in capsys.readouterr().out.splitlines()
+
+
+def test_retrieval_reads_only_the_captions_of_its_conditions(contract_inputs, tmp_path):
+    # a label validate would refuse does not stop retrieval, and changes none of its output
+    conditions = _with_negative_label(contract_inputs / "test.jsonl", tmp_path / "test.jsonl")
+    template = (
+        "protocol retrieval --gen-emb {i}/gen_emb.tsb --text-emb {i}/text_emb.tsb "
+        "--pool-size 4 --repeats 2 --conditions {c} --out {o}"
+    )
+    for c, o in ((conditions, tmp_path / "r.json"), (contract_inputs / "test.jsonl", tmp_path / "ref.json")):
+        assert main(_argv(template, i=contract_inputs, c=c, o=o)) == 0
+    assert (tmp_path / "r.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 def test_compgen_fraction_over_half_exits_3(contract_inputs, tmp_path, capsys):

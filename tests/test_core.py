@@ -154,6 +154,22 @@ def test_validate_missing_attribute(schema):
     assert report.violations == ("record 1: missing attribute 'color'",)
 
 
+def test_validate_reports_a_negative_label_in_record_order(schema):
+    series = TimeSeriesTensor(data=np.zeros((3, 4, 1)))
+    conditions = [
+        _record(0, {"color": 0, "size": 1}),
+        _record(1, {"color": 2, "size": 0}, label=-1),
+        _record(2, {"size": 0}, label=-2),
+    ]
+    report = validate_dataset(series, conditions, schema)
+    assert report.violations == (
+        "record 1: value index 2 out of range for attribute 'color'",
+        "record 1: label -1 is negative",
+        "record 2: missing attribute 'color'",
+        "record 2: label -2 is negative",
+    )
+
+
 def test_validate_label_inconsistency(schema):
     series = TimeSeriesTensor(data=np.zeros((2, 4, 1)))
     conditions = [

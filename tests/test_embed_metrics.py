@@ -142,11 +142,20 @@ def test_frechet_dimension_mismatch():
         frechet_distance(a, b)
 
 
-@pytest.mark.parametrize("metric", [precision, recall, joint_precision_recall])
+def manifold_build(real, gen):
+    return ManifoldIndex.build(np.concatenate([real, gen]), 5)
+
+
+def manifold_contains(real, gen):
+    return ManifoldIndex(real, np.ones(real.shape[0])).contains(gen)
+
+
+@pytest.mark.parametrize("metric", [precision, recall, joint_precision_recall, manifold_build, manifold_contains])
 @pytest.mark.parametrize("scale_real, scale_gen", [(1.0, 1e160), (1e160, 1.0), (1.0, 3e153)])
 def test_manifold_metrics_refuse_overflowing_distances_without_warning(metric, scale_real, scale_gen):
     # the suite turns warnings into errors; at 3e153 the squared norms (6.9e307) are finite,
-    # but a distance between two generated rows overflows
+    # but a distance between two generated rows overflows.  The kNN kernel itself refuses:
+    # a build on both sets, and a containment test of one set against the other's points
     emb = np.random.default_rng(4).normal(size=(30, 4))
     args = (emb * scale_real, emb * scale_gen) + ((emb,) if metric is joint_precision_recall else ())
     with pytest.raises(ContractViolation, match="squared distances between the embeddings overflow float64"):
@@ -330,7 +339,7 @@ def test_kernel_bitwise_parity_at_bench_size():
 
 
 def _assert_contains_parity(points, radii, queries):
-    index = ManifoldIndex(points=points, k=1, radii=radii)
+    index = ManifoldIndex(points=points, radii=radii)
     assert np.array_equal(index.contains(queries), _ref_contains(points, radii, queries))
 
 
@@ -350,34 +359,38 @@ def test_contains_bitwise_parity_at_subnormal_radii():
     radii = np.array([5e-324, 1e-310, 2.2250738585072014e-308])
     queries = np.array([[0.0], [5e-324], [-5e-324], [1e-310], [1e-160], [1.5e-154]])
     _assert_contains_parity(points, radii, queries)
-    assert np.array_equal(ManifoldIndex(points, 1, radii).contains(queries), [1, 1, 1, 1, 0, 0])
+    assert np.array_equal(ManifoldIndex(points, radii).contains(queries), [1, 1, 1, 1, 0, 0])
 
 
 def test_kernel_bitwise_parity_near_sqrt_dbl_max():
+    # points near sqrt(DBL_MAX) have squared norms near DBL_MAX, so the kernel refuses them;
+    # radii at and just around sqrt(DBL_MAX), where r * r overflows, still meet small points
     big = math.sqrt(np.finfo(np.float64).max)
-    points = np.array([[0.0], [big * 0.5], [big * 0.999999], [big]])
-    queries = np.array([[-big * 0.5], [big * 0.75], [-big * 0.999], [big * 1.0000001], [-big]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in (1, 2, 3):
-            _assert_kernel_parity(points, queries, k)
-        # radii at and just around sqrt(DBL_MAX), where r * r overflows
-        radii = np.array([np.nextafter(big, 0.0), big, np.nextafter(big, np.inf), 1.5 * big])
-        _assert_contains_parity(points, radii, queries)
+    with pytest.raises(ContractViolation, match="squared distances between the embeddings overflow float64"):
+        ManifoldIndex.build(np.array([[0.0], [big * 0.5], [big * 0.999999], [big]]), 1)
+    points = np.array([[0.0], [1.0], [-3.0], [2.5]])
+    queries = np.array([[-0.5], [0.75], [-1e150], [1e153], [-big * 0.25]])
+    radii = np.array([np.nextafter(big, 0.0), big, np.nextafter(big, np.inf), 1.5 * big])
+    _assert_contains_parity(points, radii, queries)
+    assert ManifoldIndex(points, radii).contains(queries).all()
 
 
 def test_kernel_bitwise_parity_when_squares_overflow():
-    # squares of 1e155 overflow: a distance to the origin is inf, and between
-    # two huge points inf - inf gives NaN, which partition sorts last
+    # squares of 1e155 overflow float64: the build and the containment test refuse such points,
+    # and an inf or NaN radius set by hand still meets finite distances as the reference does
     rng = np.random.default_rng(4)
     points = np.concatenate([rng.normal(size=(6, 2)), [[1e155, 0.0], [2e155, 0.0], [0.0, -3e155]]])
     queries = np.concatenate([rng.normal(size=(5, 2)), [[1e155, 0.0], [0.0, 1e160], [-4e155, 1.0]]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        radii = ManifoldIndex.build(points, 1).radii
-        assert np.isinf(radii).any() or np.isnan(radii).any()
-        for k in (1, 3, 8):
-            _assert_kernel_parity(points, queries, k)
-        _assert_contains_parity(points, np.full(points.shape[0], np.inf), queries)
-        _assert_contains_parity(points, np.full(points.shape[0], np.nan), queries)
+    small = points[:6]
+    for refused in (
+        lambda: ManifoldIndex.build(points, 1),
+        lambda: ManifoldIndex(points, np.ones(points.shape[0])).contains(small),
+        lambda: ManifoldIndex(small, np.ones(small.shape[0])).contains(queries),
+    ):
+        with pytest.raises(ContractViolation, match="squared distances between the embeddings overflow float64"):
+            refused()
+    for radius in (np.inf, np.nan):
+        _assert_contains_parity(small, np.full(small.shape[0], radius), queries[:5])
 
 
 @pytest.mark.parametrize("block_rows, tile_rows", [(37, 1), (7, 3), (7, 7), (8, 3), (4, 9)])

@@ -5,9 +5,15 @@ method of one of its public module-level classes, that nothing in ``src/``,
 ``demos/`` or ``bench/`` names is code that only tests use: either delete it
 or, if it is an oracle entry point the tests check the library through, name
 it below with the reason.
+
+A bare name cannot tell two classes apart: a method or property that only
+tests call hides behind a same-named method, property or field of another
+class.  So each public method or property whose name another class of the
+package also defines names, below, a module that reaches it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -21,44 +27,94 @@ ORACLE_ENTRY_POINTS = {
     "tensorfile.read_splits": "reads splits.json back; the acceptance criteria check the 6:1:1 splits with it",
 }
 
+# method or property with a shared name -> a module, relative to the repo, that reaches it
+SHARED_MEMBER_USERS = {
+    "core.TimeSeriesTensor.n_samples": "src/seriesbench/cli.py",
+    "align_metrics.GenerationBundle.n_samples": "src/seriesbench/align_metrics.py",
+    "core.AttributeSchema.to_dict": "src/seriesbench/tensorfile.py",
+    "core.AttributeSchema.from_dict": "src/seriesbench/tensorfile.py",
+    "schema_discovery.LabelIndex.to_dict": "src/seriesbench/cli.py",
+    "schema_discovery.LabelIndex.from_dict": "src/seriesbench/cli.py",
+}
+
+
+def _names_in(path: Path) -> set[str]:
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    return names
+
+
+def _attributes_in(path: Path) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Attribute)}
+
 
 def _referenced_names() -> set[str]:
-    names: set[str] = set()
-    for root in (REPO / "src", REPO / "demos", REPO / "bench"):
-        for path in root.rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                    names.update(part for alias in node.names for part in alias.name.split("."))
-    return names
+    return {
+        name for root in (REPO / "src", REPO / "demos", REPO / "bench") for path in root.rglob("*.py")
+        for name in _names_in(path)
+    }
 
 
 def _is_public_function(node: ast.stmt) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
 
 
-def _public_definitions(path: Path):
+def _classes():
+    """(module, class node) of each module-level class of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                yield path.stem, node
+
+
+def _public_definitions():
     """(qualified name, name) of each public class and function of a module and each public method of its classes."""
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if _is_public_function(node):
-            yield f"{path.stem}.{node.name}", node.name
-        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            yield f"{path.stem}.{node.name}", node.name
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if _is_public_function(node):
+                yield f"{path.stem}.{node.name}", node.name
+    for module, node in _classes():
+        if not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name
             for item in filter(_is_public_function, node.body):
-                yield f"{path.stem}.{node.name}.{item.name}", item.name
+                yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def _member_names(node: ast.ClassDef) -> set[str]:
+    """The methods, properties, fields and class attributes a class defines."""
+    names = set()
+    for item in node.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(item.name)
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            names.add(item.target.id)
+        elif isinstance(item, ast.Assign):
+            names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _shared_public_members() -> dict[str, str]:
+    """Qualified name -> name of each public method or property that another class also defines."""
+    classes = list(_classes())
+    counts = Counter(name for _, node in classes for name in _member_names(node))
+    return {
+        f"{module}.{node.name}.{item.name}": item.name
+        for module, node in classes
+        if not node.name.startswith("_")
+        for item in filter(_is_public_function, node.body)
+        if counts[item.name] > 1
+    }
 
 
 def _unreferenced_public_definitions() -> set[str]:
     referenced = _referenced_names()
-    return {
-        qualified
-        for path in PACKAGE.glob("*.py")
-        for qualified, name in _public_definitions(path)
-        if name not in referenced
-    }
+    return {qualified for qualified, name in _public_definitions() if name not in referenced}
 
 
 def test_every_public_function_outside_the_allowlist_has_a_library_caller():
@@ -70,3 +126,17 @@ def test_allowlist_names_only_uncalled_functions():
     # an entry that gained a caller, or whose function is gone, no longer belongs here
     stale = sorted(ORACLE_ENTRY_POINTS.keys() - _unreferenced_public_definitions())
     assert not stale, f"allowlisted functions that now have a caller or no longer exist: {stale}"
+
+
+def test_every_shared_member_name_names_its_user():
+    shared = _shared_public_members()
+    unlisted = sorted(shared.keys() - SHARED_MEMBER_USERS.keys())
+    assert not unlisted, f"methods or properties whose name another class shares, with no user named: {unlisted}"
+    stale = sorted(SHARED_MEMBER_USERS.keys() - shared.keys())
+    assert not stale, f"listed members that no longer exist or no longer share their name: {stale}"
+    unused = sorted(
+        f"{qualified} in {user}"
+        for qualified, user in SHARED_MEMBER_USERS.items()
+        if shared[qualified] not in _attributes_in(REPO / user)
+    )
+    assert not unused, f"named users that do not reference the member: {unused}"

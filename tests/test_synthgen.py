@@ -12,7 +12,6 @@ from seriesbench.synthgen import (
     PrimaryAttrs,
     SecondaryAttrs,
     build_synth_dataset,
-    primary_combinations,
     render_caption,
     sample_rng,
     shapelet_template,
@@ -327,12 +326,6 @@ def test_shifts_invert_each_other():
 # ---------------------------------------------------------------------------
 
 
-def test_exactly_32_primary_combinations():
-    combos = primary_combinations()
-    assert len(combos) == 32
-    assert len(set(combos)) == 32
-
-
 def test_build_counts_labels_and_splits():
     n = 16
     ds = build_synth_dataset("u", seed=5, n_per_combo=n, length=96)
@@ -506,7 +499,9 @@ def _ref_build(variant, seed, n_per_combo, length):
     n_features = 1 if variant == "u" else 2
     data = np.empty((32 * n_per_combo, length, n_features))
     records, splits = [], {"train": [], "valid": [], "test": []}
-    for combo_idx, primary in enumerate(primary_combinations()):
+    primaries = itertools.product(synthgen.TREND_TYPES, synthgen.TREND_DIRECTIONS, synthgen.SEASON_CYCLES)
+    for combo_idx, values in enumerate(primaries):
+        primary = PrimaryAttrs(*values)
         base = combo_idx * n_per_combo
         for j in range(n_per_combo):
             i = base + j
