@@ -114,9 +114,14 @@ class Attribute:
             raise ContractViolation(f"attribute {self.name!r} has duplicate values")
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _index_problem(name: str, idx, n_values: int) -> str | None:
     """Why ``idx`` is no value index, a non-bool integer in [0, n_values); None if it is one."""
-    if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+    if not _is_integer(idx):
         return f"value index {idx!r} of attribute {name!r} is not an integer"
     if not 0 <= idx < n_values:
         return f"value index {idx} out of range for attribute {name!r}"
@@ -236,8 +241,10 @@ def validate_dataset(
 
     Reported violations: sample-count mismatch, attribute names outside the
     schema, schema attributes a record lacks, value indices that are not
-    integers or out of range, negative labels, and label inconsistency (two
-    records with identical attribute vectors must carry the same label).
+    integers or out of range, labels that are not integers (a bool is not
+    one) or negative, and label inconsistency (two records with identical
+    attribute vectors must carry the same label; a non-integer label is
+    reported once and takes no part in it).
     Series values are finite by construction: the ``TimeSeriesTensor``
     constructor refuses anything else.  A passing report is the precondition
     every metric operation assumes.
@@ -259,6 +266,9 @@ def validate_dataset(
         for name in options:
             if name not in rec.attrs:
                 violations.append(f"record {i}: missing attribute {name!r}")
+        if not _is_integer(rec.label):
+            violations.append(f"record {i}: label {rec.label!r} is not an integer")
+            continue
         if rec.label < 0:
             violations.append(f"record {i}: label {rec.label} is negative")
         key = tuple(sorted(rec.attrs.items()))

@@ -10,10 +10,22 @@ sequentially in t, so ``autocorrelation_profile`` accumulates a time-major
 copy row by row, which adds the same floats in the same order.  For F = 1 the
 axis is contiguous and NumPy sums it pairwise, so that case keeps the per-lag
 sum.
+
+Two reductions run on two threads through ``_on_both_cores``: ``acd``
+computes the real and the generated profile at once, and ``sd``/``kd``
+standardize and raise the two halves of one scratch array at once, then take
+the same ``.mean()`` over the whole array.  NumPy releases the GIL inside each
+ufunc call, and every element goes through the same ufunc as in serial code,
+so no float changes.  When both sides raise, the real side's (the first
+half's) exception propagates, as in serial order.  ``np.errstate`` is per
+thread, so each side sets its own: ``autocorrelation_profile`` enters it
+inside the call, and the moment halves, like the serial expression, run under
+none.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,11 +124,46 @@ def mdd(
     return float(per_channel.mean())
 
 
+def _on_both_cores(first, second):
+    """``(first(), second())``, with ``second`` run on a worker thread while the caller runs ``first``.
+
+    The worker is joined before anything returns or raises; when both sides
+    raise, ``first``'s exception wins.
+    """
+    outcome = {}
+
+    def work():
+        try:
+            outcome["value"] = second()
+        except BaseException as exc:  # handed to the caller, which re-raises it
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        result = first()
+    finally:
+        worker.join()
+    if "error" in outcome:
+        raise outcome.pop("error")
+    return result, outcome["value"]
+
+
+def _lag_means(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Profile entries of a (lags, N, F) block of lag sums, normalized in place; zero where denom is."""
+    positive = denom > 0.0
+    num /= np.where(positive, denom, 1.0)
+    num[:, ~positive] = 0.0
+    return num.mean(axis=(1, 2))
+
+
 def autocorrelation_profile(data: TimeSeriesTensor | np.ndarray, max_lag: int) -> np.ndarray:
     """Mean autocorrelation profile over samples and features; shape (max_lag,).
 
     rho_k = sum_{t<=L-k} (x_t - mu)(x_{t+k} - mu) / sum_t (x_t - mu)^2 per
     series per feature; zero-variance series contribute a zero profile.
+    Each lag block is reduced to its entries once summed, so the scratch is
+    one (N, L, F) array of centred values plus lag blocks of ``_BLOCK_BYTES``.
     """
     data = as_series_array(data)
     n, length, n_feat = data.shape
@@ -125,33 +172,36 @@ def autocorrelation_profile(data: TimeSeriesTensor | np.ndarray, max_lag: int) -
     if not 1 <= max_lag <= length - 1:
         raise ContractViolation(f"max_lag must be in [1, {length - 1}]")
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = data - data.mean(axis=1, keepdims=True)
-        denom = (centered**2).sum(axis=1)  # (N, F)
+        if n_feat == 1:
+            centered = data - data.mean(axis=1, keepdims=True)
+            denom = (centered**2).sum(axis=1)  # (N, F)
+        else:
+            rows = np.empty((length, n, n_feat))  # centred values, time-major
+            np.subtract(data.transpose(1, 0, 2), data.mean(axis=1), out=rows)
+            denom = np.square(rows[0])
+            for t in range(1, length):
+                denom += np.square(rows[t])
     # a finite sum of squares bounds every lag product and sum below it
     if not np.isfinite(denom).all():
         raise ContractViolation("a series' sum of squared deviations overflows float64")
+    profile = np.empty(max_lag)
     if n_feat == 1:
-        num = np.empty((max_lag, n, n_feat))
         for k in range(1, max_lag + 1):
-            num[k - 1] = (centered[:, : length - k, :] * centered[:, k:, :]).sum(axis=1)
-    else:
-        rows = np.ascontiguousarray(centered.transpose(1, 0, 2))  # (L, N, F)
-        del centered  # keeps the scratch peak at two (N, L, F) arrays
-        num = np.empty((max_lag, n, n_feat))
-        lags = max(1, min(max_lag, _BLOCK_BYTES // (8 * n * n_feat)))
-        buf = np.empty((lags, n, n_feat))
-        for lo in range(1, max_lag + 1, lags):
-            hi = min(lo + lags, max_lag + 1)
-            np.multiply(rows[0], rows[lo:hi], out=num[lo - 1 : hi - 1])
-            for t in range(1, length - lo):
-                width = min(hi, length - t) - lo  # lags k with t + k <= L - 1
-                np.multiply(rows[t], rows[t + lo : t + lo + width], out=buf[:width])
-                block = num[lo - 1 : lo - 1 + width]
-                np.add(block, buf[:width], out=block)
-    positive = denom > 0.0
-    num /= np.where(positive, denom, 1.0)
-    num[:, ~positive] = 0.0
-    return num.mean(axis=(1, 2))
+            num = (centered[:, : length - k, :] * centered[:, k:, :]).sum(axis=1)
+            profile[k - 1] = _lag_means(num[None], denom)[0]
+        return profile
+    lags = max(1, min(max_lag, _BLOCK_BYTES // (8 * n * n_feat)))
+    num, buf = np.empty((lags, n, n_feat)), np.empty((lags, n, n_feat))
+    for lo in range(1, max_lag + 1, lags):
+        hi = min(lo + lags, max_lag + 1)
+        block = num[: hi - lo]
+        np.multiply(rows[0], rows[lo:hi], out=block)
+        for t in range(1, length - lo):
+            width = min(hi, length - t) - lo  # lags k with t + k <= L - 1
+            np.multiply(rows[t], rows[t + lo : t + lo + width], out=buf[:width])
+            np.add(block[:width], buf[:width], out=block[:width])
+        profile[lo - 1 : hi - 1] = _lag_means(block, denom)
+    return profile
 
 
 def acd(real: TimeSeriesTensor | np.ndarray, gen: TimeSeriesTensor | np.ndarray) -> float:
@@ -162,19 +212,34 @@ def acd(real: TimeSeriesTensor | np.ndarray, gen: TimeSeriesTensor | np.ndarray)
         raise ContractViolation(f"shape mismatch: {r.shape[1:]} vs {g.shape[1:]}")
     max_lag = r.shape[1] - 1
     # the arguments, so a wrapper's array is not checked again
-    return float(np.linalg.norm(autocorrelation_profile(real, max_lag) - autocorrelation_profile(gen, max_lag)))
+    real_profile, gen_profile = _on_both_cores(
+        lambda: autocorrelation_profile(real, max_lag), lambda: autocorrelation_profile(gen, max_lag)
+    )
+    return float(np.linalg.norm(real_profile - gen_profile))
 
 
 def _pooled_standardized_moment(data: np.ndarray, order: int) -> float:
+    """Mean of ((x - mu) / sigma) ** order over all values, in one scratch array whose halves run on two threads."""
     flat = data.ravel()
+    z = np.empty_like(flat)
     with np.errstate(over="ignore", invalid="ignore"):
         mu = flat.mean()
-        var = ((flat - mu) ** 2).mean()
+        var = np.square(np.subtract(flat, mu, out=z), out=z).mean()
     if var <= 0.0:
         raise ContractViolation("pooled variance is zero")
     if not np.isfinite(var):
         raise ContractViolation("pooled variance overflows float64")
-    return float((((flat - mu) / np.sqrt(var)) ** order).mean())
+    sigma = np.sqrt(var)
+
+    def standardize(part: slice) -> None:
+        out = z[part]
+        np.subtract(flat[part], mu, out=out)
+        out /= sigma
+        np.power(out, order, out=out)
+
+    half = flat.size // 2
+    _on_both_cores(lambda: standardize(slice(0, half)), lambda: standardize(slice(half, None)))
+    return float(z.mean())
 
 
 def _moment_difference(

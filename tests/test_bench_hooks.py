@@ -63,3 +63,40 @@ def test_traced_metrics_embed_builds_four_manifolds_and_counts_their_distance_fl
     # builds over n points and four containment passes of n queries
     assert metrics["embed_metrics.manifold_builds"] == 4
     assert metrics["embed_metrics.distance_flops"] == 2 * (2 * n * n * d + 2 * n * n * 2 * d) * 2
+
+
+def test_traced_metrics_stat_keeps_one_top_span_per_metric_with_both_sides_on_two_threads(tracing, tmp_path):
+    # acd runs the generated profile on a worker thread, so a profile span may
+    # nest under either side; each metric must still be one layer-top span
+    from seriesbench import cli, tensorfile
+
+    rng = np.random.default_rng(4)
+    for name in ("train", "real", "gen"):
+        tensorfile.write_tensor(rng.normal(size=(200, 48, 2)), tmp_path / f"{name}.tsb")
+    argv = ["metrics", "stat", "--train", str(tmp_path / "train.tsb"), "--real", str(tmp_path / "real.tsb"),
+            "--gen", str(tmp_path / "gen.tsb"), "--out", str(tmp_path / "stat.json")]
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        uninstall()
+    by_id = {s.id: s for s in tracer.spans}
+    assert len(by_id) == len(tracer.spans)
+
+    def layer_top(span):
+        parent = span.parent
+        while parent is not None:
+            if by_id[parent].name.startswith("stat_metrics."):
+                return False
+            parent = by_id[parent].parent
+        return True
+
+    for metric in ("acd", "sd", "kd", "mdd"):
+        tops = [s for s in tracer.spans if s.name == f"stat_metrics.{metric}" and layer_top(s)]
+        assert len(tops) == 1, metric
+    assert len([s for s in tracer.spans if s.name == "stat_metrics.autocorrelation_profile"]) == 2
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["stat_metrics.acd_s"] > 0.0
+    assert metrics["stat_metrics.moments_s"] > 0.0
+    assert tracer._stack == []

@@ -170,6 +170,37 @@ def test_validate_reports_a_negative_label_in_record_order(schema):
     )
 
 
+@pytest.mark.parametrize("label", ["3", None, 1.5, True, False, np.float64(2.0)])
+def test_validate_reports_a_non_integer_label(schema, label):
+    series = TimeSeriesTensor(data=np.zeros((2, 4, 1)))
+    conditions = [_record(0, {"color": 0, "size": 1}, label=1), _record(1, {"color": 0, "size": 1}, label=label)]
+    report = validate_dataset(series, conditions, schema)
+    assert report.violations == (f"record 1: label {label!r} is not an integer",)
+
+
+def test_validate_reports_a_non_integer_label_in_record_order(schema):
+    series = TimeSeriesTensor(data=np.zeros((3, 4, 1)))
+    conditions = [
+        _record(0, {"color": 2, "size": 1}, label="3"),
+        _record(1, {"color": 0, "size": 0}, label=-1),
+        _record(2, {"size": 0}, label=None),
+    ]
+    report = validate_dataset(series, conditions, schema)
+    assert report.violations == (
+        "record 0: value index 2 out of range for attribute 'color'",
+        "record 0: label '3' is not an integer",
+        "record 1: label -1 is negative",
+        "record 2: missing attribute 'color'",
+        "record 2: label None is not an integer",
+    )
+
+
+def test_validate_accepts_numpy_integer_labels(schema):
+    series = TimeSeriesTensor(data=np.zeros((2, 4, 1)))
+    conditions = [_record(0, {"color": 0, "size": 1}, label=np.int64(2)), _record(1, {"color": 0, "size": 1}, label=2)]
+    assert validate_dataset(series, conditions, schema).ok
+
+
 def test_validate_label_inconsistency(schema):
     series = TimeSeriesTensor(data=np.zeros((2, 4, 1)))
     conditions = [

@@ -1,4 +1,6 @@
 import re
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -338,3 +340,116 @@ def test_histogram_spec_caps_bin_cells_without_allocating(shape, n_bins):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# Both sides at once: the same bits, the serial order's errors, no leftover thread
+# ---------------------------------------------------------------------------
+
+
+def _serial_moment(data, order):
+    """The one-thread pooled moment the two-half kernel replaced, kept as its bitwise reference."""
+    flat = data.ravel()
+    mu = flat.mean()
+    var = ((flat - mu) ** 2).mean()
+    if var <= 0.0:
+        raise ContractViolation("pooled variance is zero")
+    return float((((flat - mu) / np.sqrt(var)) ** order).mean())
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 1_536_001])
+@pytest.mark.parametrize("metric,order", [(sd, 3), (kd, 4)])
+def test_moments_are_bitwise_the_serial_formula(metric, order, size):
+    rng = np.random.default_rng(size)
+    real = rng.standard_t(5, size=(size, 1, 1))
+    gen = rng.gamma(2.0, size=(size, 1, 1))
+    if size == 1:
+        for data in (real, gen):
+            with pytest.raises(ContractViolation, match="pooled variance is zero"):
+                _serial_moment(data, order)
+            with pytest.raises(ContractViolation, match="pooled variance is zero"):
+                stat_metrics._pooled_standardized_moment(data, order)
+        return
+    for data in (real, gen):
+        assert stat_metrics._pooled_standardized_moment(data, order) == _serial_moment(data, order)
+    expected = abs(_serial_moment(real, order) - _serial_moment(gen, order))
+    assert np.float64(metric(real, gen)).view(np.uint64) == np.float64(expected).view(np.uint64)
+
+
+def _bad(kind):
+    data = np.random.default_rng(11).normal(size=(20, 12, 1))
+    if kind == "constant":
+        data[:] = 4.0
+    else:  # finite values whose squared deviations overflow float64
+        data[4, 7, 0] = 1e200
+    return data
+
+
+@pytest.mark.parametrize(
+    "metric,real_kind,gen_kind,message",
+    [
+        (sd, "constant", "constant", "pooled variance is zero"),
+        (kd, "constant", "constant", "pooled variance is zero"),
+        (sd, "constant", "overflow", "pooled variance is zero"),
+        (kd, "overflow", "constant", "pooled variance overflows float64"),
+        (sd, "overflow", "overflow", "pooled variance overflows float64"),
+        (kd, "overflow", "overflow", "pooled variance overflows float64"),
+        (acd, "overflow", "overflow", "sum of squared deviations overflows float64"),
+    ],
+)
+def test_both_sides_bad_raise_the_real_sides_message(metric, real_kind, gen_kind, message):
+    with pytest.raises(ContractViolation, match=re.escape(message)):
+        metric(_bad(real_kind), _bad(gen_kind))
+
+
+def test_acd_raises_the_real_sides_error_when_the_generated_side_fails_first(monkeypatch):
+    original = stat_metrics.autocorrelation_profile
+
+    def failing(data, max_lag):
+        if data is real:
+            time.sleep(0.05)  # the generated side's worker fails while the real side still runs
+            raise ContractViolation("real side")
+        original(data, max_lag)
+        raise ContractViolation("generated side")
+
+    monkeypatch.setattr(stat_metrics, "autocorrelation_profile", failing)
+    real, gen = np.random.default_rng(1).normal(size=(2, 10, 8, 2))
+    with pytest.raises(ContractViolation, match="real side"):
+        acd(real, gen)
+
+
+@pytest.mark.parametrize("metric", [acd, sd, kd])
+@pytest.mark.parametrize("bad_side", ["real", "gen"])
+def test_a_failing_side_leaves_no_thread_behind(metric, bad_side):
+    good = np.random.default_rng(2).normal(size=(20, 12, 1))
+    pair = (_bad("overflow"), good) if bad_side == "real" else (good, _bad("overflow"))
+    before = threading.active_count()
+    with pytest.raises(ContractViolation, match="overflows float64"):
+        metric(*pair)
+    assert threading.active_count() == before
+
+
+def test_on_both_cores_returns_both_results_and_prefers_the_first_error():
+    assert stat_metrics._on_both_cores(lambda: 1, lambda: 2) == (1, 2)
+
+    def fail(message):
+        raise ValueError(message)
+
+    with pytest.raises(ValueError, match="second"):
+        stat_metrics._on_both_cores(lambda: 1, lambda: fail("second"))
+    with pytest.raises(ValueError, match="first"):
+        stat_metrics._on_both_cores(lambda: fail("first"), lambda: 2)
+    with pytest.raises(ValueError, match="first"):
+        stat_metrics._on_both_cores(lambda: fail("first"), lambda: fail("second"))
+
+
+def test_acd_scratch_peak_at_synth_m_shape():
+    real, gen = _profile_input(8000, 96, 2, seed=1), _profile_input(8000, 96, 2, seed=2)
+    tracemalloc.start()
+    try:
+        acd(real, gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one time-major array of centred values per side, both live at once
+    assert peak <= 2.25 * real.nbytes
