@@ -114,14 +114,9 @@ class Attribute:
             raise ContractViolation(f"attribute {self.name!r} has duplicate values")
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is a Python or NumPy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _index_problem(name: str, idx, n_values: int) -> str | None:
     """Why ``idx`` is no value index, a non-bool integer in [0, n_values); None if it is one."""
-    if not _is_integer(idx):
+    if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
         return f"value index {idx!r} of attribute {name!r} is not an integer"
     if not 0 <= idx < n_values:
         return f"value index {idx} out of range for attribute {name!r}"
@@ -266,7 +261,7 @@ def validate_dataset(
         for name in options:
             if name not in rec.attrs:
                 violations.append(f"record {i}: missing attribute {name!r}")
-        if not _is_integer(rec.label):
+        if isinstance(rec.label, bool) or not isinstance(rec.label, (int, np.integer)):
             violations.append(f"record {i}: label {rec.label!r} is not an integer")
             continue
         if rec.label < 0:
