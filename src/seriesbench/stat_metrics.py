@@ -7,7 +7,8 @@ for bit-reproducibility.
 The ACD lag sums keep the two orders NumPy gives ``sum(axis=1)`` of an
 (N, L-k, F) product.  For F > 1 that axis is strided and NumPy adds it
 sequentially in t, so ``autocorrelation_profile`` accumulates a time-major
-copy row by row, which adds the same floats in the same order.  For F = 1 the
+array of the centred values row by row, which adds the same floats in the
+same order.  For F = 1 the
 axis is contiguous and NumPy sums it pairwise, so that case keeps the per-lag
 sum.
 
