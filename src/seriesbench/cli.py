@@ -55,7 +55,10 @@ class _Outcome(NamedTuple):
     summary: str
 
 
-def _sha256(path: str | Path) -> str:
+def _sha256(path: str | Path) -> str | None:
+    """The digest of a regular file; None for a pipe or device, which the command already drained."""
+    if not Path(path).is_file():
+        return None
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

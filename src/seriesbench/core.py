@@ -238,8 +238,8 @@ def validate_dataset(
     schema, schema attributes a record lacks, value indices that are not
     integers or out of range, labels that are not integers (a bool is not
     one) or negative, and label inconsistency (two records with identical
-    attribute vectors must carry the same label; a non-integer label is
-    reported once and takes no part in it).
+    attribute vectors must carry the same label; only records with no
+    attribute violation and an integer label take part in it).
     Series values are finite by construction: the ``TimeSeriesTensor``
     constructor refuses anything else.  A passing report is the precondition
     every metric operation assumes.
@@ -253,6 +253,7 @@ def validate_dataset(
     options = {a.name: len(a.values) for a in schema.attributes}
     label_by_vector: dict[tuple, int] = {}
     for i, rec in enumerate(conditions):
+        n_before = len(violations)
         for name, idx in rec.attrs.items():
             if name not in options:
                 violations.append(f"record {i}: unknown attribute {name!r}")
@@ -261,12 +262,15 @@ def validate_dataset(
         for name in options:
             if name not in rec.attrs:
                 violations.append(f"record {i}: missing attribute {name!r}")
+        has_vector = len(violations) == n_before
         if isinstance(rec.label, bool) or not isinstance(rec.label, (int, np.integer)):
             violations.append(f"record {i}: label {rec.label!r} is not an integer")
             continue
         if rec.label < 0:
             violations.append(f"record {i}: label {rec.label} is negative")
-        key = tuple(sorted(rec.attrs.items()))
+        if not has_vector:  # a record with a faulty attribute has no vector to compare
+            continue
+        key = tuple(rec.attrs[name] for name in options)
         if key in label_by_vector:
             if label_by_vector[key] != rec.label:
                 violations.append(

@@ -275,6 +275,9 @@ def hamming(a: Sequence[int], b: Sequence[int]) -> int:
     return int((av != bv).sum())
 
 
+_DKNN_BYTES = 8 << 20  # budget of one block of test rows' comparisons and distances
+
+
 def dknn(test_attr: Sequence[int], train_attrs: np.ndarray, k: int) -> float:
     """Mean Hamming distance from a test vector to its k nearest training vectors.
 
@@ -287,7 +290,8 @@ def dknn_values(test_attrs: np.ndarray, train_attrs: np.ndarray, k: int) -> np.n
     """dknn of each row of ``test_attrs`` (n_test, M) against ``train_attrs`` (n, M).
 
     The k smallest distances are integers, so their float64 mean does not
-    depend on the order in which they are selected or summed.
+    depend on the order in which they are selected or summed, nor on the
+    blocks of test rows, within ``_DKNN_BYTES`` each, that compute them.
     """
     tests = np.asarray(test_attrs)
     train = np.asarray(train_attrs)
@@ -295,9 +299,13 @@ def dknn_values(test_attrs: np.ndarray, train_attrs: np.ndarray, k: int) -> np.n
         raise ContractViolation("test and train attribute matrices must share M columns")
     if not 1 <= k <= train.shape[0]:
         raise ContractViolation(f"k must be in [1, {train.shape[0]}], got {k}")
-    dists = (tests[:, None, :] != train[None, :, :]).sum(axis=2)
-    smallest = np.partition(dists, k - 1, axis=1)[:, :k]
-    return smallest.mean(axis=1).astype(np.float64)
+    # a pair holds M comparison bytes, then its int64 distance and that distance's partitioned copy
+    rows = max(1, _DKNN_BYTES // (train.shape[0] * (train.shape[1] + 16)))
+    values = np.empty(len(tests))
+    for start in range(0, len(tests), rows):
+        dists = (tests[start : start + rows, None, :] != train[None, :, :]).sum(axis=2)
+        values[start : start + rows] = np.partition(dists, k - 1, axis=1)[:, :k].mean(axis=1)
+    return values
 
 
 def head_tail_split(

@@ -23,10 +23,10 @@ season + local + hf + noise over the combination's (n_per_combo, length)
 block in a few buffers reused across combinations; ``univariate_components``
 is the one-row case of the same kernel.  The generator is its own ground
 truth: ``ATTRIBUTE_TABLE`` holds each attribute's name, definition, values
-and per-value caption clause.  The schema, ``decode_attrs`` and each
-sample's caption (``render_caption``, one ``caption_clause`` per value of
-its vector, in schema order) all read it, so a caption always agrees with
-its vector and the injected patterns.
+and per-value caption clause.  The schema and ``decode_attrs`` read it, and
+a sample's caption is a lookup of one clause per entry of its index row, in
+schema order, so a caption always agrees with its vector and the injected
+patterns.
 """
 
 from __future__ import annotations
@@ -282,8 +282,6 @@ ATTRIBUTE_TABLE = (
         "the second variable repeats the first shifted backward by {} steps",
     )),
 )
-# each row by name, with the names the schema gives its values
-_ROWS = {row.name: (row, tuple(map(str, row.values))) for row in ATTRIBUTE_TABLE}
 _SEGMENT_ROWS = slice(3, 3 + N_SEGMENTS)  # after the three primary attributes
 _HF_ROW = _SEGMENT_ROWS.stop  # then hf cycles, then (Synth-M only) the transform
 
@@ -294,44 +292,17 @@ def synth_schema(variant: str) -> AttributeSchema:
     if variant not in ("u", "m"):
         raise ContractViolation(f"variant must be 'u' or 'm', got {variant!r}")
     rows = ATTRIBUTE_TABLE if variant == "m" else ATTRIBUTE_TABLE[:-1]
-    return AttributeSchema(tuple(Attribute(r.name, r.definition, _ROWS[r.name][1]) for r in rows))
+    return AttributeSchema(tuple(Attribute(r.name, r.definition, tuple(map(str, r.values))) for r in rows))
 
 
-@functools.cache  # a caption is eight lookups of a few dozen clauses
-def caption_clause(attr_name: str, value: str, shift_distance: int | None = None) -> str:
-    """Fixed clause for one attribute value; captions concatenate these in schema order."""
-    row, names = _ROWS.get(attr_name, (None, ()))
-    if value not in names:
-        raise ContractViolation(f"no attribute {attr_name!r} with value {value!r}")
-    clause = row.clauses[names.index(value)]
-    if clause is None:
-        raise ContractViolation(f"{attr_name}={value} adds no caption clause")
-    if ("{}" in clause) != (shift_distance is not None):
-        raise ContractViolation(f"shift distance {shift_distance!r} does not fit {attr_name}={value}")
-    return clause.format(shift_distance)
-
-
-def render_caption(attrs: Mapping[str, int], shift_distance: int | None = None) -> str:
-    """A sample's caption from its attribute vector: the clauses of its values in schema order, in one sentence.
-
-    ``attrs`` maps each attribute to a value index, as a condition record
-    does; it is a Synth-M vector if it has an ``mv_transform``, and
-    ``shift_distance``, in ``SHIFT_DISTANCE_RANGE``, is given exactly when
-    that transform is a shift.
-    """
-    if problem := synth_schema("m" if "mv_transform" in attrs else "u").misfit(attrs):
-        raise ContractViolation(problem)
-    values = [(row.name, row.values[attrs[row.name]]) for row in ATTRIBUTE_TABLE[:-1]]
-    # a segment without a shapelet adds no clause
-    clauses = [caption_clause(name, str(value)) for name, value in values if value != "none"]
-    if not any(attrs[row.name] for row in ATTRIBUTE_TABLE[_SEGMENT_ROWS]):  # one clause for three absent ones
-        clauses.insert(_SEGMENT_ROWS.start, "no local patterns appear in any segment")
-    lo, hi = SHIFT_DISTANCE_RANGE
-    if shift_distance is not None and ("mv_transform" not in attrs or not lo <= shift_distance <= hi):
-        raise ContractViolation(f"shift distance {shift_distance!r} needs a shift transform and must lie in [{lo}, {hi}]")
-    if "mv_transform" in attrs:
-        clauses.append(caption_clause("mv_transform", MV_TRANSFORMS[attrs["mv_transform"]], shift_distance))
-    text = "; ".join(clauses)
+def _caption(vector: Sequence[int], shift_distance: int) -> str:
+    """An in-range index row's clauses in schema order, as one sentence; a shift fills the transform's ``{}``."""
+    clauses = [row.clauses[i] for row, i in zip(ATTRIBUTE_TABLE, vector)]
+    if not any(vector[_SEGMENT_ROWS]):  # one clause for three absent shapelets, which add none
+        clauses[_SEGMENT_ROWS.start] = "no local patterns appear in any segment"
+    if len(vector) == len(ATTRIBUTE_TABLE):
+        clauses[-1] = clauses[-1].format(shift_distance)
+    text = "; ".join(c for c in clauses if c is not None)
     return text[0].upper() + text[1:] + "."
 
 
@@ -458,10 +429,9 @@ def build_synth_dataset(
                 attr_idx[j, -1] = kind = rng_t.integers(0, len(MV_TRANSFORMS))
                 is_shift = MV_TRANSFORMS[kind].startswith("shift")
                 shifts[j] = rng_t.integers(*SHIFT_DISTANCE_RANGE, endpoint=True) if is_shift else 0
-        for j, (row, shift) in enumerate(zip(attr_idx.tolist(), shifts.tolist())):
+        for j, (row, shift) in enumerate(zip(attr_idx.tolist(), shifts.tolist())):  # in range by construction
             attrs = dict(zip(names, row))
-            text = render_caption(attrs, shift or None)
-            conditions.append(ConditionRecord(f"{variant}-{base + j:06d}", text, attrs, combo_idx))
+            conditions.append(ConditionRecord(f"{variant}-{base + j:06d}", _caption(row, shift), attrs, combo_idx))
 
         _component_rows(season_cycles, np.take(HF_CYCLES, attr_idx[:, _HF_ROW]),
                         attr_idx[:, _SEGMENT_ROWS].tolist(), keys, season, local, hf, noise)

@@ -36,6 +36,7 @@ from seriesbench.core import (
 
 _MAGIC = "TSB1"
 _HEADER_LIMIT = 4096  # sane upper bound for one header line
+_PIPE_CHUNK = 1 << 20  # a payload without a file size is read at most this many bytes at a time
 
 
 def write_tensor(t: TimeSeriesTensor | EmbeddingMatrix | np.ndarray, path: str | Path) -> None:
@@ -80,19 +81,25 @@ def _read_tsb1(path: str | Path) -> np.ndarray:
         if (
             not isinstance(shape, list)
             or not shape
-            or not all(isinstance(d, int) and d >= 0 for d in shape)
+            or not all(type(d) is int and d >= 0 for d in shape)  # a bool is no dimension
         ):
             raise InputFormatError(f"{path}: bad shape {shape!r}")
         expected = math.prod(shape) * 4  # Python ints: a huge shape cannot wrap
         # the size of a regular file bounds the payload before anything is
-        # read, so a lying header cannot ask for more memory than the file holds
+        # read, and a pipe's payload is read in chunks until it ends, so a
+        # lying header cannot ask for more memory than the input holds
         info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode) and info.st_size - len(head) < expected:
-            raise InputFormatError(
-                f"{path}: truncated payload, expected {expected} bytes, "
-                f"found {info.st_size - len(head)}"
-            )
-        raw = fh.read(expected + 1)
+        if stat.S_ISREG(info.st_mode):
+            if info.st_size - len(head) < expected:
+                raise InputFormatError(
+                    f"{path}: truncated payload, expected {expected} bytes, "
+                    f"found {info.st_size - len(head)}"
+                )
+            raw = fh.read(expected + 1)
+        else:
+            raw = bytearray()
+            while len(raw) <= expected and (chunk := fh.read(min(_PIPE_CHUNK, expected + 1 - len(raw)))):
+                raw += chunk
         if len(raw) != expected:
             found = len(raw) if len(raw) < expected else f">{expected}"
             raise InputFormatError(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +11,15 @@ import pytest
 from seriesbench import tensorfile
 from seriesbench.cli import main
 from seriesbench.core import MetricEntry, MetricReport, ReportContext
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run_module(argv, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m seriesbench *argv`` in a child that imports the library from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "seriesbench", *argv], env=env, capture_output=True, text=True,
+                          **kwargs)
 
 
 @pytest.fixture
@@ -317,15 +330,8 @@ def test_missing_file_exit_code(tmp_path):
 
 
 def test_console_script_entry_point(tmp_path):
-    import subprocess
-    import sys
-
     out = tmp_path / "cli-synth"
-    proc = subprocess.run(
-        [sys.executable, "-m", "seriesbench", "synth", "--variant", "u",
-         "--seed", "1", "--n-per-combo", "8", "--out", str(out)],
-        capture_output=True, text=True,
-    )
+    proc = _run_module(["synth", "--variant", "u", "--seed", "1", "--n-per-combo", "8", "--out", str(out)])
     assert proc.returncode == 0, proc.stderr
     assert (out / "series.tsb").exists()
 
@@ -646,11 +652,8 @@ def test_malformed_input_names_its_fault_and_writes_nothing(case, contract_input
 
 
 def test_malformed_input_via_module_has_no_traceback(contract_inputs, bad_inputs, tmp_path):
-    import subprocess
-    import sys
-
     argv = _argv(MALFORMED_CASES["label-row-lacks-attribute"], i=contract_inputs, b=bad_inputs, o=tmp_path)
-    proc = subprocess.run([sys.executable, "-m", "seriesbench", *argv], capture_output=True, text=True)
+    proc = _run_module(argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
@@ -767,14 +770,9 @@ def test_schema_label_apply_mode_round_trip(contract_inputs, tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    import os
-    import subprocess
-    import sys
-
-    src = Path(__file__).resolve().parent.parent / "src"
     code = "import sys, seriesbench.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -842,11 +840,8 @@ def test_contract_violation_exits_3_with_one_line(case, contract_inputs, violati
 
 
 def test_rank_overflow_via_module_prints_no_warning(contract_inputs, violating_inputs, tmp_path):
-    import subprocess
-    import sys
-
     argv = _argv(CONTRACT_VIOLATION_CASES["rank-seed-mean-overflow"], i=contract_inputs, b=violating_inputs, o=tmp_path)
-    proc = subprocess.run([sys.executable, "-m", "seriesbench", *argv], capture_output=True, text=True)
+    proc = _run_module(argv)
     assert proc.returncode == 3
     assert proc.stderr == (
         "contract violation: seed mean is not finite: model='alpha' dataset='d1' metric='score'\n"
@@ -925,3 +920,50 @@ def test_schema_discover_malformed_proposer_url_exits_4(contract_inputs, tmp_pat
                  i=contract_inputs, o=tmp_path)
     assert main(argv) == 4
     assert capsys.readouterr().err.splitlines() == ["proposer failure: proposer at http://[bad failed: Invalid IPv6 URL"]
+
+
+# ---------------------------------------------------------------------------
+# TSB1 inputs with bool dimensions, and inputs that are not regular files
+# ---------------------------------------------------------------------------
+
+
+def test_a_bool_dimension_is_refused_without_a_traceback(tmp_path):
+    good = tmp_path / "real.tsb"
+    tensorfile.write_tensor(np.zeros((1, 4, 1)), good)
+    bad = tmp_path / "gen.tsb"
+    header = {"byte_order": "little", "dtype": "f32", "magic": "TSB1", "order": "row_major", "shape": [True, 4, 1]}
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + bytes(16))
+    out = tmp_path / "stat.json"
+    proc = _run_module(["metrics", "stat", "--train", str(good), "--real", str(good), "--gen", str(bad),
+                        "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr == f"input error: {bad}: bad shape [True, 4, 1]\n"
+    assert not out.exists()
+
+
+def test_validate_reads_its_series_from_a_fifo_and_records_no_digest_for_it(tmp_path, synth_dir):
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs on this platform")
+    fifo = tmp_path / "series.fifo"
+    os.mkfifo(fifo)
+    payload = (synth_dir / "series.tsb").read_bytes()
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fh:  # blocks until the child opens the FIFO
+                fh.write(payload)
+        except BrokenPipeError:  # the child stopped reading early; its exit code tells why
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    out = tmp_path / "v.json"
+    argv = ["validate", "--series", str(fifo), "--conditions", str(synth_dir / "conditions.jsonl"),
+            "--schema", str(synth_dir / "schema.json"), "--out", str(out)]
+    proc = _run_module(argv, timeout=60)  # a second open of the drained FIFO would block until the timeout
+    writer.join(timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text()) == {"ok": True, "violations": []}
+    inputs = json.loads((tmp_path / "v.manifest.json").read_text())["inputs"]
+    assert inputs[str(fifo)] is None
+    assert len(inputs[str(synth_dir / "schema.json")]) == 64

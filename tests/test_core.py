@@ -212,6 +212,22 @@ def test_validate_label_inconsistency(schema):
 
 
 @pytest.mark.parametrize(
+    "attrs, violations",
+    [
+        ({"color": [1]}, ("record 1: value index [1] of attribute 'color' is not an integer",
+                          "record 1: missing attribute 'size'")),
+        ({0: 1, "color": 0}, ("record 1: unknown attribute 0", "record 1: missing attribute 'size'")),
+    ],
+    ids=["unhashable-index", "unsortable-name"],
+)
+def test_validate_reports_attrs_a_library_caller_may_pass(schema, attrs, violations):
+    # such a record has no vector, so it takes no part in the label check
+    series = TimeSeriesTensor(data=np.zeros((2, 4, 1)))
+    conditions = [_record(0, {"color": 0, "size": 1}), _record(1, attrs)]
+    assert validate_dataset(series, conditions, schema).violations == violations
+
+
+@pytest.mark.parametrize(
     "attrs, message",
     [
         ({"color": 0}, "record 's0': missing attribute 'size'"),

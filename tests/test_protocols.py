@@ -564,6 +564,33 @@ def test_dknn_matches_argsort_reference_bitwise():
     assert cases > 800
 
 
+def test_dknn_values_in_blocks_match_one_block_bitwise(monkeypatch):
+    rng = np.random.default_rng(5)
+    train = rng.integers(0, 3, size=(300, 8))
+    tests = rng.integers(0, 3, size=(61, 8))
+    whole = dknn_values(tests, train, k=9)  # the default budget holds all 61 rows
+    for rows in (20, 1):  # three blocks of 20 and a lone last row; one row per block
+        monkeypatch.setattr(protocols, "_DKNN_BYTES", rows * 300 * (8 + 16))
+        blocked = dknn_values(tests, train, k=9)
+        assert blocked.dtype == np.float64 and blocked.tobytes() == whole.tobytes()
+
+
+def test_dknn_values_scratch_stays_within_its_budget():
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    train = rng.integers(0, 4, size=(6000, 8))
+    tests = rng.integers(0, 4, size=(2000, 8))
+    tracemalloc.start()
+    try:
+        dknn_values(tests, train, k=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all test rows at once hold 16 B per (test, train) pair: 183 MiB here
+    assert peak <= protocols._DKNN_BYTES + (1 << 20), peak / 2**20
+
+
 def test_dknn_rejects_bad_shapes_and_k():
     train = np.zeros((4, 3), dtype=int)
     for test, k in (([0, 0], 1), ([[0, 0, 0]], 1), ([0, 0, 0], 0), ([0, 0, 0], 5)):

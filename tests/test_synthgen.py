@@ -12,7 +12,6 @@ from seriesbench.synthgen import (
     PrimaryAttrs,
     SecondaryAttrs,
     build_synth_dataset,
-    render_caption,
     sample_rng,
     shapelet_template,
     trend_component,
@@ -217,8 +216,11 @@ def test_compose_reduces_to_trend_when_everything_disabled():
     parts = univariate_components(primary, secondary, 0, 0, 96)
     series = sum(v for name, v in parts.items() if name != "noise")
     assert np.array_equal(series, trend_component("quadratic", "down", 96))
-    vector = {**dict.fromkeys(synthgen.synth_schema("u").names, 0), "trend_type": 1, "trend_direction": 1}
-    assert "quadratic" in render_caption(vector)
+    # quadratic, down, and every other attribute at its first value
+    assert synthgen._caption([1, 1, 0, 0, 0, 0, 0], 0) == (
+        "The overall trend is quadratic; the trend moves downward; there is no seasonal pattern; "
+        "no local patterns appear in any segment; no high-frequency oscillation is present."
+    )
 
 
 def test_compose_monotone_linear_up():
@@ -231,17 +233,34 @@ def test_compose_monotone_linear_up():
 
 def test_caption_contains_all_five_attribute_phrases():
     # linear, up, 2 seasonal cycles, a single peak in segment 2, 16 hf cycles
-    vector = {"trend_type": 0, "trend_direction": 0, "season_cycles": 2, "segment_1_shapelet": 0,
-              "segment_2_shapelet": 1, "segment_3_shapelet": 0, "hf_cycles": 1}
-    caption = render_caption(vector)
+    caption = synthgen._caption([0, 0, 2, 0, 1, 0, 1], 0)
     for phrase in (
-        synthgen.caption_clause("trend_type", "linear"),
-        synthgen.caption_clause("trend_direction", "up"),
-        synthgen.caption_clause("season_cycles", "2"),
-        synthgen.caption_clause("segment_2_shapelet", "single_peak"),
-        synthgen.caption_clause("hf_cycles", "16"),
+        "the overall trend is linear",
+        "the trend moves upward",
+        "the seasonal pattern repeats 2 times",
+        "segment 2 contains a single peak",
+        "a high-frequency oscillation repeats 16 times",
     ):
         assert phrase in caption.lower()
+
+
+def test_built_captions_spell_out_a_backward_shift_and_absent_segments():
+    ds = build_synth_dataset("m", seed=0, n_per_combo=8, length=96)
+    shifted, plain = ds.conditions[5], ds.conditions[17]
+    assert (shifted.sample_id, shifted.attrs["mv_transform"]) == ("m-000005", 3)  # shift_backward
+    assert shifted.text == (
+        "The overall trend is linear; the trend moves upward; there is no seasonal pattern; "
+        "segment 2 contains double peaks; no high-frequency oscillation is present; "
+        "the second variable repeats the first shifted backward by 24 steps."
+    )
+    # the distance the caption names is the one the second variate was shifted by
+    assert np.array_equal(ds.series.data[5, :, 1], np.roll(ds.series.data[5, :, 0], -24))
+    assert plain.sample_id == "m-000017"
+    assert plain.text == (
+        "The overall trend is linear; the trend moves upward; the seasonal pattern repeats 2 times; "
+        "no local patterns appear in any segment; a high-frequency oscillation repeats 32 times; "
+        "the second variable repeats the first shifted forward by 32 steps."
+    )
 
 
 DECODABLE = {"trend_type": 0, "trend_direction": 1, "season_cycles": 2, "segment_1_shapelet": 0,
@@ -251,35 +270,11 @@ DECODABLE = {"trend_type": 0, "trend_direction": 1, "season_cycles": 2, "segment
 @pytest.mark.parametrize(
     "fn, args",
     [
-        (synthgen.caption_clause, ("trend_direction", "sideways")),
-        (synthgen.caption_clause, ("trend_type", "bogus")),
-        (synthgen.caption_clause, ("season_cycles", "3")),
-        (synthgen.caption_clause, ("mv_transform", "nope")),
-        (synthgen.caption_clause, ("mv_transform", "shift_backward")),
-        (synthgen.caption_clause, ("mv_transform", "x_flip", 25)),
-        (synthgen.caption_clause, ("segment_1_shapelet", "none")),
-        (synthgen.caption_clause, ("segment_4_shapelet", "sag")),
         (synthgen.decode_attrs, ({**DECODABLE, "trend_type": -1},)),
         (synthgen.decode_attrs, ({**DECODABLE, "hf_cycles": 9},)),
         (synthgen.decode_attrs, ({k: v for k, v in DECODABLE.items() if k != "segment_2_shapelet"},)),
-        (render_caption, ({**DECODABLE, "trend_type": -1},)),
-        (render_caption, ({**DECODABLE, "hf_cycles": 4},)),
-        (render_caption, ({**DECODABLE, "mv_transform": 4},)),
-        (render_caption, ({k: v for k, v in DECODABLE.items() if k != "segment_2_shapelet"},)),
-        (render_caption, ({**DECODABLE, "mv_transform": 0}, 25)),
-        (render_caption, ({**DECODABLE, "mv_transform": 2},)),
-        (render_caption, (DECODABLE, 25)),
-        (render_caption, ({**DECODABLE, "mv_transform": 2}, 19)),
-        (render_caption, ({**DECODABLE, "mv_transform": 3}, 41)),
     ],
-    ids=[
-        "unknown-direction", "unknown-trend-type", "unknown-cycle-count", "unknown-transform",
-        "shift-without-distance", "flip-with-distance", "shapelet-none-has-no-clause", "unknown-attribute",
-        "decode-negative-index", "decode-index-past-end", "decode-missing-attribute",
-        "caption-negative-index", "caption-index-past-end", "caption-transform-past-end",
-        "caption-missing-attribute", "caption-flip-with-distance", "caption-shift-without-distance",
-        "caption-distance-without-transform", "caption-shift-below-range", "caption-shift-above-range",
-    ],
+    ids=["decode-negative-index", "decode-index-past-end", "decode-missing-attribute"],
 )
 def test_invalid_caption_or_decode_input_is_a_contract_violation(fn, args):
     with pytest.raises(ContractViolation):
@@ -490,6 +485,32 @@ def _ref_components(primary, secondary, seed, i, length):
     }
 
 
+def _ref_caption(attrs, dist):
+    """A record's caption, written out from the caption grammar rather than the build's attribute table."""
+    season_cycles = synthgen.SEASON_CYCLES[attrs["season_cycles"]]
+    hf_cycles = synthgen.HF_CYCLES[attrs["hf_cycles"]]
+    patterns = (None, "a single peak", "a sag", "double peaks")
+    segments = [f"segment {k} contains {patterns[attrs[f'segment_{k}_shapelet']]}"
+                for k in (1, 2, 3) if attrs[f"segment_{k}_shapelet"]]
+    clauses = [
+        f"the overall trend is {synthgen.TREND_TYPES[attrs['trend_type']]}",
+        "the trend moves " + ("upward", "downward")[attrs["trend_direction"]],
+        f"the seasonal pattern repeats {season_cycles} times" if season_cycles else "there is no seasonal pattern",
+        *(segments or ["no local patterns appear in any segment"]),
+        f"a high-frequency oscillation repeats {hf_cycles} times" if hf_cycles
+        else "no high-frequency oscillation is present",
+    ]
+    if "mv_transform" in attrs:
+        clauses.append("the second variable " + (
+            "mirrors the first along the time axis",
+            "mirrors the first along the value axis",
+            f"repeats the first shifted forward by {dist} steps",
+            f"repeats the first shifted backward by {dist} steps",
+        )[attrs["mv_transform"]])
+    text = "; ".join(clauses)
+    return text[0].upper() + text[1:] + "."
+
+
 def _ref_build(variant, seed, n_per_combo, length):
     """The per-sample ``build_synth_dataset`` before the batched kernel: series, records, splits.
 
@@ -523,7 +544,7 @@ def _ref_build(variant, seed, n_per_combo, length):
                 kind = synthgen.MV_TRANSFORMS[attrs["mv_transform"]]
                 dist = int(rng_t.integers(20, 40, endpoint=True)) if kind.startswith("shift") else None
                 data[i, :, 1] = _ref_transform(series, kind, dist)
-            records.append((f"{variant}-{i:06d}", render_caption(attrs, dist), attrs, combo_idx))
+            records.append((f"{variant}-{i:06d}", _ref_caption(attrs, dist), attrs, combo_idx))
         n_train, n_valid = n_per_combo - 2 * (n_per_combo // 8), n_per_combo // 8
         perm = _ref_rng(seed, combo_idx, 7).permutation(n_per_combo)
         splits["train"].extend(sorted(int(base + p) for p in perm[:n_train]))

@@ -1,4 +1,8 @@
 import json
+import math
+import os
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -73,6 +77,58 @@ def test_non_finite_payload_rejected(tmp_path):
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     with pytest.raises(InputFormatError, match="non-finite"):
         tensorfile.read_array(path)
+
+
+def _header_line(shape) -> bytes:
+    header = {"byte_order": "little", "dtype": "f32", "magic": "TSB1", "order": "row_major", "shape": shape}
+    return json.dumps(header).encode() + b"\n"
+
+
+@pytest.mark.parametrize("shape", [[True, 4, 1], [2, False, 1], [True]])
+def test_a_bool_dimension_is_a_bad_shape(tmp_path, shape):
+    path = tmp_path / "x.tsb"
+    path.write_bytes(_header_line(shape) + bytes(4 * math.prod(shape)))
+    with pytest.raises(InputFormatError, match=re.escape(f"bad shape {shape!r}")):
+        tensorfile.read_array(path)
+
+
+def _fifo(tmp_path, data: bytes):
+    """A FIFO that a writer thread fills with ``data`` once a reader opens it."""
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs on this platform")
+    path = tmp_path / "x.fifo"
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader refused the input before its end
+            pass
+
+    threading.Thread(target=feed, daemon=True).start()
+    return path
+
+
+def test_a_fifo_payload_reads_like_a_file(tmp_path):
+    arr = np.random.default_rng(4).normal(size=(3000, 96, 1))  # 1.1 MiB: more than one chunk
+    tensorfile.write_tensor(arr, tmp_path / "x.tsb")
+    back = tensorfile.read_tensor(_fifo(tmp_path, (tmp_path / "x.tsb").read_bytes()))
+    assert np.array_equal(back.data, tensorfile.read_tensor(tmp_path / "x.tsb").data)
+
+
+@pytest.mark.parametrize(
+    "shape, payload, found",
+    [
+        ([10**12, 1, 1], bytes(8), "found 8$"),  # the header would ask for 4 TB
+        ([2, 3], bytes(20), "found 20$"),
+        ([2, 2], bytes(20), "found >16$"),
+    ],
+    ids=["huge-shape", "short", "over-long"],
+)
+def test_a_lying_fifo_header_allocates_only_what_arrives(tmp_path, shape, payload, found):
+    with pytest.raises(InputFormatError, match="truncated payload.*" + found):
+        tensorfile.read_array(_fifo(tmp_path, _header_line(shape) + payload))
 
 
 def test_conditions_round_trip(tmp_path):
