@@ -227,6 +227,14 @@ def test_validate_reports_attrs_a_library_caller_may_pass(schema, attrs, violati
     assert validate_dataset(series, conditions, schema).violations == violations
 
 
+def test_validate_leaves_a_record_with_a_faulty_attribute_out_of_the_label_check(schema):
+    # record 1 names record 0's vector in schema order, but its extra attribute is a fault
+    series = TimeSeriesTensor(data=np.zeros((2, 4, 1)))
+    conditions = [_record(0, {"color": 0, "size": 1}, label=0),
+                  _record(1, {"color": 0, "size": 1, "shape": 0}, label=1)]
+    assert validate_dataset(series, conditions, schema).violations == ("record 1: unknown attribute 'shape'",)
+
+
 @pytest.mark.parametrize(
     "attrs, message",
     [

@@ -244,6 +244,24 @@ def test_caption_contains_all_five_attribute_phrases():
         assert phrase in caption.lower()
 
 
+@pytest.mark.parametrize(
+    "transform, clause",
+    [
+        (0, "the second variable mirrors the first along the time axis."),
+        (1, "the second variable mirrors the first along the value axis."),
+        (2, "the second variable repeats the first shifted forward by 31 steps."),
+        (3, "the second variable repeats the first shifted backward by 31 steps."),
+    ],
+    ids=list(synthgen.MV_TRANSFORMS),
+)
+def test_a_synth_m_caption_ends_with_its_transform_clause(transform, clause):
+    caption = synthgen._caption([0, 0, 0, 0, 0, 0, 0, transform], 31)
+    assert caption == (
+        "The overall trend is linear; the trend moves upward; there is no seasonal pattern; "
+        "no local patterns appear in any segment; no high-frequency oscillation is present; " + clause
+    )
+
+
 def test_built_captions_spell_out_a_backward_shift_and_absent_segments():
     ds = build_synth_dataset("m", seed=0, n_per_combo=8, length=96)
     shifted, plain = ds.conditions[5], ds.conditions[17]

@@ -131,6 +131,11 @@ def test_a_lying_fifo_header_allocates_only_what_arrives(tmp_path, shape, payloa
         tensorfile.read_array(_fifo(tmp_path, _header_line(shape) + payload))
 
 
+def test_an_empty_fifo_is_refused_for_its_missing_header(tmp_path):
+    with pytest.raises(InputFormatError, match="missing or oversized TSB1 header line"):
+        tensorfile.read_array(_fifo(tmp_path, b""))
+
+
 def test_conditions_round_trip(tmp_path):
     from seriesbench.core import ConditionRecord
 
