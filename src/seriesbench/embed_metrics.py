@@ -14,11 +14,12 @@ distances: ``x ↦ sqrt(max(x, 0))`` is monotone, so a radius is the root of
 the k-th smallest squared distance, taken once per point, and a query is
 inside a ball when its squared distance is at most the largest square whose
 root does not exceed the radius.  The products are formed in row blocks of a
-(rows, n) float64 gram buffer of at most ``_BLOCK_BYTES`` (8 MiB); each block
-is then finished and consumed in row tiles of a buffer of at most
-``_TILE_BYTES`` (256 KiB), small enough to stay in cache, so a pass needs
-~8 MiB plus one tile of scratch whatever n is (a single row is kept when one
-row of n distances is larger than that).
+(rows, n) float64 gram buffer of ``_BLOCK_BYTES`` (8 MiB) up to n = 8192 and
+of 128 rows above, since shorter gemm calls run far below the BLAS's peak
+(29.3 MiB at n = 30k, 97.7 MiB at 100k); each block is then finished and
+consumed in row tiles of a buffer of at most ``_TILE_BYTES`` (256 KiB), small
+enough to stay in cache, so a pass needs one gram block plus one tile of
+scratch.
 """
 
 from __future__ import annotations
@@ -125,15 +126,17 @@ def _distance_blocks(queries: np.ndarray, points: np.ndarray):
     it in place.  Values are raw: ``q_sq + p_sq - (2.0 * q) @ points.T`` in
     that order, neither clamped at 0 nor rooted.  Points whose distances may
     overflow float64 raise ``ContractViolation`` before the first tile, so
-    every value is finite.  The product is one matmul per block of up to
-    ``_BLOCK_BYTES``; the sum and the difference run per tile, a run of that
-    block's rows of up to ``_TILE_BYTES``.  The BLAS may round a product
+    every value is finite.  The product is one matmul per block of as many
+    rows as ``_BLOCK_BYTES`` holds, a row counted as at most 8192 points, so a
+    block is never lower than at n = 8192 (128 rows at 8 MiB); the sum and
+    the difference run per tile, a run of that block's rows of up to
+    ``_TILE_BYTES``.  The BLAS may round a product
     differently with its height (a one-row product goes through gemv), so a
     distance is bitwise stable across block budgets only where the products'
     shapes round alike; the tile height changes no value.
     """
     n_queries, n = queries.shape[0], points.shape[0]
-    rows = max(1, min(n_queries, _BLOCK_BYTES // (8 * n)))
+    rows = max(1, min(n_queries, _BLOCK_BYTES // (8 * min(n, 8192))))
     tile_rows = max(1, min(rows, _TILE_BYTES // (8 * n)))
     with np.errstate(over="ignore"):
         q_sq = (queries**2).sum(axis=1)

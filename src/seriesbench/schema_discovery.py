@@ -120,12 +120,13 @@ class HttpProposer:
         import urllib.request
 
         body = json.dumps(request).encode("utf-8")
-        # OSError: transport, timeout, HTTP status; HTTPException: bad reply; ValueError: URL, JSON
+        # OSError: transport, timeout, HTTP status; HTTPException: bad reply; ValueError: URL, JSON;
+        # RecursionError: JSON nested too deep
         try:
             post = urllib.request.Request(self.url, body, {"Content-Type": "application/json"})
             with urllib.request.urlopen(post, timeout=_HTTP_TIMEOUT_S) as resp:
                 doc = json.loads(resp.read())
-        except (OSError, http.client.HTTPException, ValueError) as exc:
+        except (OSError, http.client.HTTPException, ValueError, RecursionError) as exc:
             raise ProposerError(f"proposer at {self.url} failed: {exc}") from exc
         if not isinstance(doc, dict):
             raise ProposerError(f"proposer at {self.url} returned a non-object response")

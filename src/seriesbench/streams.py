@@ -46,6 +46,9 @@ _PHILOX_ROUNDS = 10
 # instead of running Floyd's algorithm when pop > 10000 and size > pop // 50
 _TAIL_SHUFFLE_POP, _TAIL_SHUFFLE_DIVISOR = 10_000, 50
 _EMPTY = -1  # a free slot of a Floyd hash set
+# a fresh Philox's counter; Philox converts an array far faster than its default, the Python int 0
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.setflags(write=False)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -142,7 +145,7 @@ def _key_seed_type() -> type:
 
 def open_stream(key: np.ndarray) -> np.random.Generator:
     """A fresh Generator on the Philox stream of one ``stream_keys`` row."""
-    return np.random.Generator(np.random.Philox(_key_seed_type()(key)))
+    return np.random.Generator(np.random.Philox(_key_seed_type()(key), counter=_ZERO_COUNTER))
 
 
 def _mulhilo(multiplier: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

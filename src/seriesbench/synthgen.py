@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -202,34 +202,6 @@ def _segment_bounds(length: int) -> tuple[tuple[int, int], ...]:
     return tuple((k * seg, (k + 1) * seg) for k in range(N_SEGMENTS))
 
 
-def _place_shapelets(kinds: Sequence[int], rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Add one template per segment onto ``out``, a zeroed row; segment k's is ``SHAPELET_KINDS[kinds[k]]``.
-
-    Heights are drawn uniformly from [1.0, 1.2]; the start offset is uniform
-    over the positions where the template fits entirely inside its segment.
-    """
-    for (start, stop), kind in zip(_segment_bounds(len(out)), kinds):
-        if kind == 0:  # none
-            continue
-        height = rng.uniform(*PEAK_HEIGHT_RANGE)
-        template = shapelet_template(SHAPELET_KINDS[kind], height)
-        offset = int(rng.integers(0, stop - start - len(template), endpoint=True))
-        out[start + offset : start + offset + len(template)] += template
-    return out
-
-
-def _noise_rows(rngs: Iterable[np.random.Generator], out: np.ndarray) -> np.ndarray:
-    """Row r of ``out`` becomes ``rngs[r].normal(0.0, sigma, size=length)``, sigma drawn first from the same stream."""
-    sigma = np.empty(len(out))
-    for r, rng in enumerate(rngs):
-        sigma[r] = rng.uniform(*NOISE_SIGMA_RANGE)
-        rng.standard_normal(out=out[r])
-    np.multiply(out, sigma[:, None], out=out)
-    # normal(0.0, sigma) returns 0.0 + sigma * z, which turns a -0.0 into +0.0
-    np.add(out, 0.0, out=out)
-    return out
-
-
 def _transform_rows(series: np.ndarray, kinds: np.ndarray, shifts: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Row r of ``out`` becomes row r of ``series``, an (n, length) array, under ``MV_TRANSFORMS[kinds[r]]``.
 
@@ -332,7 +304,7 @@ def univariate_components(
 ) -> dict[str, np.ndarray]:
     """Recompute the five named components for one sample from its keyed streams."""
     trend = trend_component(primary.trend_type, primary.trend_direction, length)
-    kinds = [[SHAPELET_KINDS.index(kind) for kind in secondary.segment_shapelets]]
+    kinds = np.array([[SHAPELET_KINDS.index(kind) for kind in secondary.segment_shapelets]])
     season, local, hf, noise = np.empty((4, 1, length))
     _component_rows(primary.season_cycles, np.array([secondary.hf_cycles]), kinds,
                     _sample_keys(seed, sample_index, 1), season, local, hf, noise)
@@ -342,7 +314,7 @@ def univariate_components(
 def _component_rows(
     season_cycles: int,
     hf_cycles: np.ndarray,
-    kinds: Sequence[Sequence[int]],
+    kinds: np.ndarray,
     keys: np.ndarray,
     season: np.ndarray,
     local: np.ndarray,
@@ -353,22 +325,48 @@ def _component_rows(
 
     Every sample has ``season_cycles``; sample j has ``hf_cycles[j]``, the
     segments' ``SHAPELET_KINDS`` indices ``kinds[j]`` and stream keys
-    ``keys[j]`` (see ``_sample_keys``); each stream yields its draws in the
-    same order as it always has.
+    ``keys[j]`` (see ``_sample_keys``).  The loop only opens the streams and
+    stores their draws, each stream in the order it always has: the season's
+    and the hf's amplitude and phase; a height, then a start offset where the
+    template fits inside its segment, per non-empty segment in segment order;
+    the noise sigma, then the row of standard normals.  The rest is array math
+    over all n rows.
     """
-    draws = np.empty((4, len(keys)))  # season amplitude, season phase, hf amplitude, hf phase
-    local.fill(0.0)
-    for j, (segment_kinds, key) in enumerate(zip(kinds, keys)):
+    n = len(keys)
+    bounds = _segment_bounds(local.shape[1])
+    templates = [shapelet_template(kind, 1.0) for kind in SHAPELET_KINDS[1:]]
+    room = [0, *(bounds[0][1] - len(t) for t in templates)]  # the largest offset, per kind index
+    draws = np.empty((5, n))  # season amplitude, season phase, hf amplitude, hf phase, noise sigma
+    heights = np.empty((n, N_SEGMENTS))
+    offsets = np.empty((n, N_SEGMENTS), dtype=np.intp)
+    for j, (segment_kinds, key) in enumerate(zip(kinds.tolist(), keys)):
         rng = sample_rng(key[_P_SEASON])
         draws[0, j] = rng.uniform(*SEASON_AMPLITUDE_RANGE)
         draws[1, j] = rng.uniform(0.0, 2.0 * np.pi)
         rng = sample_rng(key[_P_HF])
         draws[2, j] = rng.uniform(*HF_AMPLITUDE_RANGE)
         draws[3, j] = rng.uniform(0.0, 2.0 * np.pi)
-        _place_shapelets(segment_kinds, sample_rng(key[_P_SHAPELET_PLACE]), local[j])
-    _sinusoid_rows(np.full(len(keys), season_cycles), draws[0], draws[1], season)
+        rng = sample_rng(key[_P_SHAPELET_PLACE])
+        for k, kind in enumerate(segment_kinds):
+            if kind:  # none draws nothing
+                heights[j, k] = rng.uniform(*PEAK_HEIGHT_RANGE)
+                offsets[j, k] = rng.integers(0, room[kind], endpoint=True)
+        rng = sample_rng(key[_P_NOISE])
+        draws[4, j] = rng.uniform(*NOISE_SIGMA_RANGE)
+        rng.standard_normal(out=noise[j])
+    _sinusoid_rows(np.full(n, season_cycles), draws[0], draws[1], season)
     _sinusoid_rows(hf_cycles, draws[2], draws[3], hf)
-    _noise_rows((sample_rng(key[_P_NOISE]) for key in keys), noise)
+    # normal(0.0, sigma) returns 0.0 + sigma * z, which turns a -0.0 into +0.0
+    np.multiply(noise, draws[4, :, None], out=noise)
+    np.add(noise, 0.0, out=noise)
+    # h * template(kind, 1.0) is template(kind, h) bitwise, and segments do not overlap, so
+    # each row gets its templates added onto zeros as one scatter per segment and kind
+    local.fill(0.0)
+    for k, (start, _) in enumerate(bounds):
+        for kind, template in enumerate(templates, start=1):
+            rows = np.flatnonzero(kinds[:, k] == kind)
+            span = start + offsets[rows, k, None] + np.arange(len(template))
+            local[rows[:, None], span] += heights[rows, k, None] * template
 
 
 @dataclass(frozen=True)
@@ -413,6 +411,7 @@ def build_synth_dataset(
     # row j: sample j's attribute-index vector, in schema order, and its shift distance (0 without a shift)
     attr_idx = np.empty((n_per_combo, len(names)), dtype=np.intp)
     shifts = np.zeros(n_per_combo, dtype=np.intp)
+    uniforms = np.empty((n_per_combo, N_SEGMENTS))  # row j: sample j's segment-label draw
 
     for combo_idx in range(n_combos):
         base = combo_idx * n_per_combo
@@ -421,20 +420,20 @@ def build_synth_dataset(
         trend_type, direction, season_cycles = (row.values[i] for row, i in zip(ATTRIBUTE_TABLE, attr_idx[0, :3]))
         for j, key in enumerate(keys):
             attr_idx[j, _HF_ROW] = sample_rng(key[_P_SECONDARY]).integers(0, len(HF_CYCLES))
-            # the draw of choice(len(SHAPELET_KINDS), N_SEGMENTS, p=SHAPELET_PROBS), without its checks of p
-            uniform = sample_rng(key[_P_SHAPELET_LABELS]).random(N_SEGMENTS)
-            attr_idx[j, _SEGMENT_ROWS] = _SHAPELET_CDF.searchsorted(uniform, side="right")
+            uniforms[j] = sample_rng(key[_P_SHAPELET_LABELS]).random(N_SEGMENTS)
             if variant == "m":
                 rng_t = sample_rng(key[_P_TRANSFORM])
                 attr_idx[j, -1] = kind = rng_t.integers(0, len(MV_TRANSFORMS))
                 is_shift = MV_TRANSFORMS[kind].startswith("shift")
                 shifts[j] = rng_t.integers(*SHIFT_DISTANCE_RANGE, endpoint=True) if is_shift else 0
+        # the draws of choice(len(SHAPELET_KINDS), N_SEGMENTS, p=SHAPELET_PROBS), without its checks of p
+        attr_idx[:, _SEGMENT_ROWS] = _SHAPELET_CDF.searchsorted(uniforms, side="right")
         for j, (row, shift) in enumerate(zip(attr_idx.tolist(), shifts.tolist())):  # in range by construction
             attrs = dict(zip(names, row))
             conditions.append(ConditionRecord(f"{variant}-{base + j:06d}", _caption(row, shift), attrs, combo_idx))
 
         _component_rows(season_cycles, np.take(HF_CYCLES, attr_idx[:, _HF_ROW]),
-                        attr_idx[:, _SEGMENT_ROWS].tolist(), keys, season, local, hf, noise)
+                        attr_idx[:, _SEGMENT_ROWS], keys, season, local, hf, noise)
         # trend + season + local + hf + noise, added in that order, in place
         series = np.add(season, trend_component(trend_type, direction, length), out=season)
         series += local
@@ -445,9 +444,8 @@ def build_synth_dataset(
             data[base : base + n_per_combo, :, 1] = _transform_rows(series, attr_idx[:, -1], shifts, local)
 
         perm = sample_rng(split_keys[combo_idx]).permutation(n_per_combo)
-        splits["train"].extend(sorted(int(base + p) for p in perm[:n_train]))
-        splits["valid"].extend(sorted(int(base + p) for p in perm[n_train : n_train + n_valid]))
-        splits["test"].extend(sorted(int(base + p) for p in perm[n_train + n_valid :]))
+        for part, members in zip(splits.values(), np.split(perm, [n_train, n_train + n_valid])):
+            part.extend((np.sort(members) + base).tolist())
 
     data.setflags(write=False)  # frozen, so the tensor takes it without a copy
     return SynthDataset(

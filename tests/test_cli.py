@@ -855,7 +855,7 @@ def test_rank_overflow_via_module_prints_no_warning(contract_inputs, violating_i
 
 @pytest.fixture
 def http_proposer():
-    """A loopback proposer endpoint; set ``state["reply"]`` to "mock", "500" or "not-json"."""
+    """A loopback proposer endpoint; set ``state["reply"]`` to "mock", "500", "not-json" or "too-deep"."""
     import threading
     from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -873,6 +873,8 @@ def http_proposer():
                 status, body = 500, b"server error"
             elif state["reply"] == "not-json":
                 body = b"<html>not json</html>"
+            elif state["reply"] == "too-deep":  # nested past the interpreter's recursion limit
+                body = b"[" * 100_000
             self.send_response(status)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
@@ -903,7 +905,7 @@ def test_schema_discover_http_proposer_matches_mock(http_proposer, contract_inpu
         assert (tmp_path / "http" / name).read_bytes() == (tmp_path / "mock" / name).read_bytes()
 
 
-@pytest.mark.parametrize("reply", ["500", "not-json"])
+@pytest.mark.parametrize("reply", ["500", "not-json", "too-deep"])
 def test_schema_discover_http_proposer_failure_exits_4(reply, http_proposer, contract_inputs, tmp_path, capsys):
     url, state = http_proposer
     state["reply"] = reply

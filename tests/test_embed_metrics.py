@@ -338,6 +338,29 @@ def test_kernel_bitwise_parity_at_bench_size():
     _assert_kernel_parity(points, queries, 5)
 
 
+@pytest.mark.parametrize("n", [8193, 12000])
+@pytest.mark.parametrize("d", [3, 128])
+def test_kernel_bitwise_parity_with_the_byte_budget_blocking_past_8192_points(n, d):
+    """Past n = 8192 a gram block keeps 128 rows, where the 8 MiB budget alone gives fewer (127, 87).
+
+    Pinned on OpenBLAS's SkylakeX kernel, the baseline box's default, where
+    both heights round every product alike; another kernel may round them
+    differently (see the README on portable outputs).
+    """
+    from seriesbench import embed_metrics
+
+    rng = np.random.default_rng(n + d)
+    points = rng.normal(size=(n, d))
+    queries = points[:600] + rng.normal(size=(600, d)) * np.linspace(0.0, 1.5, 600)[:, None]
+    block_rows = embed_metrics._BLOCK_BYTES // (8 * n)
+    index = ManifoldIndex.build(points, 5)
+    radii = _ref_radii(points, 5, block_rows)
+    assert np.array_equal(index.radii.view(np.uint64), radii.view(np.uint64))
+    inside = index.contains(queries)
+    assert np.array_equal(inside, _ref_contains(points, radii, queries, block_rows))
+    assert 0.0 < inside.mean() < 1.0  # queries run from copies of points to well off them
+
+
 def _assert_contains_parity(points, radii, queries):
     index = ManifoldIndex(points=points, radii=radii)
     assert np.array_equal(index.contains(queries), _ref_contains(points, radii, queries))

@@ -175,23 +175,23 @@ def test_injected_template_confined_to_segment():
 # ---------------------------------------------------------------------------
 
 
-def _noise(rng, length):
-    """One row of the batched noise kernel."""
-    return synthgen._noise_rows((rng,), np.empty((1, length)))[0]
+def _noise(seed, sample_index, length):
+    """The noise component of one sample, drawn from its (seed, sample_index) noise stream."""
+    return univariate_components(PrimaryAttrs("linear", "up", 0), SecondaryAttrs(0, NO_SHAPELETS),
+                                 seed, sample_index, length)["noise"]
 
 
 def test_noise_std_matches_drawn_sigma():
     key = stream_keys(3, 0, 4)[0]
     sigma = sample_rng(key).uniform(0.04, 0.06)  # identical stream, first draw
-    noise = _noise(sample_rng(key), 1_000_000)
+    noise = _noise(3, 0, 999_999)
     assert abs(noise.std() - sigma) < 0.001
     assert abs(noise.mean()) < 0.001
 
 
 def test_noise_deterministic_per_stream():
-    key = stream_keys(9, 4, 4)[0]
-    a = _noise(sample_rng(key), 128)
-    b = _noise(sample_rng(key), 128)
+    a = _noise(9, 4, 129)
+    b = _noise(9, 4, 129)
     assert np.array_equal(a, b)
 
 
@@ -604,10 +604,10 @@ def test_sinusoid_and_noise_match_reference_bitwise():
         for length in (2, 57, 96):
             got = _sinusoid(n_cycle, 0.37, 5.9, length)
             assert got.tobytes() == _ref_sinusoid(n_cycle, 0.37, 5.9, length).tobytes()
-    for key, row in zip(stream_keys(4, np.arange(50), 4), range(50)):
-        got = _noise(sample_rng(key), 33)
+    for row in range(50):
+        got = _noise(4, row, 57)
         ref = _ref_rng(4, row, 4)
-        assert got.tobytes() == ref.normal(0.0, ref.uniform(0.04, 0.06), size=33).tobytes()
+        assert got.tobytes() == ref.normal(0.0, ref.uniform(0.04, 0.06), size=57).tobytes()
 
 
 def test_build_rejects_negative_seed():
