@@ -130,10 +130,10 @@ def _distance_blocks(queries: np.ndarray, points: np.ndarray):
     rows as ``_BLOCK_BYTES`` holds, a row counted as at most 8192 points, so a
     block is never lower than at n = 8192 (128 rows at 8 MiB); the sum and
     the difference run per tile, a run of that block's rows of up to
-    ``_TILE_BYTES``.  The BLAS may round a product
-    differently with its height (a one-row product goes through gemv), so a
-    distance is bitwise stable across block budgets only where the products'
-    shapes round alike; the tile height changes no value.
+    ``_TILE_BYTES``.  The BLAS may round a product differently with its
+    height (a one-row product goes through gemv), so a distance is bitwise
+    stable across block budgets only where the products' shapes round alike;
+    the tile height changes no value.
     """
     n_queries, n = queries.shape[0], points.shape[0]
     rows = max(1, min(n_queries, _BLOCK_BYTES // (8 * min(n, 8192))))

@@ -17,16 +17,16 @@ Randomness is drawn from named counter-based streams keyed by
 regenerating any single sample, or the whole dataset in any order, yields
 identical values.  A stream is ``Generator(Philox(SeedSequence(row)))``: its
 key is ``SeedSequence``'s hash of the row, and ``streams.stream_keys`` derives
-the keys of a whole primary combination in one vectorised pass.  The build
-draws each sample's scalars and noise from its streams, then sums trend +
-season + local + hf + noise over the combination's (n_per_combo, length)
-block in a few buffers reused across combinations; ``univariate_components``
-is the one-row case of the same kernel.  The generator is its own ground
-truth: ``ATTRIBUTE_TABLE`` holds each attribute's name, definition, values
-and per-value caption clause.  The schema and ``decode_attrs`` read it, and
-a sample's caption is a lookup of one clause per entry of its index row, in
-schema order, so a caption always agrees with its vector and the injected
-patterns.
+the keys of a whole primary combination in one vectorised pass.  The build's
+per-sample loops only open streams and store draws; the rest, shapelets
+included (one scatter per segment and kind), is array math over the
+combination's (n_per_combo, length) block in a few buffers reused across
+combinations; ``univariate_components`` is the one-row case of the same
+kernel.  The generator is its own ground truth: ``ATTRIBUTE_TABLE`` holds
+each attribute's name, definition, values and per-value caption clause.  The
+schema and ``decode_attrs`` read it, and a sample's caption is a lookup of
+one clause per entry of its index row, in schema order, so a caption always
+agrees with its vector and the injected patterns.
 """
 
 from __future__ import annotations
@@ -326,11 +326,9 @@ def _component_rows(
     Every sample has ``season_cycles``; sample j has ``hf_cycles[j]``, the
     segments' ``SHAPELET_KINDS`` indices ``kinds[j]`` and stream keys
     ``keys[j]`` (see ``_sample_keys``).  The loop only opens the streams and
-    stores their draws, each stream in the order it always has: the season's
-    and the hf's amplitude and phase; a height, then a start offset where the
-    template fits inside its segment, per non-empty segment in segment order;
-    the noise sigma, then the row of standard normals.  The rest is array math
-    over all n rows.
+    stores their draws, each stream in its fixed order: amplitude, phase; per
+    non-empty segment a height, then an offset where the template fits; sigma,
+    then the standard normals.
     """
     n = len(keys)
     bounds = _segment_bounds(local.shape[1])

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seriesbench import tensorfile
+from seriesbench import synthgen, tensorfile
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 X86_64 = platform.machine().lower() in ("x86_64", "amd64")
@@ -28,7 +28,10 @@ BYTE_OUTPUTS = ("synth/series.tsb", "synth/conditions.jsonl", "synth/schema.json
 
 def _avx512_dispatch_features() -> str:
     """The AVX-512 targets NumPy dispatches to on this CPU; disabling them leaves NumPy on AVX2."""
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # NumPy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     return " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f) and ("AVX512" in f or f == "X86_V4"))
 
@@ -66,8 +69,6 @@ def _run_all(inputs: Path, out: Path, env: dict[str, str]) -> None:
 @pytest.fixture(scope="module")
 def default_run(tmp_path_factory):
     """Tiny seeded inputs, and every command's outputs on them in the default environment."""
-    from seriesbench import synthgen
-
     inputs = tmp_path_factory.mktemp("inputs")
     rng = np.random.default_rng(17)
     dataset = synthgen.build_synth_dataset("u", 2, 8)

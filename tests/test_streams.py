@@ -113,14 +113,7 @@ def test_opened_stream_draws_like_the_seeded_generator(row):
 @pytest.mark.parametrize("row", [(7,), (3, 5), (2**40, 1)])  # entropy rows of one, two and three words
 def test_opened_stream_state_is_the_seeded_generators(row):
     got, want = open_stream(stream_keys(*row)[0]).bit_generator.state, _seeded_generator(row).bit_generator.state
-    assert got.keys() == want.keys() and got["state"].keys() == want["state"].keys()
-    for name in ("counter", "key"):
-        assert got["state"][name].dtype == want["state"][name].dtype
-        assert np.array_equal(got["state"][name], want["state"][name])
-    assert np.array_equal(got["buffer"], want["buffer"])
-    assert [got[k] for k in ("bit_generator", "buffer_pos", "has_uint32", "uinteger")] == [
-        want[k] for k in ("bit_generator", "buffer_pos", "has_uint32", "uinteger")
-    ]
+    assert repr(got) == repr(want)  # the arrays (counter, key, buffer) print in full, with their dtype
 
 
 def test_opened_streams_are_independent():
