@@ -16,6 +16,7 @@ is provenance metadata and carries the wall time.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import sys
@@ -294,7 +295,9 @@ def _cmd_protocol_droprate(args: argparse.Namespace) -> _Outcome:
 def _cmd_protocol_rank(args: argparse.Namespace) -> _Outcome:
     report_paths = [Path(p) for p in args.report]
     if args.reports_dir:
-        report_paths.extend(sorted(Path(args.reports_dir).glob("*.json")))
+        report_paths.extend(
+            p for p in sorted(Path(args.reports_dir).glob("*.json")) if not p.name.endswith(".manifest.json")
+        )
     if not report_paths:
         raise InputFormatError("no reports given")
     reports = [tensorfile.read_report(p) for p in report_paths]
@@ -308,12 +311,12 @@ def _cmd_protocol_rank(args: argparse.Namespace) -> _Outcome:
         "ranks": table.ranks.tolist(),
     }
     if args.csv:
-        lines = ["model,group,mean_rank,std_rank"]
-        lines.extend(
-            f"{r.model},{r.group},{format(r.mean_rank, '.17g')},{format(r.std_rank, '.17g')}"
-            for r in rows
-        )
-        Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["model", "group", "mean_rank", "std_rank"])
+            writer.writerows(
+                [r.model, r.group, format(r.mean_rank, ".17g"), format(r.std_rank, ".17g")] for r in rows
+            )
     summary = "\n".join(
         f"{r.model} [{r.group}]: mean rank {r.mean_rank:.3f} ± {r.std_rank:.3f}" for r in rows
     )

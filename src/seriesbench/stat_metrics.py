@@ -12,16 +12,13 @@ same order.  For F = 1 the
 axis is contiguous and NumPy sums it pairwise, so that case keeps the per-lag
 sum.
 
-Two reductions run on two threads through ``_on_both_cores``: ``acd``
-computes the real and the generated profile at once, and ``sd``/``kd``
-standardize and raise the two halves of one scratch array at once, then take
-the same ``.mean()`` over the whole array.  NumPy releases the GIL inside each
-ufunc call, and every element goes through the same ufunc as in serial code,
-so no float changes.  When both sides raise, the real side's (the first
-half's) exception propagates, as in serial order.  ``np.errstate`` is per
-thread, so each side sets its own: ``autocorrelation_profile`` enters it
-inside the call, and the moment halves, like the serial expression, run under
-none.
+``acd``, ``sd`` and ``kd`` run their two sides on two threads through
+``_on_both_cores``: the real side on the caller, the generated side on a
+worker.  Each side is the serial computation, and NumPy releases the GIL
+inside each ufunc call, so no float changes.  When both sides raise, the real
+side's exception propagates, as in serial order.  A moment holds one
+tensor-sized scratch per side, 2.0x one tensor with both live, below the
+2.1x of ``acd``'s two live profiles.
 """
 
 from __future__ import annotations
@@ -220,7 +217,7 @@ def acd(real: TimeSeriesTensor | np.ndarray, gen: TimeSeriesTensor | np.ndarray)
 
 
 def _pooled_standardized_moment(data: np.ndarray, order: int) -> float:
-    """Mean of ((x - mu) / sigma) ** order over all values, in one scratch array whose halves run on two threads."""
+    """Mean of ((x - mu) / sigma) ** order over all values, in one scratch array."""
     flat = data.ravel()
     z = np.empty_like(flat)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -230,16 +227,9 @@ def _pooled_standardized_moment(data: np.ndarray, order: int) -> float:
         raise ContractViolation("pooled variance is zero")
     if not np.isfinite(var):
         raise ContractViolation("pooled variance overflows float64")
-    sigma = np.sqrt(var)
-
-    def standardize(part: slice) -> None:
-        out = z[part]
-        np.subtract(flat[part], mu, out=out)
-        out /= sigma
-        np.power(out, order, out=out)
-
-    half = flat.size // 2
-    _on_both_cores(lambda: standardize(slice(0, half)), lambda: standardize(slice(half, None)))
+    np.subtract(flat, mu, out=z)
+    z /= np.sqrt(var)
+    np.power(z, order, out=z)
     return float(z.mean())
 
 
@@ -248,7 +238,10 @@ def _moment_difference(
 ) -> float:
     r = as_series_array(real)
     g = as_series_array(gen)
-    return abs(_pooled_standardized_moment(r, order) - _pooled_standardized_moment(g, order))
+    real_moment, gen_moment = _on_both_cores(
+        lambda: _pooled_standardized_moment(r, order), lambda: _pooled_standardized_moment(g, order)
+    )
+    return abs(real_moment - gen_moment)
 
 
 def sd(real: TimeSeriesTensor | np.ndarray, gen: TimeSeriesTensor | np.ndarray) -> float:

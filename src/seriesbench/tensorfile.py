@@ -42,9 +42,13 @@ _PIPE_CHUNK = 1 << 20  # a payload without a file size is read at most this many
 def write_tensor(t: TimeSeriesTensor | EmbeddingMatrix | np.ndarray, path: str | Path) -> None:
     """Write an array as a TSB1 file (float32 payload)."""
     arr = t.data if isinstance(t, (TimeSeriesTensor, EmbeddingMatrix)) else np.asarray(t)
-    if not np.all(np.isfinite(arr)):
-        raise InputFormatError("refusing to write non-finite values")
-    payload = np.ascontiguousarray(arr, dtype="<f4")
+    if arr.ndim == 0:
+        raise InputFormatError("refusing to write a 0-d array: a TSB1 shape needs a dimension")
+    with np.errstate(over="ignore"):  # a finite value beyond float32's range casts to inf, refused below
+        payload = np.ascontiguousarray(arr, dtype="<f4")
+    # min and max are NaN or infinite when any value is, and allocate no mask
+    if payload.size and not (np.isfinite(payload.min()) and np.isfinite(payload.max())):
+        raise InputFormatError("refusing to write values that are non-finite in float32")
     header = {
         "magic": _MAGIC,
         "dtype": "f32",

@@ -1,5 +1,8 @@
+import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 from seriesbench import tensorfile
-from seriesbench.cli import main
+from seriesbench.cli import build_parser, main
 from seriesbench.core import MetricEntry, MetricReport, ReportContext
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -240,6 +243,70 @@ def test_protocol_rank_with_csv(tmp_path):
     lines = csv_out.read_text().strip().splitlines()
     assert lines[0] == "model,group,mean_rank,std_rank"
     assert len(lines) == 3
+
+
+def _stat_reports_dir(tmp_path, model_ids):
+    """A ``reports/`` directory of one ``metrics stat --out`` run per model id, each with its manifest."""
+    rng = np.random.default_rng(5)
+    for name in ("train", "real"):
+        tensorfile.write_tensor(rng.normal(size=(12, 8, 1)), tmp_path / f"{name}.tsb")
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    for n, model_id in enumerate(model_ids):
+        tensorfile.write_tensor(rng.normal(loc=n, size=(12, 8, 1)), tmp_path / f"g{n}.tsb")
+        code = main(
+            [
+                "metrics", "stat",
+                "--train", str(tmp_path / "train.tsb"),
+                "--real", str(tmp_path / "real.tsb"),
+                "--gen", str(tmp_path / f"g{n}.tsb"),
+                "--model-id", model_id,
+                "--out", str(reports / f"g{n}.json"),
+            ]
+        )
+        assert code == 0
+        assert (reports / f"g{n}.manifest.json").exists()
+    grouping = tmp_path / "grouping.json"
+    grouping.write_text(json.dumps({m: "stat" for m in ("mdd", "acd", "sd", "kd")}))
+    return reports, grouping
+
+
+def test_protocol_rank_reports_dir_skips_run_manifests(tmp_path):
+    reports, grouping = _stat_reports_dir(tmp_path, ["model g0", "model g1"])
+    out = tmp_path / "rank.json"
+    code = main(["protocol", "rank", "--reports-dir", str(reports), "--grouping", str(grouping), "--out", str(out)])
+    assert code == 0
+    manifest = json.loads((tmp_path / "rank.manifest.json").read_text())
+    assert sorted(manifest["inputs"]) == sorted(str(p) for p in (reports / "g0.json", reports / "g1.json", grouping))
+
+
+def test_protocol_rank_csv_quotes_a_model_id_with_comma_and_quote(tmp_path):
+    model_id = 'model a, v"2"'
+    reports, grouping = _stat_reports_dir(tmp_path, [model_id, "plain"])
+    csv_out = tmp_path / "rank.csv"
+    code = main(
+        [
+            "protocol", "rank", "--report", str(reports / "g0.json"), "--report", str(reports / "g1.json"),
+            "--grouping", str(grouping), "--out", str(tmp_path / "rank.json"), "--csv", str(csv_out),
+        ]
+    )
+    assert code == 0
+    with open(csv_out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["model", "group", "mean_rank", "std_rank"]
+    assert sorted(row[0] for row in rows[1:]) == sorted([model_id, "plain"])
+    assert all(len(row) == 4 for row in rows)
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n.*?^```bash\n(.*?)^```", readme, re.S | re.M).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [words[1:] for words in lines if words and words[0] == "seriesbench"]
+    assert len(commands) == 13
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 @pytest.fixture

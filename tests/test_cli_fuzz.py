@@ -49,11 +49,14 @@ COMMANDS = {
 }
 
 
+def _tsb1_bytes(arr) -> bytes:
+    """A TSB1 file built by hand, so a rank the writer refuses (0-d) can still reach the reader."""
+    header = {"byte_order": "little", "dtype": "f32", "magic": "TSB1", "order": "row_major", "shape": list(arr.shape)}
+    return json.dumps(header, separators=(",", ":")).encode() + b"\n" + arr.astype("<f4").tobytes()
+
+
 def _valid_file(shape, seed: int = 0) -> bytes:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "x.tsb"
-        tensorfile.write_tensor(np.random.default_rng(seed).normal(size=shape), path)
-        return path.read_bytes()
+    return _tsb1_bytes(np.random.default_rng(seed).normal(size=shape))
 
 
 def _zero_dim(draw, shape):
@@ -87,8 +90,7 @@ def _garbled_header(draw, shape):
 def _non_finite(draw, shape):
     arr = np.random.default_rng(1).normal(size=shape).astype("<f4")
     arr.flat[draw(st.integers(0, arr.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-    header = {"byte_order": "little", "dtype": "f32", "magic": "TSB1", "order": "row_major", "shape": list(shape)}
-    return json.dumps(header, separators=(",", ":")).encode() + b"\n" + arr.tobytes()
+    return _tsb1_bytes(arr)
 
 
 DEFECTS = [_zero_dim, _wrong_rank, _truncated, _over_long, _garbled_header, _non_finite]

@@ -348,7 +348,7 @@ def test_histogram_spec_caps_bin_cells_without_allocating(shape, n_bins):
 
 
 def _serial_moment(data, order):
-    """The one-thread pooled moment the two-half kernel replaced, kept as its bitwise reference."""
+    """The pooled moment as one expression, the bitwise reference of the per-side scratch kernel."""
     flat = data.ravel()
     mu = flat.mean()
     var = ((flat - mu) ** 2).mean()
@@ -452,4 +452,33 @@ def test_acd_scratch_peak_at_synth_m_shape():
     finally:
         tracemalloc.stop()
     # one time-major array of centred values per side, both live at once
+    assert peak <= 2.25 * real.nbytes
+
+
+@pytest.mark.parametrize("metric", [sd, kd])
+def test_moments_run_the_generated_side_on_a_worker_thread(metric, monkeypatch):
+    original = stat_metrics._pooled_standardized_moment
+    threads = {}
+
+    def recording(data, order):
+        threads[id(data)] = threading.get_ident()
+        return original(data, order)
+
+    monkeypatch.setattr(stat_metrics, "_pooled_standardized_moment", recording)
+    real, gen = np.random.default_rng(3).normal(size=(2, 20, 12, 1))
+    metric(real, gen)
+    assert threads[id(real)] == threading.get_ident()
+    assert threads[id(gen)] != threading.get_ident()
+
+
+@pytest.mark.parametrize("metric", [sd, kd])
+def test_moment_scratch_peak_at_synth_m_shape(metric):
+    real, gen = _profile_input(8000, 96, 2, seed=1), _profile_input(8000, 96, 2, seed=2)
+    tracemalloc.start()
+    try:
+        metric(real, gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one tensor-sized scratch per side, both live at once
     assert peak <= 2.25 * real.nbytes

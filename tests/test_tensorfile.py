@@ -3,6 +3,7 @@ import math
 import os
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -208,12 +209,36 @@ def _tsb1_bytes_by_copy(arr) -> bytes:
         np.random.default_rng(3).normal(size=(5, 4)).astype(np.float32),
         np.zeros((0, 54, 1)),
         np.zeros((10, 0)),
-        np.float64(2.5),
+        np.array([2.5]),
     ],
 )
 def test_write_tensor_bytes_match_the_copying_writer(tmp_path, arr):
     tensorfile.write_tensor(arr, tmp_path / "x.tsb")
     assert (tmp_path / "x.tsb").read_bytes() == _tsb1_bytes_by_copy(arr)
+
+
+@pytest.mark.parametrize("bad", [1e39, -1e39, np.inf, np.nan])
+def test_write_tensor_refuses_a_value_beyond_float32_range_without_a_warning(tmp_path, bad):
+    path = tmp_path / "x.tsb"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputFormatError, match="non-finite in float32"):
+            tensorfile.write_tensor(np.array([[1.0, bad]]), path)
+    assert not path.exists()
+
+
+def test_write_tensor_round_trips_float32_extremes(tmp_path):
+    arr = np.array([[3.4028234663852886e38, -3.4028234663852886e38]])
+    tensorfile.write_tensor(arr, tmp_path / "x.tsb")
+    assert np.array_equal(tensorfile.read_array(tmp_path / "x.tsb"), arr)
+
+
+@pytest.mark.parametrize("arr", [np.float64(2.5), np.array(np.nan)])
+def test_write_tensor_refuses_a_0d_array(tmp_path, arr):
+    path = tmp_path / "x.tsb"
+    with pytest.raises(InputFormatError, match="0-d array"):
+        tensorfile.write_tensor(arr, path)
+    assert not path.exists()
 
 
 def test_write_tensor_makes_no_copy_of_the_payload(tmp_path):
