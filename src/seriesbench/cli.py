@@ -295,8 +295,11 @@ def _cmd_protocol_droprate(args: argparse.Namespace) -> _Outcome:
 def _cmd_protocol_rank(args: argparse.Namespace) -> _Outcome:
     report_paths = [Path(p) for p in args.report]
     if args.reports_dir:
+        out = Path(args.out).resolve()  # an earlier run of this rank may have written it there
         report_paths.extend(
-            p for p in sorted(Path(args.reports_dir).glob("*.json")) if not p.name.endswith(".manifest.json")
+            p
+            for p in sorted(Path(args.reports_dir).glob("*.json"))
+            if not p.name.endswith(".manifest.json") and p.resolve() != out
         )
     if not report_paths:
         raise InputFormatError("no reports given")

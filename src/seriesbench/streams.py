@@ -45,7 +45,6 @@ _PHILOX_ROUNDS = 10
 # Generator.choice(pop, size, replace=False) shuffles the tail of arange(pop)
 # instead of running Floyd's algorithm when pop > 10000 and size > pop // 50
 _TAIL_SHUFFLE_POP, _TAIL_SHUFFLE_DIVISOR = 10_000, 50
-_EMPTY = -1  # a free slot of a Floyd hash set
 # a fresh Philox's counter; Philox converts an array far faster than its default, the Python int 0
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 _ZERO_COUNTER.setflags(write=False)
@@ -178,20 +177,6 @@ def philox_blocks(keys: np.ndarray, n: int) -> np.ndarray:
     return np.stack(ctr, axis=2)
 
 
-def _probe(table: np.ndarray, rows: np.ndarray, values: np.ndarray, mask: int) -> np.ndarray:
-    """Per entry, the slot of ``values[i]`` in the linear-probing set ``table[rows[i]]``.
-
-    Where the value is absent, the free slot that ends its probe.
-    """
-    slots = values & mask
-    pending = np.arange(rows.size)
-    while pending.size:
-        held = table[rows[pending], slots[pending]]
-        pending = pending[(held != _EMPTY) & (held != values[pending])]
-        slots[pending] = (slots[pending] + 1) & mask
-    return slots
-
-
 def _bounded(words: np.ndarray, cursor: np.ndarray, high: np.ndarray) -> np.ndarray:
     """Per row, NumPy's bounded draw on [0, high] from the uint32 ``words[r, cursor[r]:]``; advances ``cursor``.
 
@@ -220,8 +205,10 @@ def _floyd_choice(keys: np.ndarray, pops: np.ndarray, size: int) -> tuple[np.nda
     """``choice(pop, size, replace=False)`` of every row by Floyd's algorithm, and the rows that outran their words.
 
     For j = pop - size .. pop - 1 a step draws v on [0, j] and keeps v, or j
-    when v is already kept; a set per row, open-addressed as NumPy's is,
-    answers the test.  ``choice`` then shuffles the kept values in place
+    when v is already kept.  The test compares v with the row's kept prefix
+    ``sample[r, :step]``: NumPy asks a hash set instead, but whether v is a
+    member does not depend on how a set lays out its values, so the kept
+    values are the same.  ``choice`` then shuffles the kept values in place
     (Fisher-Yates, swapping position i with a draw on [0, i] for i = size - 1
     .. 1).  The draws read the stream's uint32 words in order, the low half
     of each uint64 first.
@@ -231,17 +218,12 @@ def _floyd_choice(keys: np.ndarray, pops: np.ndarray, size: int) -> tuple[np.nda
     words = np.empty((n_rows, 8 * n_blocks), dtype=np.uint64)
     words[:, 0::2], words[:, 1::2] = raw & np.uint64(_MASK32), raw >> np.uint64(32)
     rows, cursor = np.arange(n_rows), np.zeros(n_rows, dtype=np.int64)
-    mask = (1 << int(1.2 * size).bit_length()) - 1  # the table size NumPy gives the set
-    table = np.full((n_rows, mask + 1), _EMPTY, dtype=np.int64)
     sample = np.empty((n_rows, size), dtype=np.int64)
     for step in range(size):
         j = pops - size + step
         value = _bounded(words, cursor, j)
-        slots = _probe(table, rows, value, mask)
-        kept = np.flatnonzero(table[rows, slots] == value)
+        kept = (sample[:, :step] == value[:, None]).any(axis=1)
         value[kept] = j[kept]  # j exceeds every kept value, so it is free
-        slots[kept] = _probe(table, kept, value[kept], mask)
-        table[rows, slots] = value
         sample[:, step] = value
     for i in range(size - 1, 0, -1):
         swap = _bounded(words, cursor, np.full(n_rows, i))

@@ -44,6 +44,8 @@ def write_tensor(t: TimeSeriesTensor | EmbeddingMatrix | np.ndarray, path: str |
     arr = t.data if isinstance(t, (TimeSeriesTensor, EmbeddingMatrix)) else np.asarray(t)
     if arr.ndim == 0:
         raise InputFormatError("refusing to write a 0-d array: a TSB1 shape needs a dimension")
+    if arr.dtype.kind not in "biuf":  # a cast would drop imaginary parts or fail on text
+        raise InputFormatError(f"refusing to write a {arr.dtype} array: TSB1 holds real numbers")
     with np.errstate(over="ignore"):  # a finite value beyond float32's range casts to inf, refused below
         payload = np.ascontiguousarray(arr, dtype="<f4")
     # min and max are NaN or infinite when any value is, and allocate no mask

@@ -273,11 +273,15 @@ def _stat_reports_dir(tmp_path, model_ids):
 
 def test_protocol_rank_reports_dir_skips_run_manifests(tmp_path):
     reports, grouping = _stat_reports_dir(tmp_path, ["model g0", "model g1"])
-    out = tmp_path / "rank.json"
-    code = main(["protocol", "rank", "--reports-dir", str(reports), "--grouping", str(grouping), "--out", str(out)])
-    assert code == 0
-    manifest = json.loads((tmp_path / "rank.manifest.json").read_text())
-    assert sorted(manifest["inputs"]) == sorted(str(p) for p in (reports / "g0.json", reports / "g1.json", grouping))
+    ranks = []
+    # the last run finds the previous one's rank.json in the directory and must not read it as a report
+    for out in (tmp_path / "rank.json", reports / "rank.json", reports / "rank.json"):
+        argv = ["protocol", "rank", "--reports-dir", str(reports), "--grouping", str(grouping), "--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads(out.with_name("rank.manifest.json").read_text())
+        assert sorted(manifest["inputs"]) == sorted(str(p) for p in (reports / "g0.json", reports / "g1.json", grouping))
+        ranks.append(out.read_bytes())
+    assert ranks[0] == ranks[1] == ranks[2]
 
 
 def test_protocol_rank_csv_quotes_a_model_id_with_comma_and_quote(tmp_path):

@@ -10,6 +10,10 @@ A bare name cannot tell two classes apart: a method or property that only
 tests call hides behind a same-named method, property or field of another
 class.  So each public method or property whose name another class of the
 package also defines names, below, a module that reaches it.
+
+A private module-level function, class or constant, or a private method of a
+module-level class, that nothing in ``src/seriesbench`` reads is dead code,
+such as a helper left behind when its caller went.
 """
 
 import ast
@@ -41,7 +45,7 @@ SHARED_MEMBER_USERS = {
 def _names_in(path: Path) -> set[str]:
     names: set[str] = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):  # not an assignment
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -112,6 +116,29 @@ def _shared_public_members() -> dict[str, str]:
     }
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_definitions():
+    """(qualified name, name) of each private function, class and constant of a module and method of its classes."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            yield from ((f"{path.stem}.{name}", name) for name in names if _is_private(name))
+    for module, node in _classes():
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_private(item.name):
+                yield f"{module}.{node.name}.{item.name}", item.name
+
+
 def _unreferenced_public_definitions() -> set[str]:
     referenced = _referenced_names()
     return {qualified for qualified, name in _public_definitions() if name not in referenced}
@@ -140,3 +167,10 @@ def test_every_shared_member_name_names_its_user():
         if shared[qualified] not in _attributes_in(REPO / user)
     )
     assert not unused, f"named users that do not reference the member: {unused}"
+
+
+def test_every_private_definition_is_read_in_the_library():
+    # a private helper or constant that nothing reads is left over from code that went
+    loaded = {name for path in PACKAGE.glob("*.py") for name in _names_in(path)}
+    dead = sorted(qualified for qualified, name in _private_definitions() if name not in loaded)
+    assert not dead, f"private functions, classes, constants and methods that nothing in the library reads: {dead}"

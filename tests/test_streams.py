@@ -181,13 +181,23 @@ def test_sample_sets_match_choice_across_the_tail_shuffle_boundary(pop, size, fa
 
 @pytest.mark.parametrize(
     "pop, size",
-    [(1, 1), (5, 5), (7, 1), (100, 0), (50, 40), (3999, 9), (12000, 49), (12000, 240), (2**32, 3), (2**32 + 1, 3)],
+    [
+        (1, 1), (5, 5), (7, 1), (100, 0), (50, 40), (1000, 1000), (3999, 9), (12000, 49), (12000, 240),
+        (2**32, 3), (2**32 + 1, 3),
+    ],
 )
 def test_sample_sets_match_choice(pop, size, fallback_rows):
     keys = stream_keys(2**40 + 1, np.arange(400), 3)
     assert np.array_equal(sample_sets(keys, pop, size), _choices(keys, pop, size))
     # draws on [0, j] for j >= 2**32 take uint64 words, which only choice reproduces
     assert len(fallback_rows) == (len(keys) if pop > 2**32 else 0)
+
+
+def test_sample_sets_match_choice_drawing_the_largest_floyd_population_whole(fallback_rows):
+    # pop 10000 is the largest on choice's Floyd branch at size 10000: almost every late step collides
+    keys = stream_keys(11, np.arange(8))
+    assert np.array_equal(sample_sets(keys, 10000, 10000), _choices(keys, 10000, 10000))
+    assert fallback_rows == []
 
 
 def test_sample_sets_take_a_population_per_row():

@@ -241,6 +241,18 @@ def test_write_tensor_refuses_a_0d_array(tmp_path, arr):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "arr", [np.array([1 + 2j]), np.array(["a"]), np.array([b"a"]), np.array([1.0], dtype=object)], ids=str
+)
+def test_write_tensor_refuses_an_array_of_other_than_real_numbers(tmp_path, arr):
+    path = tmp_path / "x.tsb"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputFormatError, match=re.escape(str(arr.dtype))):
+            tensorfile.write_tensor(arr, path)
+    assert not path.exists()
+
+
 def test_write_tensor_makes_no_copy_of_the_payload(tmp_path):
     import tracemalloc
 
