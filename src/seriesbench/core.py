@@ -42,7 +42,8 @@ def checked_array(data: np.ndarray | Sequence, ndim: int, what: str) -> np.ndarr
         raise ContractViolation(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ContractViolation(f"{what} must have no zero-length dimension, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # min and max are NaN or infinite when any value is, and allocate no mask
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ContractViolation(f"{what} contains non-finite values")
     return arr
 

@@ -64,7 +64,13 @@ def write_tensor(t: TimeSeriesTensor | EmbeddingMatrix | np.ndarray, path: str |
         fh.write(payload)  # the array's own buffer: no bytes copy of the payload
 
 
+def _truncated(path: str | Path, expected: int, found: int) -> InputFormatError:
+    shown = found if found < expected else f">{expected}"
+    return InputFormatError(f"{path}: truncated payload, expected {expected} bytes, found {shown}")
+
+
 def _read_tsb1(path: str | Path) -> np.ndarray:
+    """The payload of a TSB1 file as a frozen float64 array that owns its memory."""
     with open(path, "rb") as fh:
         head = fh.readline(_HEADER_LIMIT)
         if not head.endswith(b"\n"):
@@ -92,32 +98,38 @@ def _read_tsb1(path: str | Path) -> np.ndarray:
             raise InputFormatError(f"{path}: bad shape {shape!r}")
         expected = math.prod(shape) * 4  # Python ints: a huge shape cannot wrap
         # the size of a regular file bounds the payload before anything is
-        # read, and a pipe's payload is read in chunks until it ends, so a
-        # lying header cannot ask for more memory than the input holds
+        # allocated, and a pipe's payload is read in chunks until it ends, so
+        # a lying header cannot ask for more memory than the input holds
         info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode):
-            if info.st_size - len(head) < expected:
-                raise InputFormatError(
-                    f"{path}: truncated payload, expected {expected} bytes, "
-                    f"found {info.st_size - len(head)}"
-                )
-            raw = fh.read(expected + 1)
-        else:
+        pipe = not stat.S_ISREG(info.st_mode)
+        if pipe:
             raw = bytearray()
             while len(raw) <= expected and (chunk := fh.read(min(_PIPE_CHUNK, expected + 1 - len(raw)))):
                 raw += chunk
-        if len(raw) != expected:
-            found = len(raw) if len(raw) < expected else f">{expected}"
-            raise InputFormatError(
-                f"{path}: truncated payload, expected {expected} bytes, found {found}"
-            )
+        found = len(raw) if pipe else info.st_size - len(head)
+        if found != expected:
+            raise _truncated(path, expected, found)
         try:
-            arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            arr = np.empty(shape)
         except ValueError as exc:  # an empty payload with an unrepresentable shape
             raise InputFormatError(f"{path}: bad shape {shape!r}: {exc}") from exc
-        # finite as float32 exactly when finite as float64: the caller widens it once
-        if arr.size and not np.all(np.isfinite(arr)):
+        values = arr.reshape(-1)
+        if pipe:
+            values[:] = np.frombuffer(raw, dtype="<f4")
+        else:  # widened a chunk at a time, so the float32 payload is never whole in memory
+            chunk = np.empty(min(values.size, _PIPE_CHUNK // 4), dtype="<f4")
+            found = 0
+            while found < expected and (got := fh.readinto(memoryview(chunk).cast("B")[: expected - found])):
+                if got % 4:  # the file shrank after its size was read
+                    raise _truncated(path, expected, found + got)
+                values[found // 4 : (found + got) // 4] = chunk[: got // 4]
+                found += got
+            if found != expected:
+                raise _truncated(path, expected, found)
+        # min and max are NaN or infinite when any value is, and allocate no mask
+        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise InputFormatError(f"{path}: payload contains non-finite values")
+        arr.setflags(write=False)  # frozen and owning its memory: the wrappers share it
         return arr
 
 
@@ -138,8 +150,8 @@ def read_embedding(path: str | Path) -> EmbeddingMatrix:
 
 
 def read_array(path: str | Path) -> np.ndarray:
-    """Read a TSB1 file of any rank as a float64 array."""
-    return _read_tsb1(path).astype(np.float64)
+    """Read a TSB1 file of any rank as a read-only float64 array."""
+    return _read_tsb1(path)
 
 
 # ---------------------------------------------------------------------------

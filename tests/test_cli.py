@@ -92,6 +92,20 @@ def test_metrics_stat_round_trip(tmp_path, synth_dir):
     assert (tmp_path / "stat.manifest.json").exists()
 
 
+def test_metrics_stat_bins_a_value_far_above_the_training_range_last(tmp_path):
+    train = np.zeros((4, 2, 1))
+    train[1] = 1e-20  # bin width ~3e-22: every generated value lies >= 2**63 widths out
+    above = np.arange(1.0, 9.0).reshape(4, 2, 1)
+    for name, arr in (("train", train), ("above", above), ("below", -above)):
+        tensorfile.write_tensor(arr, tmp_path / f"{name}.tsb")
+    train_path, out = str(tmp_path / "train.tsb"), tmp_path / "stat.json"
+    for gen, expected in (("above", 0.046875), ("below", 0.015625)):
+        proc = _run_module(["metrics", "stat", "--train", train_path, "--real", train_path,
+                            "--gen", str(tmp_path / f"{gen}.tsb"), "--out", str(out)])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert _report_values(out)["mdd"] == expected
+
+
 def test_metrics_embed_with_conditions(tmp_path):
     paths = _write_embeddings(tmp_path)
     out = tmp_path / "embed.json"

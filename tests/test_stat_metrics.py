@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from seriesbench import stat_metrics
-from seriesbench.core import ContractViolation
+from seriesbench.core import ContractViolation, TimeSeriesTensor
 from seriesbench.stat_metrics import HistogramSpec, acd, autocorrelation_profile, kd, mdd, sd
 
 
@@ -225,16 +225,22 @@ def test_profile_is_bitwise_at_forced_lag_blocks(monkeypatch, lags_per_block, n,
     _assert_bitwise(autocorrelation_profile(data, max_lag), _reference_profile(data, max_lag))
 
 
-def test_profile_scratch_peak_at_synth_m_shape():
-    data = _profile_input(8000, 96, 2)
+def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        autocorrelation_profile(data, 95)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # at most two (N, L, F)-sized float64 arrays are live at once
-    assert peak <= 2.25 * data.nbytes
+
+
+SCRATCH_LIMIT = 6 << 20  # bytes of scratch a phase may hold, both sides together, whatever N is
+
+
+@pytest.mark.parametrize("n", [8000, 32000])  # the Synth-M size and 4x it
+def test_profile_scratch_peak_at_synth_m_shape(n):
+    data = TimeSeriesTensor(_profile_input(n, 96, 2))
+    assert _traced_peak(lambda: autocorrelation_profile(data, 95)) <= SCRATCH_LIMIT
 
 
 @pytest.mark.parametrize(
@@ -443,16 +449,17 @@ def test_on_both_cores_returns_both_results_and_prefers_the_first_error():
         stat_metrics._on_both_cores(lambda: fail("first"), lambda: fail("second"))
 
 
-def test_acd_scratch_peak_at_synth_m_shape():
-    real, gen = _profile_input(8000, 96, 2, seed=1), _profile_input(8000, 96, 2, seed=2)
-    tracemalloc.start()
-    try:
-        acd(real, gen)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one time-major array of centred values per side, both live at once
-    assert peak <= 2.25 * real.nbytes
+@pytest.mark.parametrize("n", [8000, 32000])
+def test_acd_scratch_peak_at_synth_m_shape(n):
+    real, gen = TimeSeriesTensor(_profile_input(n, 96, 2, seed=1)), TimeSeriesTensor(_profile_input(n, 96, 2, seed=2))
+    assert _traced_peak(lambda: acd(real, gen)) <= SCRATCH_LIMIT
+
+
+@pytest.mark.parametrize("n", [8000, 32000])
+def test_mdd_scratch_peak_at_synth_m_shape(n):
+    real, gen = TimeSeriesTensor(_profile_input(n, 96, 2, seed=1)), TimeSeriesTensor(_profile_input(n, 96, 2, seed=2))
+    spec = HistogramSpec.from_training(real)
+    assert _traced_peak(lambda: mdd(real, gen, spec)) <= SCRATCH_LIMIT
 
 
 @pytest.mark.parametrize("metric", [sd, kd])
@@ -471,14 +478,110 @@ def test_moments_run_the_generated_side_on_a_worker_thread(metric, monkeypatch):
     assert threads[id(gen)] != threading.get_ident()
 
 
+@pytest.mark.parametrize("n", [8000, 32000])
 @pytest.mark.parametrize("metric", [sd, kd])
-def test_moment_scratch_peak_at_synth_m_shape(metric):
-    real, gen = _profile_input(8000, 96, 2, seed=1), _profile_input(8000, 96, 2, seed=2)
-    tracemalloc.start()
-    try:
-        metric(real, gen)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one tensor-sized scratch per side, both live at once
-    assert peak <= 2.25 * real.nbytes
+def test_moment_scratch_peak_at_synth_m_shape(metric, n):
+    real, gen = TimeSeriesTensor(_profile_input(n, 96, 2, seed=1)), TimeSeriesTensor(_profile_input(n, 96, 2, seed=2))
+    assert _traced_peak(lambda: metric(real, gen)) <= SCRATCH_LIMIT
+
+
+# ---------------------------------------------------------------------------
+# Pieces: sums in NumPy's pairwise order, the same bits at any budget
+# ---------------------------------------------------------------------------
+
+
+def _pairwise_sizes(cap):
+    return sorted({*range(1, 10), 127, 128, 129, 130, 255, 256, 257, cap - 1, cap + 1, 2 * cap + 13, 100_003} - {0})
+
+
+@pytest.mark.parametrize("cap", [1, 8, 200, stat_metrics._BLOCK_BYTES // 8])
+def test_pairwise_sum_is_numpys_sum(cap):
+    rng = np.random.default_rng(cap)
+    for n in _pairwise_sizes(cap):
+        spread = rng.standard_t(2, size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+        rows = rng.normal(size=(3, n + 7))[:, 3 : n + 3]  # last-axis runs of a 2-D view
+        for values in (spread, np.full(n, -0.0), rows):
+            total = stat_metrics._pairwise_sum(n, lambda a, b: np.add.reduce(values[..., a:b], axis=-1), cap)
+            _assert_bitwise(np.asarray(total), np.asarray(np.add.reduce(values, axis=-1)))
+
+
+def _leaves(n, cap):
+    """The (start, stop) pieces ``_pairwise_sum`` asks for, in order."""
+    return stat_metrics._pairwise_sum(n, lambda a, b: [(a, b)], cap)
+
+
+@pytest.mark.parametrize("piece_bytes", [8, 8 * 12 * 150, 8 * 40 * 300])
+@pytest.mark.parametrize(
+    "n,length,n_feat,max_lag", [(401, 12, 3, 11), (700, 5, 1, 4), (333, 40, 2, 20), (91, 11, 4, 10), (50, 2, 3, 1)]
+)
+def test_profile_is_bitwise_in_small_pieces(monkeypatch, piece_bytes, n, length, n_feat, max_lag):
+    monkeypatch.setattr(stat_metrics, "_PIECE_BYTES", piece_bytes)
+    data = _profile_input(n, length, n_feat, seed=n)
+    _assert_bitwise(autocorrelation_profile(data, max_lag), _reference_profile(data, max_lag))
+
+
+def test_small_pieces_tile_the_series_and_split_samples():
+    # the F = 3 case above at the smallest budget: uneven pieces of at most 128 series
+    leaves = _leaves(401 * 3, 1)
+    assert leaves[0][0] == 0 and leaves[-1][1] == 401 * 3
+    assert [b for _, b in leaves[:-1]] == [a for a, _ in leaves[1:]]
+    assert len({b - a for a, b in leaves}) > 1 and max(b - a for a, b in leaves) <= 128
+    assert any(a % 3 for a, _ in leaves)
+
+
+@pytest.mark.parametrize("block_bytes", [8, 1000, 8 * 1025])
+@pytest.mark.parametrize("order", [3, 4])
+def test_moments_are_bitwise_in_small_pieces(monkeypatch, block_bytes, order):
+    monkeypatch.setattr(stat_metrics, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(block_bytes)
+    for size in (2, 129, 1000, 4099, 100_003):
+        data = rng.standard_t(5, size=(size, 1, 1))
+        assert stat_metrics._pooled_standardized_moment(data, order) == _serial_moment(data, order)
+
+
+@pytest.mark.parametrize("block_bytes", [8, 200, 4096])
+def test_mdd_row_chunks_match_one_pass_bitwise(block_bytes, monkeypatch):
+    monkeypatch.setattr(stat_metrics, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(block_bytes)
+    for n_real, n_gen, length, n_feat, n_bins in [(40, 40, 24, 2, 32), (7, 50, 13, 3, 2), (1, 1, 1, 1, 5), (301, 9, 5, 4, 1000)]:
+        real = rng.normal(size=(n_real, length, n_feat))
+        gen = rng.standard_t(3, size=(n_gen, length, n_feat))
+        spec = HistogramSpec.from_training(real, n_bins)
+        assert mdd(real, gen, spec) == _mdd_one_pass(real, gen, spec)
+
+
+def test_mdd_puts_a_value_far_above_the_training_range_in_the_last_bin():
+    # bin width ~3e-22: the generated values are >= 2**63 bin widths above the range
+    train = np.zeros((4, 2, 1))
+    train[1] = np.float32(1e-20)
+    spec = HistogramSpec.from_training(train)
+    above = np.arange(1.0, 9.0).reshape(4, 2, 1)
+    # real: 3/4 in the first bin, 1/4 in the last; generated all in one edge bin
+    assert mdd(train, above, spec) == 0.046875
+    assert mdd(train, -above, spec) == 0.015625
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda x: HistogramSpec.from_training(x, 2.0), "n_bins must be an integer, got 2.0"),
+        (lambda x: HistogramSpec.from_training(x, True), "n_bins must be an integer, got True"),
+        (lambda x: autocorrelation_profile(x, 2.0), "max_lag must be an integer, got 2.0"),
+        (lambda x: autocorrelation_profile(x, True), "max_lag must be an integer, got True"),
+        (lambda x: HistogramSpec(lower=np.zeros((1, 1)), upper=np.full((1, 1), 5e-324), n_bins=4), "bin widths"),
+        (lambda x: HistogramSpec(lower=np.full((1, 1), -1e308), upper=np.full((1, 1), 1e308), n_bins=2), "bin widths"),
+    ],
+    ids=["float-bins", "bool-bins", "float-lag", "bool-lag", "zero-width", "infinite-width"],
+)
+def test_bad_bins_lags_and_widths_are_contract_violations(call, message):
+    x = np.random.default_rng(4).normal(size=(6, 5, 2))
+    with pytest.raises(ContractViolation, match=re.escape(message)):
+        call(x)
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 2), (1, 8, 1), (5, 8, 3)])
+def test_profile_leaves_a_writeable_input_unchanged(shape):
+    data = _profile_input(*shape)
+    before = data.copy()
+    autocorrelation_profile(data, shape[1] - 1)
+    _assert_bitwise(data, before)

@@ -390,3 +390,19 @@ def test_report_reader_rejects_non_integer_seed(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(InputFormatError, match=r"\.context\.seed: expected an integer, got 7\.0$"):
         tensorfile.read_report(path)
+
+
+def test_read_tensor_widens_the_payload_in_chunks(tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "x.tsb"
+    tensorfile.write_tensor(np.random.default_rng(0).normal(size=(8000, 96, 2)), path)
+    tracemalloc.start()
+    try:
+        tensor = tensorfile.read_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float64 result and chunk buffers; the whole float32 payload would add half the result
+    assert peak <= tensor.data.nbytes + 2 * tensorfile._PIPE_CHUNK
+    assert tensor.data.base is None and not tensor.data.flags.writeable
