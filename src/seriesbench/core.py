@@ -164,7 +164,7 @@ class AttributeSchema:
         return cls(tuple(Attribute(a["name"], a.get("definition", ""), a["values"]) for a in attrs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # no per-record __dict__: a dataset holds one record per sample
 class ConditionRecord:
     """Aligned (text, attribute-vector, class-label) triple for one sample."""
 

@@ -5,7 +5,10 @@ A row's stream is ``Generator(Philox(SeedSequence(row)))``.  Its Philox key is
 (O'Neill's ``seed_seq_fe``, as NumPy implements it).  ``stream_keys`` runs that
 hash over many rows at once in uint32 array arithmetic, and ``open_stream``
 turns one key into a fresh Generator without building a ``SeedSequence``, so
-the draws are those of the seeded generator at a fraction of its cost.
+the draws are those of the seeded generator at a fraction of its cost.  A
+fresh stream is only its key and counter 0, so ``reseat_stream`` moves an
+existing Generator to it for less again: a caller that draws from many
+streams one after another keeps one Generator.
 
 Philox is counter-based (Salmon et al., SC 2011): output block c of a key is a
 pure function of (key, c).  ``philox_blocks`` computes the first blocks of
@@ -48,6 +51,9 @@ _TAIL_SHUFFLE_POP, _TAIL_SHUFFLE_DIVISOR = 10_000, 50
 # a fresh Philox's counter; Philox converts an array far faster than its default, the Python int 0
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 _ZERO_COUNTER.setflags(write=False)
+# the state setter reads the words of a counter or buffer one by one, fastest from Python ints
+_ZERO_WORDS = (0, 0, 0, 0)
+_PHILOX_BUFFER_WORDS = 4  # a buffer_pos of 4 leaves no buffered output block
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -145,6 +151,25 @@ def _key_seed_type() -> type:
 def open_stream(key: np.ndarray) -> np.random.Generator:
     """A fresh Generator on the Philox stream of one ``stream_keys`` row."""
     return np.random.Generator(np.random.Philox(_key_seed_type()(key), counter=_ZERO_COUNTER))
+
+
+def reseat_stream(rng: np.random.Generator, key) -> np.random.Generator:
+    """Move ``rng``, a Generator on a Philox, to the start of ``key``'s stream and return it.
+
+    ``key`` is one ``stream_keys`` row, fastest as two Python ints (a row of
+    ``keys.tolist()``).  The new state is that of ``open_stream(key)``:
+    counter 0, no buffered output block and no buffered uint32 half, so the
+    draws that follow are the fresh stream's whatever ``rng`` drew before.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": key},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": _PHILOX_BUFFER_WORDS,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _mulhilo(multiplier: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,12 +17,14 @@ Randomness is drawn from named counter-based streams keyed by
 regenerating any single sample, or the whole dataset in any order, yields
 identical values.  A stream is ``Generator(Philox(SeedSequence(row)))``: its
 key is ``SeedSequence``'s hash of the row, and ``streams.stream_keys`` derives
-the keys of a whole primary combination in one vectorised pass.  The build's
-per-sample loops only open streams and store draws; the rest, shapelets
-included (one scatter per segment and kind), is array math over the
-combination's (n_per_combo, length) block in a few buffers reused across
-combinations; ``univariate_components`` is the one-row case of the same
-kernel.  The generator is its own ground truth: ``ATTRIBUTE_TABLE`` holds
+the keys of a whole primary combination in one vectorised pass.  A build opens
+one Generator and reseats its Philox at the start of each stream in turn
+(``streams.reseat_stream``), so it draws what a fresh Generator per stream
+would.  The build's per-sample loops only start streams and store draws; the
+rest, shapelets included (one scatter per segment and kind), is array math
+over the combination's (n_per_combo, length) block in a few buffers reused
+across combinations; ``univariate_components`` is the one-row case of the
+same kernel.  The generator is its own ground truth: ``ATTRIBUTE_TABLE`` holds
 each attribute's name, definition, values and per-value caption clause.  The
 schema and ``decode_attrs`` read it, and a sample's caption is a lookup of
 one clause per entry of its index row, in schema order, so a caption always
@@ -44,7 +46,7 @@ from seriesbench.core import (
     ContractViolation,
     TimeSeriesTensor,
 )
-from seriesbench.streams import open_stream, stream_keys
+from seriesbench.streams import open_stream, reseat_stream, stream_keys
 
 TREND_TYPES = ("linear", "quadratic", "exponential", "logistic")
 TREND_DIRECTIONS = ("up", "down")
@@ -75,9 +77,9 @@ _N_SAMPLE_PURPOSES = 7  # purposes 0-6 key per-sample streams
 _P_SPLIT = 7  # keyed by (seed, combination index, 7)
 
 
-def sample_rng(key: np.ndarray) -> np.random.Generator:
-    """The generator of one synth stream, opened from its key (a ``stream_keys`` row)."""
-    return open_stream(key)
+def sample_rng(rng: np.random.Generator, key) -> np.random.Generator:
+    """``rng`` at the start of one synth stream, given its key as a ``stream_keys(...).tolist()`` row."""
+    return reseat_stream(rng, key)
 
 
 def _sample_keys(seed: int, first: int, n: int) -> np.ndarray:
@@ -306,8 +308,9 @@ def univariate_components(
     trend = trend_component(primary.trend_type, primary.trend_direction, length)
     kinds = np.array([[SHAPELET_KINDS.index(kind) for kind in secondary.segment_shapelets]])
     season, local, hf, noise = np.empty((4, 1, length))
+    keys = _sample_keys(seed, sample_index, 1)
     _component_rows(primary.season_cycles, np.array([secondary.hf_cycles]), kinds,
-                    _sample_keys(seed, sample_index, 1), season, local, hf, noise)
+                    keys.tolist(), open_stream(keys[0, _P_SEASON]), season, local, hf, noise)
     return {"trend": trend, "season": season[0], "local": local[0], "hf": hf[0], "noise": noise[0]}
 
 
@@ -315,7 +318,8 @@ def _component_rows(
     season_cycles: int,
     hf_cycles: np.ndarray,
     kinds: np.ndarray,
-    keys: np.ndarray,
+    keys: list,
+    rng: np.random.Generator,
     season: np.ndarray,
     local: np.ndarray,
     hf: np.ndarray,
@@ -325,10 +329,10 @@ def _component_rows(
 
     Every sample has ``season_cycles``; sample j has ``hf_cycles[j]``, the
     segments' ``SHAPELET_KINDS`` indices ``kinds[j]`` and stream keys
-    ``keys[j]`` (see ``_sample_keys``).  The loop only opens the streams and
-    stores their draws, each stream in its fixed order: amplitude, phase; per
-    non-empty segment a height, then an offset where the template fits; sigma,
-    then the standard normals.
+    ``keys[j]`` (a ``_sample_keys`` row as lists of ints).  The loop only
+    reseats ``rng`` at each stream's start and stores its draws, each stream
+    in its fixed order: amplitude, phase; per non-empty segment a height, then
+    an offset where the template fits; sigma, then the standard normals.
     """
     n = len(keys)
     bounds = _segment_bounds(local.shape[1])
@@ -338,18 +342,18 @@ def _component_rows(
     heights = np.empty((n, N_SEGMENTS))
     offsets = np.empty((n, N_SEGMENTS), dtype=np.intp)
     for j, (segment_kinds, key) in enumerate(zip(kinds.tolist(), keys)):
-        rng = sample_rng(key[_P_SEASON])
+        rng = sample_rng(rng, key[_P_SEASON])
         draws[0, j] = rng.uniform(*SEASON_AMPLITUDE_RANGE)
         draws[1, j] = rng.uniform(0.0, 2.0 * np.pi)
-        rng = sample_rng(key[_P_HF])
+        rng = sample_rng(rng, key[_P_HF])
         draws[2, j] = rng.uniform(*HF_AMPLITUDE_RANGE)
         draws[3, j] = rng.uniform(0.0, 2.0 * np.pi)
-        rng = sample_rng(key[_P_SHAPELET_PLACE])
+        rng = sample_rng(rng, key[_P_SHAPELET_PLACE])
         for k, kind in enumerate(segment_kinds):
             if kind:  # none draws nothing
                 heights[j, k] = rng.uniform(*PEAK_HEIGHT_RANGE)
                 offsets[j, k] = rng.integers(0, room[kind], endpoint=True)
-        rng = sample_rng(key[_P_NOISE])
+        rng = sample_rng(rng, key[_P_NOISE])
         draws[4, j] = rng.uniform(*NOISE_SIGMA_RANGE)
         rng.standard_normal(out=noise[j])
     _sinusoid_rows(np.full(n, season_cycles), draws[0], draws[1], season)
@@ -403,6 +407,8 @@ def build_synth_dataset(
     # one combination's components, reused for every combination
     season, local, hf, noise = np.empty((4, n_per_combo, length))
     split_keys = stream_keys(seed, np.arange(n_combos), _P_SPLIT)
+    rng = open_stream(split_keys[0])  # the build's one Generator, reseated at every stream it draws from
+    split_keys = split_keys.tolist()
     n_valid = n_per_combo // 8  # 6:1:1; valid and test get floor(n/8) each, train the rest
     n_train = n_per_combo - 2 * n_valid
     names = schema.names
@@ -413,14 +419,14 @@ def build_synth_dataset(
 
     for combo_idx in range(n_combos):
         base = combo_idx * n_per_combo
-        keys = _sample_keys(seed, base, n_per_combo)
+        keys = _sample_keys(seed, base, n_per_combo).tolist()
         attr_idx[:, :3] = np.unravel_index(combo_idx, primary_shape)
         trend_type, direction, season_cycles = (row.values[i] for row, i in zip(ATTRIBUTE_TABLE, attr_idx[0, :3]))
         for j, key in enumerate(keys):
-            attr_idx[j, _HF_ROW] = sample_rng(key[_P_SECONDARY]).integers(0, len(HF_CYCLES))
-            uniforms[j] = sample_rng(key[_P_SHAPELET_LABELS]).random(N_SEGMENTS)
+            attr_idx[j, _HF_ROW] = sample_rng(rng, key[_P_SECONDARY]).integers(0, len(HF_CYCLES))
+            uniforms[j] = sample_rng(rng, key[_P_SHAPELET_LABELS]).random(N_SEGMENTS)
             if variant == "m":
-                rng_t = sample_rng(key[_P_TRANSFORM])
+                rng_t = sample_rng(rng, key[_P_TRANSFORM])
                 attr_idx[j, -1] = kind = rng_t.integers(0, len(MV_TRANSFORMS))
                 is_shift = MV_TRANSFORMS[kind].startswith("shift")
                 shifts[j] = rng_t.integers(*SHIFT_DISTANCE_RANGE, endpoint=True) if is_shift else 0
@@ -431,7 +437,7 @@ def build_synth_dataset(
             conditions.append(ConditionRecord(f"{variant}-{base + j:06d}", _caption(row, shift), attrs, combo_idx))
 
         _component_rows(season_cycles, np.take(HF_CYCLES, attr_idx[:, _HF_ROW]),
-                        attr_idx[:, _SEGMENT_ROWS], keys, season, local, hf, noise)
+                        attr_idx[:, _SEGMENT_ROWS], keys, rng, season, local, hf, noise)
         # trend + season + local + hf + noise, added in that order, in place
         series = np.add(season, trend_component(trend_type, direction, length), out=season)
         series += local
@@ -441,7 +447,7 @@ def build_synth_dataset(
         if variant == "m":
             data[base : base + n_per_combo, :, 1] = _transform_rows(series, attr_idx[:, -1], shifts, local)
 
-        perm = sample_rng(split_keys[combo_idx]).permutation(n_per_combo)
+        perm = sample_rng(rng, split_keys[combo_idx]).permutation(n_per_combo)
         for part, members in zip(splits.values(), np.split(perm, [n_train, n_train + n_valid])):
             part.extend((np.sort(members) + base).tolist())
 

@@ -216,12 +216,15 @@ def test_profile_is_bitwise_with_negative_zero_products(n_feat):
         _assert_bitwise(autocorrelation_profile(data, max_lag), _reference_profile(data, max_lag))
 
 
-@pytest.mark.parametrize("lags_per_block", [1, 3])
-@pytest.mark.parametrize("n,length,n_feat,max_lag", [(7, 11, 2, 10), (7, 40, 4, 38), (5, 10, 3, 4), (4, 2, 2, 1)])
-def test_profile_is_bitwise_at_forced_lag_blocks(monkeypatch, lags_per_block, n, length, n_feat, max_lag):
-    # 3-lag blocks leave a short last block for every max_lag here but 1
-    monkeypatch.setattr(stat_metrics, "_BLOCK_BYTES", lags_per_block * 8 * n * n_feat)
-    data = _profile_input(n, length, n_feat, seed=lags_per_block)
+@pytest.mark.parametrize("series_per_piece", [1, 200])
+@pytest.mark.parametrize("n,length,n_feat,max_lag", [(150, 11, 2, 10), (70, 40, 4, 38), (87, 10, 3, 4), (130, 2, 2, 1)])
+def test_profile_is_bitwise_at_forced_lag_blocks(monkeypatch, series_per_piece, n, length, n_feat, max_lag):
+    # more than 200 series in every case, so both budgets cut pieces of unequal sizes (a budget
+    # under 128 series cuts at 128, NumPy's block); of 87 * 3 = 261 series the cut at 128 splits
+    # a sample, and the length-2 case keeps the shortest series a profile takes
+    monkeypatch.setattr(stat_metrics, "_PIECE_BYTES", series_per_piece * 8 * length)
+    assert len(_leaves(n * n_feat, series_per_piece)) >= 2
+    data = _profile_input(n, length, n_feat, seed=series_per_piece)
     _assert_bitwise(autocorrelation_profile(data, max_lag), _reference_profile(data, max_lag))
 
 

@@ -9,7 +9,7 @@ import pytest
 import seriesbench
 from seriesbench import streams
 from seriesbench.core import ContractViolation
-from seriesbench.streams import open_stream, philox_blocks, sample_sets, stream_keys
+from seriesbench.streams import open_stream, philox_blocks, reseat_stream, sample_sets, stream_keys
 
 
 def _seed_sequence_keys(rows) -> np.ndarray:
@@ -123,6 +123,19 @@ def test_opened_streams_are_independent():
     assert np.array_equal(b.random(10), first)  # b starts fresh though a has moved on
     assert not np.array_equal(a.random(10), first)
     assert a.bit_generator is not b.bit_generator
+
+
+# random(3) leaves the Philox inside an output block; integers(0, 10) leaves it holding a uint32 half
+@pytest.mark.parametrize("leave", [lambda g: g.random(3), lambda g: g.integers(0, 10)], ids=["mid_block", "half"])
+def test_a_reseated_stream_has_the_opened_streams_state(leave):
+    rng = open_stream(stream_keys(5, 0)[0])
+    # keys at the ends of the word range, where a conversion to uint64 would show
+    for key in [*stream_keys(5, np.arange(1, 4)).tolist(), [0, 0], [2**64 - 1, 2**64 - 1], [2**64 - 1, 0]]:
+        leave(rng)
+        left = rng.bit_generator.state
+        assert left["buffer_pos"] < 4 or left["has_uint32"]
+        assert reseat_stream(rng, key) is rng
+        assert repr(rng.bit_generator.state) == repr(open_stream(np.array(key, dtype=np.uint64)).bit_generator.state)
 
 
 def test_key_seed_serves_only_a_philox_key():

@@ -7,7 +7,7 @@ import pytest
 
 from seriesbench.core import ContractViolation
 from seriesbench import synthgen
-from seriesbench.streams import stream_keys
+from seriesbench.streams import open_stream, stream_keys
 from seriesbench.synthgen import (
     PrimaryAttrs,
     SecondaryAttrs,
@@ -183,7 +183,7 @@ def _noise(seed, sample_index, length):
 
 def test_noise_std_matches_drawn_sigma():
     key = stream_keys(3, 0, 4)[0]
-    sigma = sample_rng(key).uniform(0.04, 0.06)  # identical stream, first draw
+    sigma = open_stream(key).uniform(0.04, 0.06)  # identical stream, first draw
     noise = _noise(3, 0, 999_999)
     assert abs(noise.std() - sigma) < 0.001
     assert abs(noise.mean()) < 0.001
@@ -198,8 +198,8 @@ def test_noise_deterministic_per_stream():
 def test_noise_sigma_uniform_over_samples():
     from scipy.stats import kstest
 
-    keys = stream_keys(1, np.arange(100_000), 4)
-    sigmas = np.array([sample_rng(key).uniform(0.04, 0.06) for key in keys])
+    keys, rng = stream_keys(1, np.arange(100_000), 4), open_stream(stream_keys(1, 0, 0)[0])
+    sigmas = np.array([sample_rng(rng, key).uniform(0.04, 0.06) for key in keys.tolist()])
     stat = kstest(sigmas, "uniform", args=(0.04, 0.02)).pvalue
     assert stat > 1e-4
     assert sigmas.min() >= 0.04 and sigmas.max() <= 0.06
@@ -597,6 +597,43 @@ def test_build_matches_per_sample_reference_bitwise(variant, seed, n_per_combo, 
         assert list(got) == list(want)
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
+
+
+# the build draws every stream from one reseated Generator
+@pytest.mark.parametrize("purpose", [*range(synthgen._N_SAMPLE_PURPOSES), synthgen._P_SPLIT])
+def test_a_reseated_generator_draws_like_an_opened_stream(purpose):
+    keys = stream_keys(3, np.arange(5000), purpose)
+    rng = open_stream(keys[0])
+
+    def draws(g):  # every kind of draw the build takes, each stream leaving rng in another state
+        return (g.uniform(0.4, 0.6), g.integers(0, 4), g.integers(20, 40, endpoint=True),
+                g.random(3).tobytes(), g.standard_normal(5).tobytes(), g.permutation(9).tobytes())
+
+    for key, row in zip(keys, keys.tolist()):
+        assert draws(sample_rng(rng, row)) == draws(open_stream(key))
+
+
+def test_a_synth_m_build_opens_one_stream(monkeypatch):
+    opened = []
+
+    def counting(key):
+        opened.append(key)
+        return open_stream(key)
+
+    monkeypatch.setattr(synthgen, "open_stream", counting)
+    build_synth_dataset("m", 0, 8)
+    assert len(opened) == 1
+
+
+@pytest.mark.parametrize("n_per_combo", [8, 250])
+@pytest.mark.parametrize("variant", ["u", "m"])
+def test_build_is_bitwise_the_build_with_a_fresh_generator_per_stream(monkeypatch, variant, n_per_combo):
+    ds = build_synth_dataset(variant, 5, n_per_combo)
+    monkeypatch.setattr(synthgen, "sample_rng", lambda rng, key: open_stream(np.array(key, dtype=np.uint64)))
+    ref = build_synth_dataset(variant, 5, n_per_combo)
+    assert ds.series.data.tobytes() == ref.series.data.tobytes()
+    assert ds.conditions == ref.conditions
+    assert ds.splits == ref.splits
 
 
 def test_sinusoid_and_noise_match_reference_bitwise():

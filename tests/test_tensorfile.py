@@ -253,6 +253,49 @@ def test_write_tensor_refuses_an_array_of_other_than_real_numbers(tmp_path, arr)
     assert not path.exists()
 
 
+# arrays of more than one 1 MiB piece; 3000 rows of 768 float32 bytes make pieces of 1365, 1365 and 270 rows
+LARGE_ARRAYS = {
+    "c_order": lambda rng: rng.normal(size=(3000, 96, 2)),
+    "strided_view": lambda rng: rng.normal(size=(3000, 200, 2))[:, ::2, ::-1],
+    "f_order": lambda rng: np.asfortranarray(rng.normal(size=(1500, 300))),
+    "bool": lambda rng: rng.random((700, 600)) > 0.5,
+    "int": lambda rng: rng.integers(-(2**40), 2**40, size=(2000, 300)),  # float32 rounds most of them
+    "row_longer_than_a_piece": lambda rng: rng.normal(size=(3, 300_000)),
+    "one_dim": lambda rng: rng.normal(size=400_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_ARRAYS))
+def test_write_tensor_in_pieces_bytes_match_the_copying_writer(tmp_path, name):
+    arr = LARGE_ARRAYS[name](np.random.default_rng(len(name)))
+    assert arr.size * 4 > tensorfile._PIPE_CHUNK
+    tensorfile.write_tensor(arr, tmp_path / "x.tsb")
+    assert (tmp_path / "x.tsb").read_bytes() == _tsb1_bytes_by_copy(arr)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1e39])
+def test_write_tensor_refuses_a_non_finite_value_in_the_last_piece(tmp_path, bad):
+    arr = np.zeros((3000, 96, 2))
+    arr[-1, -1, -1] = bad
+    path = tmp_path / "x.tsb"
+    with pytest.raises(InputFormatError, match="non-finite in float32"):
+        tensorfile.write_tensor(arr, path)
+    assert not path.exists()
+
+
+def test_write_tensor_narrows_in_pieces_at_synth_m_size(tmp_path):
+    import tracemalloc
+
+    arr = np.random.default_rng(0).normal(size=(8000, 96, 2))  # a 5.9 MiB float32 payload
+    tracemalloc.start()
+    try:
+        tensorfile.write_tensor(arr, tmp_path / "x.tsb")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20, peak / 2**20
+
+
 def test_write_tensor_makes_no_copy_of_the_payload(tmp_path):
     import tracemalloc
 
