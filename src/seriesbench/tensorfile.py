@@ -46,13 +46,12 @@ def _float32_pieces(arr: np.ndarray) -> Iterator[np.ndarray]:
     longer.  Every piece is a view of one buffer, so a piece is valid only
     until the next is made.
     """
-    row_bytes = 4 * math.prod(arr.shape[1:])
-    rows = min(len(arr), max(1, _PIPE_CHUNK // max(row_bytes, 1)))
-    buffer = np.empty((rows,) + arr.shape[1:], dtype="<f4")
-    for start in range(0, len(arr), max(rows, 1)):
+    rows = max(1, _PIPE_CHUNK // max(4 * math.prod(arr.shape[1:]), 1))
+    buffer = np.empty((min(rows, len(arr)),) + arr.shape[1:], dtype="<f4")
+    for start in range(0, len(arr), rows):
         piece = buffer[: len(arr) - start]
-        with np.errstate(over="ignore"):  # a finite value beyond float32's range casts to inf, refused by the writer
-            np.copyto(piece, arr[start : start + rows], casting="unsafe")
+        with np.errstate(over="ignore"):  # a finite value beyond float32's range casts to inf
+            np.copyto(piece, arr[start : start + rows])
         yield piece
 
 
