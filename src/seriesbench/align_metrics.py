@@ -3,10 +3,11 @@
 DTW uses the classic O(N*M) dynamic program with Euclidean point cost over
 full feature vectors and no warping window; boundary cells carry +inf so they
 never win a min.  One kernel evaluates it for a whole batch of pairs: it
-sweeps the anti-diagonals i + j = s of every pair at once, keeping only the
-last two diagonals, and chunks the pairs so each chunk's cost matrices stay
-within a fixed byte budget.  ``dtw`` is the one-pair case and ``dtw_score``
-sends all n*K pairs of a bundle through it.
+sweeps the anti-diagonals i + j = s of every pair at once, forming each
+diagonal's point costs as it reaches it and keeping only the last two
+diagonals, so no cost matrix is ever built.  The pairs go in chunks whose
+copies of the series stay within a fixed byte budget.  ``dtw`` is the
+one-pair case and ``dtw_score`` sends all n*K pairs of a bundle through it.
 
 CRPS is the empirical two-sample form ``mean|x - y| - mean|x - x'| / 2``
 evaluated per (sample, timestep, feature) via the sorted-prefix identity,
@@ -22,7 +23,7 @@ import numpy as np
 
 from seriesbench.core import ContractViolation, TimeSeriesTensor, as_series_array, checked_array
 
-_CHUNK_BYTES = 16 << 20  # cost-matrix budget per chunk of DTW pairs
+_CHUNK_BYTES = 256 << 10  # budget of a DTW chunk's x and reversed-y copies; 256 KiB-1 MiB time alike
 
 
 @dataclass(frozen=True)
@@ -74,48 +75,41 @@ def dtw(x: np.ndarray, y: np.ndarray) -> float:
 def _dtw_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """DTW distances of the pairs (x[p], y[p]); x is (P, N, F), y is (P, M, F).
 
-    Pairs are swept in chunks whose cost matrices fit ``_CHUNK_BYTES``.
+    Pairs are swept in chunks whose (row, pair, F) copies of x and reversed y
+    fit ``_CHUNK_BYTES``.  With y reversed, row M-1-j of its copy holds y[j],
+    so the cells (i, s - i) of anti-diagonal s pair the contiguous row slices
+    ``xs[lo-1:hi]`` and ``ys[M-s+lo:M-s+hi+1]`` and each diagonal forms its
+    own costs.
     """
     p, n, f = x.shape
     m = y.shape[1]
-    chunk = max(1, _CHUNK_BYTES // (8 * (n * m * (f + 1) + 3 * (n + 1))))
+    chunk = max(1, _CHUNK_BYTES // (8 * (n + m) * f))
     out = np.empty(p)
     for start in range(0, p, chunk):
-        out[start:start + chunk] = _dtw_sweep(x[start:start + chunk], y[start:start + chunk])
+        xs = x[start:start + chunk].transpose(1, 0, 2).copy()
+        ys = y[start:start + chunk, ::-1].transpose(1, 0, 2).copy()
+        # Rolling diagonals indexed by i: row i of the buffer for diagonal s
+        # holds D(i, s - i).  Rows never written stay +inf, which are exactly
+        # the borders D(0, j) and D(i, 0) that later diagonals read.  Diagonal
+        # 2 is D(1, 1) = c(1, 1) + D(0, 0); adding 0.0 changes no bit, so it
+        # is seeded directly and the sweep starts at s = 3.
+        older = np.full((n + 1, xs.shape[1]), np.inf)
+        last = older.copy()
+        last[1] = np.sqrt(np.square(xs[0] - ys[m - 1]).sum(axis=-1))
+        best = np.empty_like(last)
+        for s in range(3, n + m + 1):
+            lo, hi = max(1, s - m), min(n, s - 1)
+            cost = xs[lo - 1:hi] - ys[m - s + lo:m - s + hi + 1]
+            np.square(cost, out=cost)
+            cost = cost.sum(axis=-1)
+            np.sqrt(cost, out=cost)
+            b = best[lo:hi + 1]
+            np.minimum(last[lo - 1:hi], last[lo:hi + 1], out=b)
+            np.minimum(b, older[lo - 1:hi], out=b)
+            np.add(cost, b, out=older[lo:hi + 1])
+            last, older = older, last
+        out[start:start + chunk] = last[n]
     return out
-
-
-def _dtw_sweep(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Layout (row, col, pair): the pair axis is innermost so every DP operand
-    # is a contiguous block.  With y reversed, column M-1-j holds y[j] and the
-    # cells of anti-diagonal s = i + j sit at a fixed stride M+1 in the
-    # flattened cost matrix, so each diagonal's cost is a basic-slice view.
-    p, n, _ = x.shape
-    m = y.shape[1]
-    cost = x.transpose(1, 0, 2)[:, None] - y[:, ::-1].transpose(1, 0, 2)[None]
-    np.square(cost, out=cost)
-    cost = cost.sum(axis=-1)
-    np.sqrt(cost, out=cost)
-    cost = cost.reshape(n * m, p)
-    step = m + 1
-    # Rolling diagonals indexed by i: row i of the buffer for diagonal s holds
-    # D(i, s - i).  Rows never written stay +inf, which are exactly the
-    # borders D(0, j) and D(i, 0) that later diagonals read.  Diagonal 2 is
-    # D(1, 1) = c(1, 1) + D(0, 0); adding 0.0 changes no bit, so it is seeded
-    # directly and the sweep starts at s = 3.
-    older = np.full((n + 1, p), np.inf)
-    last = np.full((n + 1, p), np.inf)
-    last[1] = cost[m - 1]
-    best = np.empty((n + 1, p))
-    for s in range(3, n + m + 1):
-        lo, hi = max(1, s - m), min(n, s - 1)
-        first = (lo - 1) * step + m + 1 - s
-        b = best[lo:hi + 1]
-        np.minimum(last[lo - 1:hi], last[lo:hi + 1], out=b)
-        np.minimum(b, older[lo - 1:hi], out=b)
-        np.add(cost[first:first + (hi - lo) * step + 1:step], b, out=older[lo:hi + 1])
-        last, older = older, last
-    return last[n].copy()
 
 
 def _aligned_refs(refs: TimeSeriesTensor | np.ndarray, bundle: GenerationBundle) -> np.ndarray:

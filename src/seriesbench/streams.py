@@ -4,11 +4,12 @@ A row's stream is ``Generator(Philox(SeedSequence(row)))``.  Its Philox key is
 ``SeedSequence(row).generate_state(2, np.uint64)``: a fixed hash of the row
 (O'Neill's ``seed_seq_fe``, as NumPy implements it).  ``stream_keys`` runs that
 hash over many rows at once in uint32 array arithmetic, and ``open_stream``
-turns one key into a fresh Generator without building a ``SeedSequence``, so
-the draws are those of the seeded generator at a fraction of its cost.  A
-fresh stream is only its key and counter 0, so ``reseat_stream`` moves an
-existing Generator to it for less again: a caller that draws from many
-streams one after another keeps one Generator.
+hands one key to Philox's own ``key`` argument, which builds no
+``SeedSequence`` and draws no OS entropy, so the draws are those of the
+seeded generator without hashing the row again.  A fresh stream is only its
+key and counter 0, so ``reseat_stream`` moves an existing Generator to it for
+less: a caller that draws from many streams one after another keeps one
+Generator.
 
 Philox is counter-based (Salmon et al., SC 2011): output block c of a key is a
 pure function of (key, c).  ``philox_blocks`` computes the first blocks of
@@ -26,7 +27,6 @@ stream is opened.
 
 from __future__ import annotations
 
-import functools
 import operator
 
 import numpy as np
@@ -48,9 +48,6 @@ _PHILOX_ROUNDS = 10
 # Generator.choice(pop, size, replace=False) shuffles the tail of arange(pop)
 # instead of running Floyd's algorithm when pop > 10000 and size > pop // 50
 _TAIL_SHUFFLE_POP, _TAIL_SHUFFLE_DIVISOR = 10_000, 50
-# a fresh Philox's counter; Philox converts an array far faster than its default, the Python int 0
-_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
-_ZERO_COUNTER.setflags(write=False)
 # the state setter reads the words of a counter or buffer one by one, fastest from Python ints
 _ZERO_WORDS = (0, 0, 0, 0)
 _PHILOX_BUFFER_WORDS = 4  # a buffer_pos of 4 leaves no buffered output block
@@ -126,31 +123,9 @@ def stream_keys(seed: int, *columns) -> np.ndarray:
     return _hashed_keys(words)
 
 
-@functools.cache
-def _key_seed_type() -> type:
-    # defined on first use: a module-level subclass of a numpy.random class
-    # would import numpy.random in every process that imports this module
-    from numpy.random.bit_generator import ISeedSequence
-
-    class KeySeed(ISeedSequence):
-        """A seed sequence whose only state is a ready Philox key."""
-
-        __slots__ = ("key",)
-
-        def __init__(self, key: np.ndarray) -> None:
-            self.key = key
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            if n_words != 2 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-                raise ValueError("a Philox key seeds exactly two uint64 words")
-            return self.key
-
-    return KeySeed
-
-
 def open_stream(key: np.ndarray) -> np.random.Generator:
     """A fresh Generator on the Philox stream of one ``stream_keys`` row."""
-    return np.random.Generator(np.random.Philox(_key_seed_type()(key), counter=_ZERO_COUNTER))
+    return np.random.Generator(np.random.Philox(key=key, counter=0))
 
 
 def reseat_stream(rng: np.random.Generator, key) -> np.random.Generator:

@@ -39,37 +39,24 @@ _HEADER_LIMIT = 4096  # sane upper bound for one header line
 _PIPE_CHUNK = 1 << 20  # a payload is read, widened or narrowed at most this many bytes at a time
 
 
-def _float32_pieces(arr: np.ndarray) -> Iterator[np.ndarray]:
-    """``arr`` cast to little-endian float32 in row-major order, as C-contiguous pieces of leading-axis rows.
-
-    A piece holds at most ``_PIPE_CHUNK`` bytes, or one row when a row is
-    longer.  Every piece is a view of one buffer, so a piece is valid only
-    until the next is made.
-    """
-    rows = max(1, _PIPE_CHUNK // max(4 * math.prod(arr.shape[1:]), 1))
-    buffer = np.empty((min(rows, len(arr)),) + arr.shape[1:], dtype="<f4")
-    for start in range(0, len(arr), rows):
-        piece = buffer[: len(arr) - start]
-        with np.errstate(over="ignore"):  # a finite value beyond float32's range casts to inf
-            np.copyto(piece, arr[start : start + rows])
-        yield piece
-
-
 def write_tensor(t: TimeSeriesTensor | EmbeddingMatrix | np.ndarray, path: str | Path) -> None:
     """Write an array as a TSB1 file (float32 payload).
 
-    The payload is narrowed in pieces of at most ``_PIPE_CHUNK`` bytes, twice:
-    every piece is checked before the file is opened, so a refused array
-    leaves no file, and then made again and written.
+    Narrowing to float32 is monotone, so the array's min and max alone tell
+    whether a value leaves float32's range; they are checked before the file
+    is opened, so a refused array leaves no file.  The payload is then
+    narrowed once, in C-contiguous pieces of leading-axis rows of at most
+    ``_PIPE_CHUNK`` bytes (one row when a row is longer), and written.
     """
     arr = t.data if isinstance(t, (TimeSeriesTensor, EmbeddingMatrix)) else np.asarray(t)
     if arr.ndim == 0:
         raise InputFormatError("refusing to write a 0-d array: a TSB1 shape needs a dimension")
     if arr.dtype.kind not in "biuf":  # a cast would drop imaginary parts or fail on text
         raise InputFormatError(f"refusing to write a {arr.dtype} array: TSB1 holds real numbers")
-    # min and max are NaN or infinite when any value is, and allocate no mask
-    if any(p.size and not (np.isfinite(p.min()) and np.isfinite(p.max())) for p in _float32_pieces(arr)):
-        raise InputFormatError("refusing to write values that are non-finite in float32")
+    with np.errstate(over="ignore"):  # a finite value beyond float32's range casts to inf
+        # min and max are NaN when any value is, and allocate no mask
+        if arr.size and not np.isfinite(np.float32([arr.min(), arr.max()])).all():
+            raise InputFormatError("refusing to write values that are non-finite in float32")
     header = {
         "magic": _MAGIC,
         "dtype": "f32",
@@ -77,10 +64,14 @@ def write_tensor(t: TimeSeriesTensor | EmbeddingMatrix | np.ndarray, path: str |
         "order": "row_major",
         "byte_order": "little",
     }
+    rows = max(1, _PIPE_CHUNK // max(4 * math.prod(arr.shape[1:]), 1))
+    buffer = np.empty((min(rows, len(arr)),) + arr.shape[1:], dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
-        for piece in _float32_pieces(arr):
+        for start in range(0, len(arr), rows):
+            piece = buffer[: len(arr) - start]
+            np.copyto(piece, arr[start : start + rows])
             fh.write(piece)  # the piece's own buffer: no bytes copy
 
 

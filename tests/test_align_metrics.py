@@ -73,14 +73,26 @@ def _dtw_rows(x, y):
     return prev[m]
 
 
-@pytest.mark.parametrize("budget", [1, 10_000, align_metrics._CHUNK_BYTES])
+def _chunk_bytes(n, m, f):
+    """The chunk budget's charge per DTW pair: float64 copies of its N + M rows of F features."""
+    return 8 * (n + m) * f
+
+
+@pytest.mark.parametrize("pairs_per_chunk", [1, 7, None])
+# F >= 8 is where NumPy's sum over the last axis turns pairwise
 @pytest.mark.parametrize(
-    "n,m,f", [(8, 8, 1), (7, 13, 1), (13, 7, 2), (1, 9, 1), (9, 1, 2), (1, 1, 2), (30, 5, 2)]
+    "n,m,f",
+    [(8, 8, 1), (7, 13, 1), (13, 7, 2), (1, 9, 1), (9, 1, 2), (1, 1, 2), (30, 5, 2),
+     (12, 9, 8), (9, 12, 9), (20, 25, 16), (7, 5, 33)],
 )
-def test_dtw_batch_matches_single(n, m, f, budget, monkeypatch):
-    # budgets of one pair per chunk, a few pairs with a short last chunk, and
-    # the default (all pairs in one chunk)
-    monkeypatch.setattr(align_metrics, "_CHUNK_BYTES", budget)
+def test_dtw_batch_matches_single(n, m, f, pairs_per_chunk, monkeypatch):
+    # budgets of one pair per chunk, seven pairs with a short last chunk
+    # (25 = 3 * 7 + 4), and the default (all pairs in one chunk)
+    if pairs_per_chunk is None:
+        assert align_metrics._CHUNK_BYTES >= 25 * _chunk_bytes(n, m, f)
+    else:
+        monkeypatch.setattr(align_metrics, "_CHUNK_BYTES", pairs_per_chunk * _chunk_bytes(n, m, f))
+        assert align_metrics._CHUNK_BYTES < 25 * _chunk_bytes(n, m, f)  # at least 2 chunks
     rng = np.random.default_rng(n * 100 + m * 10 + f)
     x = rng.normal(size=(25, n, f))
     y = rng.normal(size=(25, m, f)) * 3.0
@@ -90,7 +102,8 @@ def test_dtw_batch_matches_single(n, m, f, budget, monkeypatch):
 
 
 def test_dtw_score_matches_sequential_reference(monkeypatch):
-    monkeypatch.setattr(align_metrics, "_CHUNK_BYTES", 50_000)  # several chunks
+    monkeypatch.setattr(align_metrics, "_CHUNK_BYTES", 3_500)  # chunks of 5 pairs, the last of 1
+    assert align_metrics._CHUNK_BYTES < 9 * 4 * _chunk_bytes(20, 20, 2)  # at least 2 chunks
     rng = np.random.default_rng(2)
     refs = rng.normal(size=(9, 20, 2))
     bundle = _bundle_from(refs, 0.5, 4, seed=8)
@@ -98,6 +111,23 @@ def test_dtw_score_matches_sequential_reference(monkeypatch):
     for i in range(9):
         total += min(_dtw_rows(refs[i], bundle.data[i, k]) for k in range(4))
     assert dtw_score(refs, bundle) == total / 9
+
+
+def test_dtw_batch_scratch_stays_small():
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(20_000, 96, 1))
+    y = rng.normal(size=(20_000, 96, 1))
+    tracemalloc.start()
+    try:
+        _dtw_batch(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a chunk's series copies, its rolling diagonals and one diagonal's costs,
+    # then the (P,) result: ~1 MiB; a chunk's (N*M, pairs) cost matrix would not fit
+    assert peak <= 4 * 2**20, peak / 2**20
 
 
 def test_dtw_rejects_empty():

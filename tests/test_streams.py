@@ -138,12 +138,6 @@ def test_a_reseated_stream_has_the_opened_streams_state(leave):
         assert repr(rng.bit_generator.state) == repr(open_stream(np.array(key, dtype=np.uint64)).bit_generator.state)
 
 
-def test_key_seed_serves_only_a_philox_key():
-    seq = open_stream(stream_keys(1, 2)[0]).bit_generator.seed_seq
-    with pytest.raises(ValueError):
-        seq.generate_state(4, np.uint32)
-
-
 # ---------------------------------------------------------------------------
 # bulk draws: philox_blocks and sample_sets against NumPy's own generator
 # ---------------------------------------------------------------------------

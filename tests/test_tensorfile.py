@@ -217,7 +217,8 @@ def test_write_tensor_bytes_match_the_copying_writer(tmp_path, arr):
     assert (tmp_path / "x.tsb").read_bytes() == _tsb1_bytes_by_copy(arr)
 
 
-@pytest.mark.parametrize("bad", [1e39, -1e39, np.inf, np.nan])
+# 3.4028235677973366e38 is the least float64 that rounds past float32's maximum
+@pytest.mark.parametrize("bad", [1e39, -1e39, np.inf, np.nan, 3.4028235677973366e38, -3.4028235677973366e38])
 def test_write_tensor_refuses_a_value_beyond_float32_range_without_a_warning(tmp_path, bad):
     path = tmp_path / "x.tsb"
     with warnings.catch_warnings():
@@ -228,9 +229,11 @@ def test_write_tensor_refuses_a_value_beyond_float32_range_without_a_warning(tmp
 
 
 def test_write_tensor_round_trips_float32_extremes(tmp_path):
-    arr = np.array([[3.4028234663852886e38, -3.4028234663852886e38]])
-    tensorfile.write_tensor(arr, tmp_path / "x.tsb")
-    assert np.array_equal(tensorfile.read_array(tmp_path / "x.tsb"), arr)
+    # float32's maximum itself, and the greatest float64 that still rounds to it
+    top = np.array([3.4028234663852886e38, 3.4028235677973362e38])
+    tensorfile.write_tensor(np.array([top, -top]), tmp_path / "x.tsb")
+    maximum = float(np.finfo(np.float32).max)
+    assert np.array_equal(tensorfile.read_array(tmp_path / "x.tsb"), [[maximum] * 2, [-maximum] * 2])
 
 
 @pytest.mark.parametrize("arr", [np.float64(2.5), np.array(np.nan)])
