@@ -7,12 +7,15 @@ sweeps the anti-diagonals i + j = s of every pair at once, forming each
 diagonal's point costs as it reaches it and keeping only the last two
 diagonals, so no cost matrix is ever built.  The pairs go in chunks whose
 copies of the series stay within a fixed byte budget.  ``dtw`` is the
-one-pair case and ``dtw_score`` sends all n*K pairs of a bundle through it.
+one-pair case and ``dtw_score`` sends all n*K pairs of a bundle through it,
+each chunk reading its pairs' references by index.
 
 CRPS is the empirical two-sample form ``mean|x - y| - mean|x - x'| / 2``
 evaluated per (sample, timestep, feature) via the sorted-prefix identity,
 which is exact and O(K log K) per cell; ``crps_instance`` is the
-one-ensemble case of ``crps_score``.
+one-ensemble case of ``crps_score``.  Its two terms are formed one after the
+other, so its scratch stays near one bundle.  Both scores take a
+``GenerationBundle`` or a plain (n, K, L, F) array, checked like one.
 """
 
 from __future__ import annotations
@@ -34,14 +37,6 @@ class GenerationBundle:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "data", checked_array(self.data, 4, "generation bundle"))
-
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.data.shape[1]
 
     @classmethod
     def from_flat(cls, flat: TimeSeriesTensor | np.ndarray, k: int) -> "GenerationBundle":
@@ -73,20 +68,22 @@ def dtw(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _dtw_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """DTW distances of the pairs (x[p], y[p]); x is (P, N, F), y is (P, M, F).
+    """DTW distances of the pairs (x[p // per_ref], y[p]); x is (R, N, F), y is (P, M, F).
 
-    Pairs are swept in chunks whose (row, pair, F) copies of x and reversed y
-    fit ``_CHUNK_BYTES``.  With y reversed, row M-1-j of its copy holds y[j],
+    ``per_ref = P // R`` consecutive pairs share a row of x.  Pairs are swept
+    in chunks whose (row, pair, F) copies of x and reversed y fit
+    ``_CHUNK_BYTES``.  With y reversed, row M-1-j of its copy holds y[j],
     so the cells (i, s - i) of anti-diagonal s pair the contiguous row slices
     ``xs[lo-1:hi]`` and ``ys[M-s+lo:M-s+hi+1]`` and each diagonal forms its
     own costs.
     """
-    p, n, f = x.shape
-    m = y.shape[1]
+    n, f = x.shape[1:]
+    p, m = y.shape[:2]
+    per_ref = p // len(x)
     chunk = max(1, _CHUNK_BYTES // (8 * (n + m) * f))
     out = np.empty(p)
     for start in range(0, p, chunk):
-        xs = x[start:start + chunk].transpose(1, 0, 2).copy()
+        xs = x[np.arange(start, min(start + chunk, p)) // per_ref].transpose(1, 0, 2).copy()
         ys = y[start:start + chunk, ::-1].transpose(1, 0, 2).copy()
         # Rolling diagonals indexed by i: row i of the buffer for diagonal s
         # holds D(i, s - i).  Rows never written stay +inf, which are exactly
@@ -112,21 +109,20 @@ def _dtw_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _aligned_refs(refs: TimeSeriesTensor | np.ndarray, bundle: GenerationBundle) -> np.ndarray:
-    """``refs`` as an (n, L, F) array matching the bundle's n, L and F."""
+def _aligned(refs: TimeSeriesTensor | np.ndarray, bundle: GenerationBundle | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``refs`` and ``bundle`` as (n, L, F) and (n, K, L, F) arrays with the same n, L and F."""
     r = as_series_array(refs)
-    if r.shape[0] != bundle.n_samples or r.shape[1:] != bundle.data.shape[2:]:
-        raise ContractViolation(
-            f"refs {r.shape} do not align with bundle {bundle.data.shape}"
-        )
-    return r
+    b = bundle.data if isinstance(bundle, GenerationBundle) else checked_array(bundle, 4, "generation bundle")
+    if r.shape[0] != b.shape[0] or r.shape[1:] != b.shape[2:]:
+        raise ContractViolation(f"refs {r.shape} do not align with bundle {b.shape}")
+    return r, b
 
 
-def dtw_score(refs: TimeSeriesTensor | np.ndarray, bundle: GenerationBundle) -> float:
+def dtw_score(refs: TimeSeriesTensor | np.ndarray, bundle: GenerationBundle | np.ndarray) -> float:
     """Mean over references of the best-of-K DTW distance."""
-    r = _aligned_refs(refs, bundle)
-    n, k, length, f = bundle.data.shape
-    pairs = _dtw_batch(np.repeat(r, k, axis=0), bundle.data.reshape(n * k, length, f))
+    r, b = _aligned(refs, bundle)
+    n, k, length, f = b.shape
+    pairs = _dtw_batch(r, b.reshape(n * k, length, f))
     total = 0.0
     for best in pairs.reshape(n, k).min(axis=1).tolist():
         total += best  # sequential sum: np.mean differs in the last ulp
@@ -149,14 +145,16 @@ def crps_instance(samples: np.ndarray, y: float) -> float:
     return crps_score(np.full((1, 1, 1), y, dtype=np.float64), GenerationBundle(ensemble))
 
 
-def crps_score(refs: TimeSeriesTensor | np.ndarray, bundle: GenerationBundle) -> float:
+def crps_score(refs: TimeSeriesTensor | np.ndarray, bundle: GenerationBundle | np.ndarray) -> float:
     """CRPS per (sample, timestep, feature), averaged over timesteps, then features, then samples."""
-    r = _aligned_refs(refs, bundle)
-    term1 = np.abs(bundle.data - r[:, None, :, :]).mean(axis=1)  # (n, L, F)
+    r, b = _aligned(refs, bundle)
     # sum_{i,j} |x_i - x_j| = 2 sum_i (2i - K + 1) x_(i) over the forecasts sorted along K
-    k = bundle.k
+    k = b.shape[1]
     weights = 2.0 * np.arange(k) - k + 1.0
-    sorted_k = np.moveaxis(np.sort(bundle.data, axis=1), 1, -1)  # (n, L, F, K)
-    term2 = 0.5 * (2.0 * (sorted_k * weights).sum(axis=-1) / (k * k))  # (n, L, F)
+    sorted_k = np.moveaxis(np.sort(b, axis=1), 1, -1)  # (n, L, F, K)
+    term2 = 0.5 * (2.0 * np.multiply(sorted_k, weights, out=sorted_k).sum(axis=-1) / (k * k))  # (n, L, F)
+    del sorted_k  # freed before the gaps take a bundle-sized buffer of their own
+    gap = b - r[:, None]
+    term1 = np.abs(gap, out=gap).mean(axis=1)  # (n, L, F)
     cell = term1 - term2
     return float(cell.mean(axis=1).mean(axis=1).mean())

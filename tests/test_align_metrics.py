@@ -130,6 +130,19 @@ def test_dtw_batch_scratch_stays_small():
     assert peak <= 4 * 2**20, peak / 2**20
 
 
+@pytest.mark.parametrize("pairs_per_chunk", [1, 3, 4, 7, None])
+def test_dtw_batch_reads_each_reference_by_index(pairs_per_chunk, monkeypatch):
+    # K = 4 pairs per reference; chunks of 3 and 7 pairs cut inside one
+    # reference's pairs, chunks of 4 fall on its edges
+    if pairs_per_chunk is not None:
+        monkeypatch.setattr(align_metrics, "_CHUNK_BYTES", pairs_per_chunk * _chunk_bytes(9, 11, 2))
+    rng = np.random.default_rng(14)
+    refs = rng.normal(size=(6, 9, 2))
+    y = rng.normal(size=(24, 11, 2))
+    got = _dtw_batch(refs, y)
+    assert got.tobytes() == _dtw_batch(np.repeat(refs, 4, axis=0), y).tobytes()
+
+
 def test_dtw_rejects_empty():
     with pytest.raises(ContractViolation):
         dtw(np.zeros((0, 1)), [1.0])
@@ -175,6 +188,62 @@ def test_dtw_score_monotone_in_k():
         dtw_score(refs, GenerationBundle(data=full.data[:, :k])) for k in range(1, 7)
     ]
     assert all(b <= a + 1e-12 for a, b in zip(scores, scores[1:]))
+
+
+def _layouts(rng, n, k, length, f):
+    """The same kind of bundle C-ordered, sliced out of a larger one, Fortran-ordered and time-reversed."""
+    base = rng.normal(size=(n, k, length, f))
+    base[np.abs(base) < 0.05] = -0.0
+    return {
+        "C": base,
+        "sliced": rng.normal(size=(n, k + 3, 2 * length, f))[:, 1:k + 1, ::2],
+        "F": np.asfortranarray(base),
+        "reversed": base[:, :, ::-1],
+    }
+
+
+@pytest.mark.parametrize("score", [dtw_score, crps_score])
+def test_scores_take_a_plain_bundle_as_the_wrapper(score):
+    rng = np.random.default_rng(15)
+    for k, f in [(1, 1), (5, 3), (12, 2)]:
+        refs = rng.normal(size=(4, 8, f))
+        for plain in _layouts(rng, 4, k, 8, f).values():
+            got = score(refs, plain)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(score(refs, GenerationBundle(plain))).tobytes()
+
+
+@pytest.mark.parametrize("score", [dtw_score, crps_score])
+def test_scores_check_a_plain_bundle_like_the_wrapper(score):
+    refs = np.zeros((2, 3, 1))
+    nan_bundle = np.zeros((2, 2, 3, 1))
+    nan_bundle[1, 0, 2, 0] = np.nan
+    for bad in [np.zeros((2, 3, 1)), np.zeros((2, 0, 3, 1)), nan_bundle]:
+        with pytest.raises(ContractViolation, match="generation bundle"):
+            score(refs, bad)
+
+
+def _peak_bytes(fn, *args):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_align_scores_scratch_stays_near_one_bundle():
+    rng = np.random.default_rng(16)
+    refs = rng.normal(size=(2000, 96, 1))
+    bundle = GenerationBundle(refs[:, None] + 0.5 * rng.normal(size=(2000, 10, 96, 1)))  # 14.6 MiB
+    # the DTW chunks read the references by index: ~1 MiB, where repeating
+    # the references K times took a second 14.6 MiB
+    assert _peak_bytes(dtw_score, refs, bundle) <= 4 * 2**20
+    # the sorted copy, then the absolute gaps: ~1.3 bundles, where holding
+    # both with a weighted copy took ~2.2
+    assert _peak_bytes(crps_score, refs, bundle) <= 1.5 * bundle.data.nbytes
 
 
 def test_bundle_from_flat_grouping():
@@ -302,3 +371,25 @@ def test_crps_score_equals_mean_of_instances():
 def test_crps_score_shape_mismatch():
     with pytest.raises(ContractViolation):
         crps_score(np.zeros((2, 4, 1)), GenerationBundle(data=np.zeros((2, 3, 5, 1))))
+
+
+def _crps_score_reference(refs, data):
+    # crps_score's body before its two terms were formed one after the other
+    term1 = np.abs(data - refs[:, None, :, :]).mean(axis=1)
+    k = data.shape[1]
+    weights = 2.0 * np.arange(k) - k + 1.0
+    sorted_k = np.moveaxis(np.sort(data, axis=1), 1, -1)
+    term2 = 0.5 * (2.0 * (sorted_k * weights).sum(axis=-1) / (k * k))
+    cell = term1 - term2
+    return float(cell.mean(axis=1).mean(axis=1).mean())
+
+
+def test_crps_score_matches_the_reference_formula_bitwise_over_layouts():
+    rng = np.random.default_rng(17)
+    for k, f in [(1, 1), (2, 3), (10, 1), (64, 2), (7, 9)]:
+        refs = rng.normal(size=(3, 6, f)) * rng.choice([1e-3, 1.0, 1e5])
+        for name, data in _layouts(rng, 3, k, 6, f).items():
+            for r in (refs, np.asfortranarray(refs)):
+                expected = np.float64(_crps_score_reference(r, data)).tobytes()
+                assert np.float64(crps_score(r, data)).tobytes() == expected, (k, f, name)
+                assert np.float64(crps_score(r, GenerationBundle(data))).tobytes() == expected, (k, f, name)

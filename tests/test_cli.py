@@ -1054,3 +1054,59 @@ def test_validate_reads_its_series_from_a_fifo_and_records_no_digest_for_it(tmp_
     inputs = json.loads((tmp_path / "v.manifest.json").read_text())["inputs"]
     assert inputs[str(fifo)] is None
     assert len(inputs[str(synth_dir / "schema.json")]) == 64
+
+
+def test_a_fifo_input_gets_a_null_digest_without_being_reopened(tmp_path):
+    # the command has already drained the FIFO; opening it again would wait for a writer
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs on this platform")
+    from seriesbench import cli
+
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+    digests = []
+    reader = threading.Thread(target=lambda: digests.append(cli._sha256(fifo)), daemon=True)
+    reader.start()
+    reader.join(timeout=10)
+    assert digests == [None]
+
+
+def test_an_out_path_without_a_suffix_gets_its_manifest_beside_it(tmp_path):
+    out = tmp_path / "droprate"
+    argv = ["protocol", "droprate", "--acc-real", "0.9", "--acc-gen", "0.7", "--acc-rand", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["drop_rate"] == 0.5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["droprate", "droprate.manifest.json"]
+    assert json.loads((tmp_path / "droprate.manifest.json").read_text())["inputs"] == {}
+
+
+def test_protocol_rank_with_no_reports_exits_2(tmp_path, capsys):
+    grouping = tmp_path / "grouping.json"
+    grouping.write_text(json.dumps({"score": "fidelity"}))
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    out = tmp_path / "rank.json"
+    for extra in ([], ["--reports-dir", str(reports)]):
+        assert main(["protocol", "rank", *extra, "--grouping", str(grouping), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "input error: no reports given\n"
+    assert not out.exists()
+
+
+def test_schema_discover_with_no_captions_exits_2(tmp_path, rules_file, capsys):
+    captions = tmp_path / "captions.txt"
+    captions.write_text("\n   \n\n")
+    out = tmp_path / "disc"
+    argv = ["schema", "discover", "--captions", str(captions), "--proposer", f"mock:{rules_file}", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"input error: {captions}: no captions found\n"
+    assert not out.exists()
+
+
+def test_schema_discover_with_an_unknown_proposer_scheme_exits_3(tmp_path, capsys):
+    captions = tmp_path / "captions.txt"
+    captions.write_text("an upward series\n")
+    out = tmp_path / "disc"
+    argv = ["schema", "discover", "--captions", str(captions), "--proposer", "ftp://127.0.0.1/propose", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "contract violation: unknown proposer spec 'ftp://127.0.0.1/propose'\n"
+    assert not out.exists()

@@ -381,6 +381,21 @@ def test_kernel_bitwise_parity_with_the_byte_budget_blocking_past_8192_points(n,
     assert 0.0 < inside.mean() < 1.0  # queries run from copies of points to well off them
 
 
+@pytest.mark.parametrize("n", [8193, 12000])
+@pytest.mark.parametrize("d", [3, 128])
+def test_kernel_bitwise_parity_past_8192_points_at_the_kernels_own_height(n, d):
+    """The same inputs against a reference at the kernel's own 128-row height.
+
+    Equal gemm shapes round alike, so this pin holds on every BLAS kernel.
+    """
+    from seriesbench import embed_metrics
+
+    rng = np.random.default_rng(n + d)
+    points = rng.normal(size=(n, d))
+    queries = points[:600] + rng.normal(size=(600, d)) * np.linspace(0.0, 1.5, 600)[:, None]
+    _assert_kernel_parity(points, queries, 5, block_rows=embed_metrics._BLOCK_BYTES // (8 * 8192))
+
+
 def _assert_contains_parity(points, radii, queries):
     index = ManifoldIndex(points=points, radii=radii)
     assert np.array_equal(index.contains(queries), _ref_contains(points, radii, queries))

@@ -33,8 +33,6 @@ ORACLE_ENTRY_POINTS = {
 
 # method or property with a shared name -> a module, relative to the repo, that reaches it
 SHARED_MEMBER_USERS = {
-    "core.TimeSeriesTensor.n_samples": "src/seriesbench/cli.py",
-    "align_metrics.GenerationBundle.n_samples": "src/seriesbench/align_metrics.py",
     "core.AttributeSchema.to_dict": "src/seriesbench/tensorfile.py",
     "core.AttributeSchema.from_dict": "src/seriesbench/tensorfile.py",
     "schema_discovery.LabelIndex.to_dict": "src/seriesbench/cli.py",

@@ -82,6 +82,28 @@ def test_lower_better_direction_flips_order():
     assert by_model["a"] == 1.0 and by_model["b"] == 2.0
 
 
+def test_entries_outside_the_grouping_are_skipped():
+    # "spare" is in no group, so neither its values nor its clashing directions count
+    reports = [
+        MetricReport((MetricEntry("m", 0.9, "higher_better"), MetricEntry("spare", 0.0, "higher_better")),
+                     ReportContext("d", "a", 0)),
+        MetricReport((MetricEntry("m", 0.1, "higher_better"), MetricEntry("spare", 5.0, "lower_better")),
+                     ReportContext("d", "b", 0)),
+    ]
+    rows, table = aggregate_ranks(reports, {"m": "fidelity"})
+    assert table.metrics == ("m",)
+    assert {r.model: r.mean_rank for r in rows} == {"a": 1.0, "b": 2.0}
+
+
+def test_conflicting_directions_are_refused():
+    reports = [
+        _report("a", "d", 0, {"m": 0.9}),
+        _report("b", "d", 0, {"m": 0.1}, direction="lower_better"),
+    ]
+    with pytest.raises(ContractViolation, match="'m' has conflicting directions"):
+        aggregate_ranks(reports, {"m": "fidelity"})
+
+
 def test_tie_gets_average_rank():
     reports = [
         _report("a", "d", 0, {"m": 0.5}),
