@@ -374,7 +374,7 @@ def test_crps_score_shape_mismatch():
 
 
 def _crps_score_reference(refs, data):
-    # crps_score's body before its two terms were formed one after the other
+    # the direct formula, each term in temporaries of its own; crps_score must give its bits
     term1 = np.abs(data - refs[:, None, :, :]).mean(axis=1)
     k = data.shape[1]
     weights = 2.0 * np.arange(k) - k + 1.0
