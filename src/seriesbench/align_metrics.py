@@ -8,7 +8,8 @@ diagonal's point costs as it reaches it and keeping only the last two
 diagonals, so no cost matrix is ever built.  The pairs go in chunks whose
 copies of the series stay within a fixed byte budget.  ``dtw`` is the
 one-pair case and ``dtw_score`` sends all n*K pairs of a bundle through it,
-each chunk reading its pairs' references by index.
+each chunk gathering its pairs' references and generated series by index,
+so no input is copied whole, whatever its memory layout.
 
 CRPS is the empirical two-sample form ``mean|x - y| - mean|x - x'| / 2``
 evaluated per (sample, timestep, feature) via the sorted-prefix identity,
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seriesbench.core import ContractViolation, TimeSeriesTensor, as_series_array, checked_array
+from seriesbench.core import ContractViolation, TimeSeriesTensor, as_series_array, checked_array, is_integer
 
 _CHUNK_BYTES = 256 << 10  # budget of a DTW chunk's x and reversed-y copies; 256 KiB-1 MiB time alike
 
@@ -42,6 +43,8 @@ class GenerationBundle:
     def from_flat(cls, flat: TimeSeriesTensor | np.ndarray, k: int) -> "GenerationBundle":
         """Regroup a (n*K, L, F) tensor stored grouped by sample."""
         arr = as_series_array(flat)
+        if not is_integer(k):
+            raise ContractViolation(f"K must be an integer, got {k!r}")
         if k < 1 or arr.shape[0] % k != 0:
             raise ContractViolation(f"flat bundle of {arr.shape[0]} rows not divisible by K={k}")
         return cls(data=arr.reshape(arr.shape[0] // k, k, arr.shape[1], arr.shape[2]))
@@ -64,27 +67,28 @@ def dtw(x: np.ndarray, y: np.ndarray) -> float:
     yp = _as_points(y)
     if xp.shape[1] != yp.shape[1]:
         raise ContractViolation(f"feature mismatch: {xp.shape[1]} vs {yp.shape[1]}")
-    return float(_dtw_batch(xp[None], yp[None])[0])
+    return float(_dtw_batch(xp[None], yp[None, None])[0])
 
 
 def _dtw_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """DTW distances of the pairs (x[p // per_ref], y[p]); x is (R, N, F), y is (P, M, F).
+    """DTW distances of the R*K pairs (x[r], y[r, j]), pair p = r*K + j; x is (R, N, F), y is (R, K, M, F).
 
-    ``per_ref = P // R`` consecutive pairs share a row of x.  Pairs are swept
-    in chunks whose (row, pair, F) copies of x and reversed y fit
-    ``_CHUNK_BYTES``.  With y reversed, row M-1-j of its copy holds y[j],
-    so the cells (i, s - i) of anti-diagonal s pair the contiguous row slices
+    Pairs are swept in chunks whose (row, pair, F) copies of x and reversed y
+    fit ``_CHUNK_BYTES``; a chunk gathers its rows of both by pair index.
+    With y reversed, row M-1-j of its copy holds y[j], so the cells
+    (i, s - i) of anti-diagonal s pair the contiguous row slices
     ``xs[lo-1:hi]`` and ``ys[M-s+lo:M-s+hi+1]`` and each diagonal forms its
     own costs.
     """
     n, f = x.shape[1:]
-    p, m = y.shape[:2]
-    per_ref = p // len(x)
+    k, m = y.shape[1:3]
+    p = len(x) * k
     chunk = max(1, _CHUNK_BYTES // (8 * (n + m) * f))
     out = np.empty(p)
     for start in range(0, p, chunk):
-        xs = x[np.arange(start, min(start + chunk, p)) // per_ref].transpose(1, 0, 2).copy()
-        ys = y[start:start + chunk, ::-1].transpose(1, 0, 2).copy()
+        ref, j = np.divmod(np.arange(start, min(start + chunk, p)), k)
+        xs = x[ref].transpose(1, 0, 2).copy()
+        ys = y[ref, j, ::-1].transpose(1, 0, 2).copy()
         # Rolling diagonals indexed by i: row i of the buffer for diagonal s
         # holds D(i, s - i).  Rows never written stay +inf, which are exactly
         # the borders D(0, j) and D(i, 0) that later diagonals read.  Diagonal
@@ -121,10 +125,9 @@ def _aligned(refs: TimeSeriesTensor | np.ndarray, bundle: GenerationBundle | np.
 def dtw_score(refs: TimeSeriesTensor | np.ndarray, bundle: GenerationBundle | np.ndarray) -> float:
     """Mean over references of the best-of-K DTW distance."""
     r, b = _aligned(refs, bundle)
-    n, k, length, f = b.shape
-    pairs = _dtw_batch(r, b.reshape(n * k, length, f))
+    n, k = b.shape[:2]
     total = 0.0
-    for best in pairs.reshape(n, k).min(axis=1).tolist():
+    for best in _dtw_batch(r, b).reshape(n, k).min(axis=1).tolist():
         total += best  # sequential sum: np.mean differs in the last ulp
     return total / n
 

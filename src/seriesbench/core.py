@@ -115,9 +115,14 @@ class Attribute:
             raise ContractViolation(f"attribute {self.name!r} has duplicate values")
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer; a bool is none."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _index_problem(name: str, idx, n_values: int) -> str | None:
     """Why ``idx`` is no value index, a non-bool integer in [0, n_values); None if it is one."""
-    if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+    if not is_integer(idx):
         return f"value index {idx!r} of attribute {name!r} is not an integer"
     if not 0 <= idx < n_values:
         return f"value index {idx} out of range for attribute {name!r}"
@@ -264,7 +269,7 @@ def validate_dataset(
             if name not in rec.attrs:
                 violations.append(f"record {i}: missing attribute {name!r}")
         has_vector = len(violations) == n_before
-        if isinstance(rec.label, bool) or not isinstance(rec.label, (int, np.integer)):
+        if not is_integer(rec.label):
             violations.append(f"record {i}: label {rec.label!r} is not an integer")
             continue
         if rec.label < 0:

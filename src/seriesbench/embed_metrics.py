@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seriesbench.core import ContractViolation, EmbeddingMatrix, as_embedding_array, row_norms
+from seriesbench.core import ContractViolation, EmbeddingMatrix, as_embedding_array, is_integer, row_norms
 
 _EIG_CLAMP_REL = 1e-10
 _SYMMETRY_TOL = 1e-8
@@ -195,6 +195,8 @@ class ManifoldIndex:
     def build(cls, emb: EmbeddingMatrix | np.ndarray, k: int) -> "ManifoldIndex":
         points = as_embedding_array(emb)
         n = points.shape[0]
+        if not is_integer(k):
+            raise ContractViolation(f"k must be an integer, got {k!r}")
         if not 1 <= k < n:
             raise ContractViolation(f"k must satisfy 1 <= k < n_points, got k={k}, n={n}")
         kth = np.empty(n)

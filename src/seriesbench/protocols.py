@@ -20,6 +20,7 @@ from seriesbench.core import (
     MetricReport,
     as_embedding_array,
     checked_array,
+    is_integer,
     row_norms,
 )
 from seriesbench.streams import sample_sets, stream_keys
@@ -137,6 +138,8 @@ class RetrievalConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (is_integer(self.pool_size) and is_integer(self.repeats)):
+            raise ContractViolation(f"pool_size and repeats must be integers, got {self.pool_size!r} and {self.repeats!r}")
         if self.pool_size < 1 or self.repeats < 1:
             raise ContractViolation("pool_size and repeats must be >= 1")
 
@@ -297,6 +300,8 @@ def dknn_values(test_attrs: np.ndarray, train_attrs: np.ndarray, k: int) -> np.n
     train = np.asarray(train_attrs)
     if tests.ndim != 2 or train.ndim != 2 or tests.shape[1] != train.shape[1]:
         raise ContractViolation("test and train attribute matrices must share M columns")
+    if not is_integer(k):
+        raise ContractViolation(f"k must be an integer, got {k!r}")
     if not 1 <= k <= train.shape[0]:
         raise ContractViolation(f"k must be in [1, {train.shape[0]}], got {k}")
     # a pair holds M comparison bytes, then its int64 distance and that distance's partitioned copy

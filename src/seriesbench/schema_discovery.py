@@ -13,10 +13,14 @@ Request documents::
     {"task": "assign_values", "schema": <schema>, "observations": ["caption", ...]}
 
 Responses carry ``{"schema": <schema>}`` or
-``{"assignments": [{"<attr>": "<value name>", ...}, ...]}``; anything else is
-treated as a parse failure, answered once with a repair request
-(``{"task": "repair", "error": ..., "request": <original>}`` semantics are
-conveyed by resending the request with an ``error`` field).
+``{"assignments": [{"<attr>": "<value name>", ...}, ...]}``.  A response, from
+an HTTP endpoint or a callable alike, is checked with the shape grammar that
+checks every input file (``tensorfile.shape_problem``), so a schema's names,
+definitions and values must be strings: nothing is coerced.  Anything else is
+a parse failure, answered once with a repair request: the original request
+resent with ``"task": "repair"`` and an ``error`` field holding the
+grammar's text, such as ``schema document.attributes[0].name: expected a
+string, got null``.
 
 A deterministic keyword-rule proposer is shipped for tests and offline runs,
 so no live language model is ever required.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,14 +44,15 @@ from seriesbench.core import (
     ContractViolation,
     InputFormatError,
     ProposerError,
+    is_integer,
 )
 from seriesbench.streams import open_stream, stream_keys
-from seriesbench.tensorfile import canonical_json, load_json
+from seriesbench.tensorfile import SCHEMA_SHAPE, canonical_json, load_json, shape_problem
 
 OTHER_VALUE = "other"
 _HTTP_TIMEOUT_S = 60.0
 
-Proposer = Callable[[dict], dict]
+Proposer = Callable[[dict], object]  # the reply is checked, whatever its shape
 
 
 # ---------------------------------------------------------------------------
@@ -54,46 +60,26 @@ Proposer = Callable[[dict], dict]
 # ---------------------------------------------------------------------------
 
 
-def canonicalize(
-    schema: AttributeSchema | Mapping, require_other: bool = False
-) -> AttributeSchema:
+def canonicalize(schema: AttributeSchema | dict, require_other: bool = False) -> AttributeSchema:
     """Normalize a schema to its canonical form.
 
-    Trims whitespace, lowercases value names, drops duplicate values, sorts
-    values lexicographically with ``'other'`` forced last, and sorts
-    attributes by name.  With ``require_other`` the ``'other'`` value is
-    appended when missing.  Idempotent.
+    A document must have the shape of a schema file (``SCHEMA_SHAPE``); a
+    departure raises ContractViolation naming the field.  Trims whitespace,
+    lowercases value names, drops empty and duplicate values, sorts values
+    lexicographically with ``'other'`` forced last, and sorts attributes by
+    name.  With ``require_other`` the ``'other'`` value is appended when
+    missing.  Idempotent.
     """
-    if isinstance(schema, AttributeSchema):
-        doc = schema.to_dict()
-    elif isinstance(schema, Mapping):
-        doc = schema
-    else:
-        raise ContractViolation(f"cannot canonicalize {type(schema).__name__}")
-
-    raw_attrs = doc.get("attributes")
-    if not isinstance(raw_attrs, (list, tuple)):
-        raise ContractViolation("schema document has no attribute list")
+    doc = schema.to_dict() if isinstance(schema, AttributeSchema) else schema
+    if problem := shape_problem(doc, SCHEMA_SHAPE):
+        raise ContractViolation(f"schema document{problem}")
     attributes = []
-    for raw in raw_attrs:
-        if not isinstance(raw, Mapping):
-            raise ContractViolation("attribute entries must be objects")
-        name = str(raw.get("name", "")).strip()
-        definition = str(raw.get("definition", "")).strip()
-        raw_values = raw.get("values")
-        if not name or not isinstance(raw_values, (list, tuple)):
-            raise ContractViolation(f"attribute {name!r} is structurally invalid")
-        seen: list[str] = []
-        for v in raw_values:
-            v = str(v).strip().lower()
-            if v and v not in seen:
-                seen.append(v)
-        if require_other and OTHER_VALUE not in seen:
-            seen.append(OTHER_VALUE)
-        values = sorted(v for v in seen if v != OTHER_VALUE)
-        if OTHER_VALUE in seen:
-            values.append(OTHER_VALUE)
-        attributes.append(Attribute(name=name, definition=definition, values=tuple(values)))
+    for raw in doc["attributes"]:
+        values = {v.strip().lower() for v in raw["values"]} - {""}
+        if require_other:
+            values.add(OTHER_VALUE)
+        ordered = sorted(values, key=lambda v: (v == OTHER_VALUE, v))  # 'other' last
+        attributes.append(Attribute(raw["name"].strip(), raw.get("definition", "").strip(), tuple(ordered)))
     attributes.sort(key=lambda a: a.name)
     return AttributeSchema(attributes=tuple(attributes))
 
@@ -109,12 +95,12 @@ def schema_hash(schema: AttributeSchema) -> str:
 
 
 class HttpProposer:
-    """POSTs request documents to an endpoint and returns the JSON response."""
+    """POSTs request documents to an endpoint and returns the parsed JSON response, whatever its shape."""
 
     def __init__(self, url: str) -> None:
         self.url = url
 
-    def __call__(self, request: dict) -> dict:
+    def __call__(self, request: dict) -> object:
         # imported here: every CLI process would otherwise pay for the import
         import http.client
         import urllib.request
@@ -125,12 +111,9 @@ class HttpProposer:
         try:
             post = urllib.request.Request(self.url, body, {"Content-Type": "application/json"})
             with urllib.request.urlopen(post, timeout=_HTTP_TIMEOUT_S) as resp:
-                doc = json.loads(resp.read())
+                return json.loads(resp.read())
         except (OSError, http.client.HTTPException, ValueError, RecursionError) as exc:
             raise ProposerError(f"proposer at {self.url} failed: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ProposerError(f"proposer at {self.url} returned a non-object response")
-        return doc
 
 
 class MockProposer:
@@ -202,7 +185,10 @@ class DiscoveryParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.batch_size, self.stability, self.max_iter) < 1:
+        counts = (self.batch_size, self.stability, self.max_iter)
+        if not all(is_integer(c) for c in counts):
+            raise ContractViolation(f"batch_size, stability and max_iter must be integers, got {counts!r}")
+        if min(counts) < 1:
             raise ContractViolation("batch_size, stability and max_iter must be >= 1")
 
 
@@ -225,26 +211,7 @@ class DiscoveryResult:
         return len(self.rounds)
 
 
-class _BatchSampler:
-    """Draw captions without replacement; reshuffle the corpus on exhaustion."""
-
-    def __init__(self, corpus: Sequence[str], seed: int) -> None:
-        self.corpus = list(corpus)
-        self.rng = open_stream(stream_keys(seed, 0)[0])  # the stream of (seed, 0)
-        self.pool: list[int] = []
-
-    def next_batch(self, n: int) -> list[str]:
-        batch: list[int] = []
-        while len(batch) < n:
-            if not self.pool:
-                self.pool = list(self.rng.permutation(len(self.corpus)))
-            take = min(n - len(batch), len(self.pool))
-            batch.extend(self.pool[:take])
-            self.pool = self.pool[take:]
-        return [self.corpus[i] for i in batch]
-
-
-def _call_with_repair(proposer: Proposer, request: dict, parse: Callable[[dict], object]):
+def _call_with_repair(proposer: Proposer, request: dict, parse: Callable[[object], object]):
     """One proposer call with a single repair retry; returns parse(...) or raises."""
     attempt = dict(request)
     for repaired in (False, True):
@@ -262,9 +229,9 @@ class _RoundFailure(Exception):
     """Round-local parse failure after the repair retry; the round is skipped."""
 
 
-def _parse_schema_response(response: dict) -> AttributeSchema:
-    if "schema" not in response:
-        raise ValueError(f"response lacks a schema: {response.get('error', response)}")
+def _parse_schema_response(response: object) -> AttributeSchema:
+    if problem := shape_problem(response, {"schema": {}}):
+        raise ValueError(f"response{problem}")
     schema = canonicalize(response["schema"], require_other=True)
     if not schema.attributes:
         raise ValueError("proposed schema has no attributes")
@@ -291,7 +258,9 @@ def discover(
         raise ContractViolation(
             f"corpus of {len(corpus)} captions smaller than batch size {params.batch_size}"
         )
-    sampler = _BatchSampler(corpus, params.seed)
+    rng = open_stream(stream_keys(params.seed, 0)[0])  # the stream of (seed, 0)
+    # captions without replacement; the next permutation is drawn only when the last one runs out
+    order = itertools.chain.from_iterable(rng.permutation(len(corpus)).tolist() for _ in itertools.count())
     constraints = {"min_values": 3, "max_values": 8, "require_other": True}
     prev_schema: AttributeSchema | None = None
     prev_hash: str | None = None
@@ -299,7 +268,7 @@ def discover(
     rounds: list[RoundRecord] = []
 
     for round_no in range(1, params.max_iter + 1):
-        batch = sampler.next_batch(params.batch_size)
+        batch = [corpus[i] for i in itertools.islice(order, params.batch_size)]
         request = {
             "task": "propose_schema",
             "current_schema": prev_schema.to_dict() if prev_schema is not None else None,
@@ -335,10 +304,12 @@ def discover(
 # ---------------------------------------------------------------------------
 
 
-def _parse_assignments(response: dict, count: int) -> list[dict]:
-    assignments = response.get("assignments")
-    if not isinstance(assignments, list) or len(assignments) != count:
-        raise ValueError(f"expected {count} assignments, got {response.get('error', response)}")
+def _parse_assignments(response: object, count: int) -> list[dict]:
+    if problem := shape_problem(response, {"assignments": [{}]}):
+        raise ValueError(f"response{problem}")
+    assignments = response["assignments"]
+    if len(assignments) != count:
+        raise ValueError(f"response.assignments: expected {count} assignments, got {len(assignments)}")
     return assignments
 
 
@@ -363,16 +334,18 @@ def assign_attributes_batch(
     except _RoundFailure as exc:
         raise ProposerError(f"value assignment failed after repair retry: {exc}") from exc
 
+    # per attribute: its value-to-index table and the index of 'other' (else the first value)
+    tables = [
+        (a.name, {v: i for i, v in enumerate(a.values)},
+         a.values.index(OTHER_VALUE) if OTHER_VALUE in a.values else 0)
+        for a in schema.attributes
+    ]
     out: list[dict[str, int]] = []
     for assignment in assignments:
         vector: dict[str, int] = {}
-        for attr in schema.attributes:
-            fallback = attr.values.index(OTHER_VALUE) if OTHER_VALUE in attr.values else 0
-            value = assignment.get(attr.name) if isinstance(assignment, Mapping) else None
-            if isinstance(value, str) and value.strip().lower() in attr.values:
-                vector[attr.name] = attr.values.index(value.strip().lower())
-            else:
-                vector[attr.name] = fallback
+        for name, index, fallback in tables:
+            value = assignment.get(name)
+            vector[name] = index.get(value.strip().lower(), fallback) if isinstance(value, str) else fallback
         out.append(vector)
     return out
 

@@ -37,16 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seriesbench.core import ContractViolation, TimeSeriesTensor, as_series_array
+from seriesbench.core import ContractViolation, TimeSeriesTensor, as_series_array, is_integer
 
 _BLOCK_BYTES = 256 << 10  # a moment piece, an MDD row chunk
 _PIECE_BYTES = 1 << 20  # the centred values of one ACD piece of series
 _MAX_BIN_CELLS = 1 << 24  # (L, F, n_bins) histogram cells a spec may ask for
 _MASS_BLOCK_BYTES = 4 << 20  # budget of one (channels, n_bins) block of MDD masses
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -68,7 +64,7 @@ class HistogramSpec:
         upper = np.asarray(self.upper, dtype=np.float64)
         if lower.shape != upper.shape or lower.ndim != 2:
             raise ContractViolation("histogram bounds must both have shape (L, F)")
-        if not _is_integer(self.n_bins):
+        if not is_integer(self.n_bins):
             raise ContractViolation(f"n_bins must be an integer, got {self.n_bins!r}")
         if self.n_bins < 2:
             raise ContractViolation("need at least 2 bins")
@@ -217,7 +213,7 @@ def autocorrelation_profile(data: TimeSeriesTensor | np.ndarray, max_lag: int) -
     n, length, n_feat = data.shape
     if length < 2:
         raise ContractViolation("autocorrelation needs length >= 2")
-    if not _is_integer(max_lag):
+    if not is_integer(max_lag):
         raise ContractViolation(f"max_lag must be an integer, got {max_lag!r}")
     if not 1 <= max_lag <= length - 1:
         raise ContractViolation(f"max_lag must be in [1, {length - 1}]")

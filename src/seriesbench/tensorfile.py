@@ -171,7 +171,7 @@ def read_array(path: str | Path) -> np.ndarray:
 
 
 _CONDITION_SHAPE = {"sample_id": str, "text": str, "attrs": {str: int}, "label": int}
-_SCHEMA_SHAPE = {"attributes": [{"name": str, "definition?": str, "values": [str]}]}
+SCHEMA_SHAPE = {"attributes": [{"name": str, "definition?": str, "values": [str]}]}
 _REPORT_SHAPE = {
     "context": {"dataset_id": str, "model_id": str, "seed": int},
     "entries": [{"metric": str, "value": float, "direction": str}],
@@ -204,6 +204,21 @@ def _check(value, shape):
     return None
 
 
+def shape_problem(doc, shape) -> str | None:
+    """Where and how a parsed document departs from ``shape`` (see ``load_json``), or None if it has it.
+
+    The text is ``.key[i]: expected <kind>, got <value>``, with no location
+    for the document itself; a caller prefixes what the document is.
+    """
+    if not (bad := _check(doc, shape)):
+        return None
+    want, value, *keys = bad  # the location is built here only, not for every value
+    where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(keys))
+    # a library caller's document may hold values that are no JSON: shown by their repr
+    got = "nothing" if value is _ABSENT else json.dumps(value, ensure_ascii=False, default=repr)[:40]
+    return f"{where}: expected {_KINDS[want if isinstance(want, type) else type(want)]}, got {got}"
+
+
 def _load(text: str, shape, path: str | Path, lineno: int = 0):
     """Parse one JSON document and check it against ``shape``; see ``load_json``."""
     try:
@@ -212,13 +227,8 @@ def _load(text: str, shape, path: str | Path, lineno: int = 0):
         raise InputFormatError(f"{path}:{lineno or exc.lineno}: bad JSON: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an over-long integer literal, too deep nesting
         raise InputFormatError(f"{path}{f':{lineno}' if lineno else ''}: bad JSON: {exc}") from exc
-    if bad := _check(doc, shape):  # the location is built here only, not for every value
-        want, value, *keys = bad
-        line = f":{lineno}" if lineno else ""
-        where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(keys))
-        got = "nothing" if value is _ABSENT else json.dumps(value, ensure_ascii=False)[:40]
-        kind = _KINDS[want if isinstance(want, type) else type(want)]
-        raise InputFormatError(f"{path}{line}{where}: expected {kind}, got {got}")
+    if problem := shape_problem(doc, shape):
+        raise InputFormatError(f"{path}{f':{lineno}' if lineno else ''}{problem}")
     return doc
 
 
@@ -276,7 +286,7 @@ def write_schema(schema: AttributeSchema, path: str | Path) -> None:
 
 
 def read_schema(path: str | Path) -> AttributeSchema:
-    return AttributeSchema.from_dict(load_json(path, _SCHEMA_SHAPE))
+    return AttributeSchema.from_dict(load_json(path, SCHEMA_SHAPE))
 
 
 def write_splits(splits: Mapping[str, Sequence[int]], path: str | Path) -> None:

@@ -96,7 +96,7 @@ def test_dtw_batch_matches_single(n, m, f, pairs_per_chunk, monkeypatch):
     rng = np.random.default_rng(n * 100 + m * 10 + f)
     x = rng.normal(size=(25, n, f))
     y = rng.normal(size=(25, m, f)) * 3.0
-    batch = _dtw_batch(x, y)
+    batch = _dtw_batch(x, y[:, None])
     for p in range(25):
         assert batch[p] == _dtw_rows(x[p], y[p]) == dtw(x[p], y[p])  # bitwise
 
@@ -121,7 +121,7 @@ def test_dtw_batch_scratch_stays_small():
     y = rng.normal(size=(20_000, 96, 1))
     tracemalloc.start()
     try:
-        _dtw_batch(x, y)
+        _dtw_batch(x, y[:, None])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -139,8 +139,8 @@ def test_dtw_batch_reads_each_reference_by_index(pairs_per_chunk, monkeypatch):
     rng = np.random.default_rng(14)
     refs = rng.normal(size=(6, 9, 2))
     y = rng.normal(size=(24, 11, 2))
-    got = _dtw_batch(refs, y)
-    assert got.tobytes() == _dtw_batch(np.repeat(refs, 4, axis=0), y).tobytes()
+    got = _dtw_batch(refs, y.reshape(6, 4, 11, 2))
+    assert got.tobytes() == _dtw_batch(np.repeat(refs, 4, axis=0), y[:, None]).tobytes()
 
 
 def test_dtw_rejects_empty():
@@ -244,6 +244,23 @@ def test_align_scores_scratch_stays_near_one_bundle():
     # the sorted copy, then the absolute gaps: ~1.3 bundles, where holding
     # both with a weighted copy took ~2.2
     assert _peak_bytes(crps_score, refs, bundle) <= 1.5 * bundle.data.nbytes
+
+
+def test_dtw_score_reads_a_fortran_ordered_bundle_in_place():
+    rng = np.random.default_rng(17)
+    refs = rng.normal(size=(2000, 96, 1))
+    bundle = refs[:, None] + 0.5 * rng.normal(size=(2000, 10, 96, 1))
+    fortran = np.asfortranarray(bundle)
+    assert dtw_score(refs, fortran).hex() == dtw_score(refs, bundle).hex()
+    # each chunk gathers its pairs from the bundle as it lies: ~1 MiB, where
+    # a (n*K, L, F) reshape first copied the 14.6 MiB bundle whole
+    assert _peak_bytes(dtw_score, refs, fortran) <= 4 * 2**20
+
+
+@pytest.mark.parametrize("k", [2.5, True])
+def test_bundle_from_flat_refuses_a_k_that_is_no_integer(k):
+    with pytest.raises(ContractViolation, match="K must be an integer"):
+        GenerationBundle.from_flat(np.zeros((4, 3, 1)), k)
 
 
 def test_bundle_from_flat_grouping():

@@ -746,12 +746,14 @@ def test_malformed_input_via_module_has_no_traceback(contract_inputs, bad_inputs
 
 
 @pytest.mark.parametrize(
-    "schema, code",
+    "schema, code, message",
     [
-        ({"attributes": 5}, 2),
-        ({"attributes": [{"name": "trend", "values": "up"}]}, 2),
-        ({"attributes": []}, 2),
-        ({"attributes": [{"name": "trend", "values": [1, 2]}]}, 0),  # value names are coerced, as before
+        ({"attributes": 5}, 2, None),
+        ({"attributes": [{"name": "trend", "values": "up"}]}, 2, None),
+        ({"attributes": []}, 2, None),
+        # value names must be strings, as in a schema file: refused, not coerced
+        ({"attributes": [{"name": "trend", "values": [1, 2]}]}, 2,
+         "unusable rules schema: schema document.attributes[0].values[0]: expected a string, got 1"),
     ],
     ids=["attributes-not-a-list", "values-not-a-list", "no-attributes", "numeric-values"],
 )
@@ -763,7 +765,8 @@ def test_malformed_input_via_module_has_no_traceback(contract_inputs, bad_inputs
     ],
     ids=["discover", "assign"],
 )
-def test_rules_schema_is_checked_when_the_rules_file_loads(command, schema, code, contract_inputs, tmp_path, capsys):
+def test_rules_schema_is_checked_when_the_rules_file_loads(command, schema, code, message, contract_inputs, tmp_path,
+                                                           capsys):
     # a schema that every discovery round would reject fails at load, not after --max-iter rounds;
     # assign, which takes its schema from --schema, loads the same rules file and checks it too
     rules = tmp_path / "rules.json"
@@ -772,6 +775,8 @@ def test_rules_schema_is_checked_when_the_rules_file_loads(command, schema, code
     err = capsys.readouterr().err
     if code:
         assert len(err.splitlines()) == 1 and err.startswith(f"input error: {rules}: "), err
+    if message:
+        assert err == f"input error: {rules}: {message}\n"
 
 
 @pytest.mark.parametrize("rows", [10, 70])
@@ -940,7 +945,7 @@ def test_rank_overflow_via_module_prints_no_warning(contract_inputs, violating_i
 
 @pytest.fixture
 def http_proposer():
-    """A loopback proposer endpoint; set ``state["reply"]`` to "mock", "500", "not-json" or "too-deep"."""
+    """A loopback proposer endpoint; set ``state["reply"]`` to "mock", "500", "not-json", "too-deep" or "not-object"."""
     import threading
     from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -960,6 +965,8 @@ def http_proposer():
                 body = b"<html>not json</html>"
             elif state["reply"] == "too-deep":  # nested past the interpreter's recursion limit
                 body = b"[" * 100_000
+            elif state["reply"] == "not-object":  # valid JSON that is no response document
+                body = b"[1]"
             self.send_response(status)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
@@ -1000,6 +1007,17 @@ def test_schema_discover_http_proposer_failure_exits_4(reply, http_proposer, con
     assert state["requests"] == 1  # a proposer failure is not retried
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"proposer failure: proposer at {url} failed: "), lines
+
+
+def test_schema_discover_repairs_a_reply_that_is_no_object(http_proposer, contract_inputs, tmp_path, capsys):
+    url, state = http_proposer
+    state["reply"] = "not-object"
+    argv = _argv("schema discover --captions {i}/captions.txt --proposer {p} --batch 5 --max-iter 3 --out {o}/d",
+                 i=contract_inputs, p=url, o=tmp_path)
+    # a parse failure, like a callable's: each round sends its request and one repair request, then is skipped
+    assert main(argv) == 4
+    assert state["requests"] == 6
+    assert capsys.readouterr().err == "proposer failure: proposer never returned a parseable schema\n"
 
 
 def test_schema_discover_malformed_proposer_url_exits_4(contract_inputs, tmp_path, capsys):

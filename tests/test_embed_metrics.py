@@ -244,6 +244,24 @@ def test_k_bounds_enforced():
         precision(np.zeros((4, 2)), np.zeros((9, 2)), k=5)
 
 
+@pytest.mark.parametrize("k", [2.5, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda points, k: ManifoldIndex.build(points, k),
+        lambda points, k: precision(points, points[::-1], k=k),
+        lambda points, k: recall(points, points[::-1], k=k),
+        lambda points, k: joint_precision_recall(points, points[::-1], points, k=k),
+    ],
+    ids=["build", "precision", "recall", "joint"],
+)
+def test_k_refuses_bools_and_fractions(call, k):
+    # 2.5 ended in a bare TypeError from the partition; True ran as k = 1
+    points = np.random.default_rng(3).normal(size=(8, 2))
+    with pytest.raises(ContractViolation, match="k must be an integer"):
+        call(points, k)
+
+
 def test_contains_rejects_queries_of_another_width():
     index = ManifoldIndex.build(np.zeros((4, 3)), 1)
     with pytest.raises(ContractViolation, match=r"queries must be \(m, 3\)"):

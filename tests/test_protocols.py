@@ -620,6 +620,22 @@ def test_dknn_rejects_bad_shapes_and_k():
             dknn(test, train, k)
 
 
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: RetrievalConfig(pool_size=v, repeats=1),
+        lambda v: RetrievalConfig(pool_size=2, repeats=v),
+        lambda v: dknn_values(np.zeros((2, 3), dtype=int), np.zeros((4, 3), dtype=int), k=v),
+    ],
+    ids=["pool_size", "repeats", "dknn_k"],
+)
+def test_integer_parameters_refuse_bools_and_fractions(call, value):
+    # 2.5 ended in a bare TypeError when used; True ran as 1
+    with pytest.raises(ContractViolation, match="must be (an )?integers?, got"):
+        call(value)
+
+
 def test_head_tail_distinct_values():
     values = np.arange(10.0)
     head, tail = head_tail_split(values)

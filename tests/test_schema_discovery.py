@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -122,6 +125,30 @@ def test_canonicalize_rejects_structural_garbage():
         canonicalize({"nope": []})
 
 
+@pytest.mark.parametrize("bad", [None, 1, 2.5, True, {"a": 1}], ids=["null", "int", "float", "bool", "object"])
+@pytest.mark.parametrize("field", ["name", "values[0]", "definition"])
+def test_canonicalize_refuses_a_field_that_is_no_string(field, bad):
+    # names, definitions and values were coerced with str(): null became "None"
+    attribute = {"name": "trend", "definition": "overall direction", "values": ["up", "down"]}
+    if field == "values[0]":
+        attribute["values"] = [bad, "down"]
+    else:
+        attribute[field] = bad
+    message = f"schema document.attributes[0].{field}: expected a string, got {json.dumps(bad)}"
+    with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+        canonicalize({"attributes": [attribute]})
+
+
+def test_canonicalize_names_the_document_when_it_is_no_object():
+    with pytest.raises(ContractViolation, match=r"^schema document: expected an object, got \[1\]$"):
+        canonicalize([1])
+    # a value JSON cannot encode is shown by its repr, not raised from the encoder
+    with pytest.raises(ContractViolation, match=r"^schema document: expected an object, got \"<object object at "):
+        canonicalize(object())
+    with pytest.raises(ContractViolation, match=re.escape("schema document.attributes[0].values: expected a list, got")):
+        canonicalize({"attributes": [{"name": "trend", "values": {"up", "down"}}]})
+
+
 # ---------------------------------------------------------------------------
 # discovery loop
 # ---------------------------------------------------------------------------
@@ -192,6 +219,33 @@ def test_batches_come_from_the_seed_zero_stream(seed):
     assert seen == [[CORPUS[i] for i in order[k * 25 : (k + 1) * 25]] for k in range(len(seen))]
 
 
+def test_a_reply_with_a_null_name_gets_the_grammar_text_and_the_round_is_skipped():
+    requests = []
+
+    def proposer(request):
+        requests.append(request)
+        if len(requests) <= 2:  # the first round's request and its repair
+            return {"schema": {"attributes": [{"name": None, "values": ["up", "down"]}]}}
+        return {"schema": SCHEMA_A}
+
+    result = discover(CORPUS, proposer, DiscoveryParams(batch_size=5, stability=1, max_iter=5, seed=0))
+    repair = requests[1]
+    assert repair["task"] == "repair"
+    assert repair["error"] == "schema document.attributes[0].name: expected a string, got null"
+    assert repair["observations"] == requests[0]["observations"]
+    assert result.rounds[0].skipped and result.rounds[0].schema_hash is None
+    assert [r.skipped for r in result.rounds[1:]] == [False, False]
+    assert result.converged
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("field", ["batch_size", "stability", "max_iter"])
+def test_discovery_params_refuse_bools_and_fractions(field, value):
+    # a batch size of 2.5 ended in a bare TypeError in the sampler
+    with pytest.raises(ContractViolation, match="must be integers, got"):
+        DiscoveryParams(**{field: value})
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ContractViolation, match="non-negative"):
         discover(CORPUS, ConstantProposer(), DiscoveryParams(batch_size=5, seed=-1))
@@ -246,6 +300,31 @@ def test_assign_batch_preserves_order(mock_proposer):
     assert trend.values[vectors[0]["trend"]] == "up"
     assert trend.values[vectors[1]["trend"]] == "down"
     assert trend.values[vectors[2]["trend"]] == "other"
+
+
+def test_assign_repairs_a_non_object_entry_then_raises():
+    requests = []
+
+    def proposer(request):
+        requests.append(request)
+        return {"assignments": [5]}
+
+    schema = canonicalize(SCHEMA_A)
+    with pytest.raises(ProposerError, match=re.escape("response.assignments[0]: expected an object, got 5")):
+        assign_attributes_batch(["caption"], schema, proposer)
+    assert [r["task"] for r in requests] == ["assign_values", "repair"]
+    assert requests[1]["error"] == "response.assignments[0]: expected an object, got 5"
+
+
+@pytest.mark.parametrize("value", [None, 3, ["up"]], ids=["null", "int", "list"])
+def test_assign_maps_a_non_string_value_to_other(value):
+    def proposer(request):
+        return {"assignments": [{"trend": value, "volatility": "High "}]}
+
+    schema = canonicalize(SCHEMA_A)
+    vector = assign_attributes_batch(["caption"], schema, proposer)[0]
+    assert vector == {"trend": schema.attributes[0].values.index("other"),
+                      "volatility": schema.attributes[1].values.index("high")}
 
 
 def test_assign_raises_after_failed_repair():
