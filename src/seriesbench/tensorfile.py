@@ -185,8 +185,9 @@ def _check(value, shape):
     """None if ``value`` has ``shape``, else (shape, value, *JSON path keys, innermost first)."""
     if shape is float:  # NaN and +-inf fail the comparison
         ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
-    else:  # exact types, so a bool is no int
-        ok = type(value) is (shape if isinstance(shape, type) else type(shape))
+    else:  # a bool is no int; a subclass, such as a library caller's np.str_, passes as its base
+        kind = shape if isinstance(shape, type) else type(shape)
+        ok = type(value) is kind or (isinstance(value, kind) and type(value) is not bool)
     if not ok:
         return shape, value
     if type(shape) is list:  # checked as an object keyed by index

@@ -139,6 +139,13 @@ def test_canonicalize_refuses_a_field_that_is_no_string(field, bad):
         canonicalize({"attributes": [attribute]})
 
 
+def test_canonicalize_takes_string_subclasses_as_strings():
+    values = np.array(["Up ", "down", "other"])  # elements are np.str_
+    doc = {"attributes": [{"name": np.str_(" trend"), "definition": np.str_("direction"), "values": list(values)}]}
+    assert canonicalize(doc) == canonicalize({"attributes": [{"name": "trend", "definition": "direction",
+                                                              "values": ["up", "down", "other"]}]})
+
+
 def test_canonicalize_names_the_document_when_it_is_no_object():
     with pytest.raises(ContractViolation, match=r"^schema document: expected an object, got \[1\]$"):
         canonicalize([1])
