@@ -139,7 +139,7 @@ class RetrievalConfig:
 
     def __post_init__(self) -> None:
         if not (is_integer(self.pool_size) and is_integer(self.repeats)):
-            raise ContractViolation(f"pool_size and repeats must be integers, got {self.pool_size!r} and {self.repeats!r}")
+            raise ContractViolation(f"pool_size and repeats must be integers, got {self.pool_size!r}, {self.repeats!r}")
         if self.pool_size < 1 or self.repeats < 1:
             raise ContractViolation("pool_size and repeats must be >= 1")
 
