@@ -24,8 +24,6 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 import seriesbench
 from seriesbench import (
     align_metrics,
@@ -208,7 +206,7 @@ def _cmd_protocol_retrieval(args: argparse.Namespace) -> _Outcome:
     inputs = [args.gen_emb, args.text_emb]
     texts = None
     if args.conditions:
-        texts = [rec.text for rec in tensorfile.read_conditions(args.conditions)]
+        texts = tensorfile.read_conditions(args.conditions).texts
         inputs.append(args.conditions)
     cfg = protocols.RetrievalConfig(pool_size=args.pool_size, repeats=args.repeats, seed=args.seed)
     acc = protocols.retrieval_acc1(gen, text, cfg, texts=texts)
@@ -242,9 +240,8 @@ def _cmd_protocol_compgen(args: argparse.Namespace) -> _Outcome:
     train = tensorfile.read_conditions(args.train_conditions)
     test = tensorfile.read_conditions(args.test_conditions)
     inputs = [args.schema, args.train_conditions, args.test_conditions]
-    train_vecs = np.array([rec.vector(schema) for rec in train])
-    test_vecs = np.array([rec.vector(schema) for rec in test])
-    values = protocols.dknn_values(test_vecs, train_vecs, k=args.k)
+    train_vecs = train.vectors(schema)
+    values = protocols.dknn_values(test.vectors(schema), train_vecs, k=args.k)
     head, tail = protocols.head_tail_split(values, fraction=args.fraction)
     doc: dict = {
         "k": args.k,
@@ -260,7 +257,7 @@ def _cmd_protocol_compgen(args: argparse.Namespace) -> _Outcome:
         cfg = protocols.RetrievalConfig(
             pool_size=args.pool_size, repeats=args.repeats, seed=args.seed
         )
-        texts = [rec.text for rec in test]
+        texts = test.texts
 
         def head_tail_acc(emb) -> dict:
             return {

@@ -233,6 +233,8 @@ def precision(
     """Fraction of generated points inside the real-data manifold."""
     real = as_embedding_array(real_emb)
     gen = as_embedding_array(gen_emb)
+    if not is_integer(k):  # before k is compared
+        raise ContractViolation(f"k must be an integer, got {k!r}")
     if real.shape[0] <= k or gen.shape[0] <= k:
         raise ContractViolation(f"both sets need more than k={k} points")
     # the arguments, so a wrapper's array is not checked again

@@ -31,7 +31,7 @@ import operator
 
 import numpy as np
 
-from seriesbench.core import ContractViolation
+from seriesbench.core import ContractViolation, is_integer
 
 _MASK32 = 0xFFFF_FFFF
 # NumPy's SeedSequence constants: a 4-word pool, two hash multiplier chains
@@ -100,10 +100,9 @@ def stream_keys(seed: int, *columns) -> np.ndarray:
     seed size takes the same vectorised pass.  Column values must be integers
     in [0, 2**32); returns an (n, 2) uint64 array.
     """
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ContractViolation(f"a stream seed must be one integer, got {type(seed).__name__}") from None
+    if not is_integer(seed):  # a bool is none, though operator.index takes it
+        raise ContractViolation(f"a stream seed must be one integer, got {type(seed).__name__}")
+    seed = operator.index(seed)  # a Python int, as NumPy integers have no bit_length
     if seed < 0:
         raise ContractViolation(f"seeds must be non-negative, got {seed}")
     seed_words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]

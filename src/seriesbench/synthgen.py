@@ -9,8 +9,8 @@ circular temporal shift).
 
 A sample is one attribute-index vector: its value index per attribute, in
 schema order, plus a shift distance when its transform is a shift.  The build
-draws one such row per sample, and the sample's condition record, caption,
-components and second variate all derive from it.
+draws one such row per sample into the conditions table, and the sample's
+caption, components and second variate all derive from it.
 
 Randomness is drawn from named counter-based streams keyed by
 ``(seed, sample_index, purpose)`` so per-sample draws are order-independent:
@@ -42,7 +42,7 @@ import numpy as np
 from seriesbench.core import (
     Attribute,
     AttributeSchema,
-    ConditionRecord,
+    ConditionTable,
     ContractViolation,
     TimeSeriesTensor,
 )
@@ -374,7 +374,7 @@ def _component_rows(
 @dataclass(frozen=True)
 class SynthDataset:
     series: TimeSeriesTensor
-    conditions: tuple[ConditionRecord, ...]
+    conditions: ConditionTable
     schema: AttributeSchema
     splits: dict[str, list[int]]
 
@@ -402,7 +402,9 @@ def build_synth_dataset(
     n_total = n_combos * n_per_combo
 
     data = np.empty((n_total, length, n_features))
-    conditions: list[ConditionRecord] = []
+    # row i: sample i's attribute-index vector, in schema order; filled a combination at a time
+    values = np.empty((n_total, len(schema.names)), dtype=np.int64)
+    texts: list[str] = []
     splits: dict[str, list[int]] = {"train": [], "valid": [], "test": []}
     # one combination's components, reused for every combination
     season, local, hf, noise = np.empty((4, n_per_combo, length))
@@ -411,15 +413,13 @@ def build_synth_dataset(
     split_keys = split_keys.tolist()
     n_valid = n_per_combo // 8  # 6:1:1; valid and test get floor(n/8) each, train the rest
     n_train = n_per_combo - 2 * n_valid
-    names = schema.names
-    # row j: sample j's attribute-index vector, in schema order, and its shift distance (0 without a shift)
-    attr_idx = np.empty((n_per_combo, len(names)), dtype=np.intp)
-    shifts = np.zeros(n_per_combo, dtype=np.intp)
+    shifts = np.zeros(n_per_combo, dtype=np.intp)  # row j: sample j's shift distance (0 without a shift)
     uniforms = np.empty((n_per_combo, N_SEGMENTS))  # row j: sample j's segment-label draw
 
     for combo_idx in range(n_combos):
         base = combo_idx * n_per_combo
         keys = _sample_keys(seed, base, n_per_combo).tolist()
+        attr_idx = values[base : base + n_per_combo]  # row j: sample j's attribute-index vector
         attr_idx[:, :3] = np.unravel_index(combo_idx, primary_shape)
         trend_type, direction, season_cycles = (row.values[i] for row, i in zip(ATTRIBUTE_TABLE, attr_idx[0, :3]))
         for j, key in enumerate(keys):
@@ -432,9 +432,7 @@ def build_synth_dataset(
                 shifts[j] = rng_t.integers(*SHIFT_DISTANCE_RANGE, endpoint=True) if is_shift else 0
         # the draws of choice(len(SHAPELET_KINDS), N_SEGMENTS, p=SHAPELET_PROBS), without its checks of p
         attr_idx[:, _SEGMENT_ROWS] = _SHAPELET_CDF.searchsorted(uniforms, side="right")
-        for j, (row, shift) in enumerate(zip(attr_idx.tolist(), shifts.tolist())):  # in range by construction
-            attrs = dict(zip(names, row))
-            conditions.append(ConditionRecord(f"{variant}-{base + j:06d}", _caption(row, shift), attrs, combo_idx))
+        texts.extend(map(_caption, attr_idx.tolist(), shifts.tolist()))  # in range by construction
 
         _component_rows(season_cycles, np.take(HF_CYCLES, attr_idx[:, _HF_ROW]),
                         attr_idx[:, _SEGMENT_ROWS], keys, rng, season, local, hf, noise)
@@ -452,9 +450,11 @@ def build_synth_dataset(
             part.extend((np.sort(members) + base).tolist())
 
     data.setflags(write=False)  # frozen, so the tensor takes it without a copy
+    sample_ids = [f"{variant}-{i:06d}" for i in range(n_total)]
+    labels = np.repeat(np.arange(n_combos), n_per_combo)  # the primary combination's index
     return SynthDataset(
         series=TimeSeriesTensor(data=data),
-        conditions=tuple(conditions),
+        conditions=ConditionTable(sample_ids, texts, schema.names, values, labels),
         schema=schema,
         splits=splits,
     )

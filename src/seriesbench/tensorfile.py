@@ -13,25 +13,31 @@ tests are diffs, not tolerance checks.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import os
 import stat
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from seriesbench.core import (
     AttributeSchema,
     ConditionRecord,
+    ConditionTable,
+    ContractViolation,
     EmbeddingMatrix,
     InputFormatError,
     MetricEntry,
     MetricReport,
     ReportContext,
     TimeSeriesTensor,
+    as_condition_table,
+    is_integer,
 )
 
 _MAGIC = "TSB1"
@@ -245,11 +251,66 @@ def load_json(path: str | Path, shape):
     return _load(Path(path).read_text(encoding="utf-8"), shape, path)
 
 
+def _accepts(shape) -> Callable[[object], bool]:
+    """A test that a parsed JSON document has ``shape``: ``_check``'s verdict without its explanation.
+
+    The shape is compiled once into one expression of exact type tests.  A
+    parsed document holds values of exact built-in types only, so the test
+    accepts what ``_check`` accepts; the leaves of a list or an object are
+    tested as one set of types.  For ``_CONDITION_SHAPE`` the expression is
+    ``type(v) is dict and type(v.get('sample_id')) is str and ... and 'attrs'
+    in v and (type(v['attrs']) is dict and {int}.issuperset(map(type,
+    v['attrs'].values()))) and type(v.get('label')) is int``.
+    """
+    names = (f"_{i}" for i in itertools.count())  # item variables of nested lists and objects
+
+    def test(shape, v: str) -> str:
+        if shape is float:  # NaN and +-inf fail the comparison
+            return f"(type({v}) in (int, float) and abs({v}) <= _MAX)"
+        if isinstance(shape, type):
+            return f"type({v}) is {shape.__name__}"
+        if type(shape) is dict and str not in shape:
+            parts = [f"type({v}) is dict"]
+            for key, sub in shape.items():
+                name = key.rstrip("?")
+                if key[-1] == "?":  # an absent optional key is not tested
+                    parts.append(f"({name!r} not in {v} or {test(sub, f'{v}[{name!r}]')})")
+                elif isinstance(sub, type) and sub is not float:  # a missing key reads None
+                    parts.append(f"type({v}.get({name!r})) is {sub.__name__}")
+                else:
+                    parts.append(f"{name!r} in {v} and {test(sub, f'{v}[{name!r}]')}")
+            return f"({' and '.join(parts)})"
+        kind, sub, items = ("list", shape[0], v) if type(shape) is list else ("dict", shape[str], f"{v}.values()")
+        if isinstance(sub, type) and sub is not float:
+            return f"(type({v}) is {kind} and {{{sub.__name__}}}.issuperset(map(type, {items})))"
+        item = next(names)
+        return f"(type({v}) is {kind} and all({test(sub, item)} for {item} in {items}))"
+
+    return eval(f"lambda v: {test(shape, 'v')}", {"_MAX": sys.float_info.max})
+
+
+_scan = json.JSONDecoder().scan_once  # the parser of json.loads, without its whitespace and BOM steps
+
+
 def load_jsonl(path: str | Path, shape) -> Iterator[tuple[int, object]]:
-    """Yield ``(line number, document)`` per non-blank line, each checked against ``shape``."""
+    """Yield ``(line number, document)`` per non-blank line, each checked against ``shape``.
+
+    A line that is one JSON value and a newline, and has ``shape``, is
+    accepted as it is parsed.  Any other line goes through ``_load``, which
+    accepts it or raises the error that explains it; a blank line (one
+    that ``str.strip`` empties) is skipped.
+    """
+    accepts = _accepts(shape)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.strip():
+            try:
+                doc, end = _scan(line, 0)
+                parsed = line[end:] in ("\n", "")
+            except (StopIteration, ValueError, RecursionError):  # no value at 0, bad JSON, a deep or long literal
+                parsed = False
+            if parsed and accepts(doc):
+                yield lineno, doc
+            elif line.strip():
                 yield lineno, _load(line, shape, path, lineno)
 
 
@@ -267,19 +328,82 @@ def dump_json(obj, path: str | Path) -> None:
     Path(path).write_text(canonical_json(obj) + "\n", encoding="utf-8")
 
 
-def write_conditions(records: Sequence[ConditionRecord], path: str | Path) -> None:
-    dump_jsonl(
-        (
-            {"sample_id": rec.sample_id, "text": rec.text, "attrs": dict(rec.attrs), "label": rec.label}
-            for rec in records
-        ),
-        path,
-    )
+# records per piece: ~115 KiB of Synth lines, below glibc's first 128 KiB mmap threshold, so freeing a
+# piece does not raise the threshold and leave later allocations on the heap
+_CONDITION_ROWS = 256
+_CONDITION_FIELDS = operator.itemgetter("sample_id", "text", "attrs", "label")
 
 
-def read_conditions(path: str | Path) -> list[ConditionRecord]:
-    docs = load_jsonl(path, _CONDITION_SHAPE)
-    return [ConditionRecord(d["sample_id"], d["text"], d["attrs"], d["label"]) for _, d in docs]
+def _unreadable(rec: ConditionRecord) -> str | None:
+    """Why ``read_conditions`` would refuse the line of ``rec``; None if it would not."""
+    for what, value in (("sample_id", rec.sample_id), ("text", rec.text)):
+        if not isinstance(value, str):
+            return f"{what} {value!r} is not a string"
+    for name, idx in rec.attrs.items():
+        if not isinstance(name, str):
+            return f"attribute name {name!r} is not a string"
+        if not is_integer(idx):
+            return f"value index {idx!r} of attribute {name!r} is not an integer"
+    return None if is_integer(rec.label) else f"label {rec.label!r} is not an integer"
+
+
+def _unwritable(table: ConditionTable) -> str | None:
+    """The first record of ``table`` that ``read_conditions`` would refuse, and why; None if there is none.
+
+    Only a string column holding something else, a layout with a name that
+    is no string, or an odd value or label can hold such a record.
+    """
+    rows = [i for i, label in table.odd_labels.items() if not is_integer(label)]
+    rows += [i for (i, _), value in table.odd_values.items() if not is_integer(value)]
+    for column in (table.sample_ids, table.texts):
+        if not set(map(type, column)) <= {str}:
+            rows += [i for i, v in enumerate(column) if not isinstance(v, str)][:1]
+    odd_names = [n for n, keys in enumerate(table.layouts) if not all(isinstance(k, str) for k in keys)]
+    rows += np.flatnonzero(np.isin(table.layout, odd_names))[:1].tolist()
+    return f"record {min(rows)}: {_unreadable(table[min(rows)])}" if rows else None
+
+
+def write_conditions(conditions: ConditionTable | Sequence[ConditionRecord], path: str | Path) -> None:
+    """Write conditions as JSONL: the bytes ``dump_jsonl`` writes for each record as one object.
+
+    Each line is formatted from the template of its record's sorted key set,
+    ``_CONDITION_ROWS`` records at a time.  A table that ``read_conditions``
+    would refuse raises ``ContractViolation`` before the file is opened.
+    """
+    table = as_condition_table(conditions)
+    if problem := _unwritable(table):
+        raise ContractViolation(problem)
+    encode = json.encoder.encode_basestring_ascii  # the string form of dump_jsonl's ensure_ascii encoder
+    templates, columns = [], []
+    for keys, cols in zip(table.layouts, table.layout_columns):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        attrs = ",".join(encode(keys[p]).replace("%", "%%") + ":%d" for p in order)
+        templates.append('{"attrs":{' + attrs + '},"label":%d,"sample_id":%s,"text":%s}\n')
+        columns.append([cols[p] for p in order])
+    exact = {}  # piece -> (record in it, column or None for the label, value) of each value beyond int64
+    for (i, c), value in table.odd_values.items():
+        exact.setdefault(i // _CONDITION_ROWS, []).append((i % _CONDITION_ROWS, c, value))
+    for i, value in table.odd_labels.items():
+        exact.setdefault(i // _CONDITION_ROWS, []).append((i % _CONDITION_ROWS, None, value))
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(table), _CONDITION_ROWS):
+            piece = slice(start, start + _CONDITION_ROWS)
+            values, labels = table.values[piece].tolist(), table.labels[piece].tolist()
+            for j, c, value in exact.get(start // _CONDITION_ROWS, ()):
+                if c is None:
+                    labels[j] = value
+                else:
+                    values[j][c] = value
+            rows = zip(table.layout[piece].tolist(), values, labels, table.sample_ids[piece], table.texts[piece])
+            fh.write("".join([
+                templates[k] % (*map(row.__getitem__, columns[k]), label, encode(sample_id), encode(text))
+                for k, row, label, sample_id, text in rows
+            ]))
+
+
+def read_conditions(path: str | Path) -> ConditionTable:
+    """The conditions of a JSONL file as a table, each line checked against the conditions shape."""
+    return ConditionTable.from_rows(_CONDITION_FIELDS(doc) for _, doc in load_jsonl(path, _CONDITION_SHAPE))
 
 
 def write_schema(schema: AttributeSchema, path: str | Path) -> None:

@@ -12,6 +12,7 @@ from seriesbench.core import (
     MetricReport,
     ReportContext,
     TimeSeriesTensor,
+    as_condition_table,
     as_embedding_array,
     as_series_array,
     validate_dataset,
@@ -42,6 +43,10 @@ def schema():
 
 def _record(i, attrs, label=0):
     return ConditionRecord(sample_id=f"s{i}", text=f"caption {i}", attrs=attrs, label=label)
+
+
+def _table(*records):
+    return as_condition_table(records)
 
 
 def test_tensor_rejects_non_finite():
@@ -245,12 +250,12 @@ def test_validate_leaves_a_record_with_a_faulty_attribute_out_of_the_label_check
 )
 def test_vector_rejects_missing_or_out_of_range_index(schema, attrs, message):
     with pytest.raises(ContractViolation) as info:
-        _record(0, attrs).vector(schema)
+        _table(_record(0, attrs)).vectors(schema)
     assert str(info.value) == message
 
 
 def test_vector_in_schema_order_ignores_extra_attributes(schema):
-    assert _record(0, {"size": 2, "extra": 9, "color": 1}).vector(schema) == (1, 2)
+    assert _table(_record(0, {"size": 2, "extra": 9, "color": 1})).vectors(schema).tolist() == [[1, 2]]
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +336,10 @@ def test_validate_reports_a_non_integer_index(schema, idx):
 @pytest.mark.parametrize("idx", NON_INTEGER_INDICES)
 def test_vector_rejects_a_non_integer_index(schema, idx):
     with pytest.raises(ContractViolation, match="is not an integer"):
-        _record(0, {"color": idx, "size": 0}).vector(schema)
+        _table(_record(0, {"color": idx, "size": 0})).vectors(schema)
 
 
 def test_numpy_integer_indices_are_accepted(schema):
     record = _record(0, {"color": np.int64(1), "size": np.uint8(2)})
-    assert record.vector(schema) == (1, 2)
+    assert _table(record).vectors(schema).tolist() == [[1, 2]]
     assert validate_dataset(TimeSeriesTensor(data=np.zeros((1, 4, 1))), [record], schema).ok

@@ -262,6 +262,22 @@ def test_k_refuses_bools_and_fractions(call, k):
         call(points, k)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda points, k: precision(points, points[::-1], k=k),
+        lambda points, k: recall(points, points[::-1], k=k),
+        lambda points, k: joint_precision_recall(points, points[::-1], points, k=k),
+    ],
+    ids=["precision", "recall", "joint"],
+)
+def test_k_is_checked_before_it_is_compared(call):
+    # k="3" ended in a bare TypeError from the size comparison
+    points = np.random.default_rng(3).normal(size=(8, 2))
+    with pytest.raises(ContractViolation, match="k must be an integer, got '3'"):
+        call(points, "3")
+
+
 def test_contains_rejects_queries_of_another_width():
     index = ManifoldIndex.build(np.zeros((4, 3)), 1)
     with pytest.raises(ContractViolation, match=r"queries must be \(m, 3\)"):

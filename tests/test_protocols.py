@@ -636,6 +636,14 @@ def test_integer_parameters_refuse_bools_and_fractions(call, value):
         call(value)
 
 
+def test_a_bool_seed_is_refused():
+    # seed=True ran as seed 1: operator.index takes a bool
+    emb = np.random.default_rng(0).normal(size=(6, 3))
+    cfg = RetrievalConfig(pool_size=3, repeats=1, seed=True)
+    with pytest.raises(ContractViolation, match="a stream seed must be one integer, got bool"):
+        retrieval_acc1(emb, emb, cfg)
+
+
 def test_head_tail_distinct_values():
     values = np.arange(10.0)
     head, tail = head_tail_split(values)

@@ -253,6 +253,12 @@ def test_discovery_params_refuse_bools_and_fractions(field, value):
         DiscoveryParams(**{field: value})
 
 
+def test_a_bool_seed_is_refused():
+    # seed=True ran as seed 1: operator.index takes a bool
+    with pytest.raises(ContractViolation, match="a stream seed must be one integer, got bool"):
+        discover(CORPUS, ConstantProposer(), DiscoveryParams(batch_size=5, seed=True))
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ContractViolation, match="non-negative"):
         discover(CORPUS, ConstantProposer(), DiscoveryParams(batch_size=5, seed=-1))

@@ -147,7 +147,7 @@ def test_conditions_round_trip(tmp_path):
     path = tmp_path / "c.jsonl"
     tensorfile.write_conditions(records, path)
     back = tensorfile.read_conditions(path)
-    assert back == records
+    assert list(back) == records
 
 
 def test_report_byte_identical_and_round_trip(tmp_path):
