@@ -17,9 +17,7 @@ return a wrapper's array as it is and check a plain ndarray like a wrapper.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -172,9 +170,26 @@ class AttributeSchema:
         return cls(tuple(Attribute(a["name"], a.get("definition", ""), a["values"]) for a in attrs))
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _int64_problem(value) -> str | None:
+    """Why ``value`` is no integer that int64 holds (a bool is none); None if it is one."""
+    if not is_integer(value):
+        return "is not an integer"
+    return None if _INT64.min <= int(value) <= _INT64.max else "lies outside int64"
+
+
 @dataclass(frozen=True, slots=True)  # no per-record __dict__: a table hands out one per row it is asked for
 class ConditionRecord:
-    """Aligned (text, attribute-vector, class-label) triple for one sample."""
+    """Aligned (text, attribute-vector, class-label) triple for one sample.
+
+    The constructor refuses what a ``ConditionTable`` cannot hold, with a
+    ``ContractViolation`` that names the field: an id, text or attribute name
+    that is no string, and a value index or label that is no integer in
+    int64's range (a bool is none).  A NumPy integer is kept as an int, and
+    an attribute name of a str subclass as a str.
+    """
 
     sample_id: str
     text: str
@@ -182,41 +197,20 @@ class ConditionRecord:
     label: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "attrs", dict(self.attrs))
-
-
-_INT64 = np.iinfo(np.int64)
-
-
-def _int64_column(items: list) -> tuple[np.ndarray, dict[int, object]]:
-    """``items`` as an int64 array, and {position: item} of the items that are no integer in int64's range.
-
-    Such an item (a bool, a non-integer, an integer beyond int64) is kept as
-    given, a NumPy integer as an int, and its position in the array holds 0.
-    """
-    if set(map(type, items)) <= {int}:
-        try:
-            return np.array(items, dtype=np.int64), {}
-        except OverflowError:  # an int beyond int64, found below
-            pass
-    odd = {
-        i: int(v) if is_integer(v) else v
-        for i, v in enumerate(items)
-        if not (is_integer(v) and _INT64.min <= int(v) <= _INT64.max)
-    }
-    items = list(items)
-    for i in odd:
-        items[i] = 0
-    return np.array(items, dtype=np.int64), odd
+        attrs = dict(self.attrs)
+        for what, value in ("sample_id", self.sample_id), ("text", self.text), *(("attribute name", n) for n in attrs):
+            if not isinstance(value, str):
+                raise ContractViolation(f"{what} {value!r} is not a string")
+        for name, idx in attrs.items():
+            if problem := _int64_problem(idx):
+                raise ContractViolation(f"value index {idx!r} of attribute {name!r} {problem}")
+        if problem := _int64_problem(self.label):
+            raise ContractViolation(f"label {self.label!r} {problem}")
+        object.__setattr__(self, "attrs", {str(name): int(idx) for name, idx in attrs.items()})
+        object.__setattr__(self, "label", int(self.label))
 
 
 _ROWS_PER_PIECE = 1024
-
-
-def _columns(names: tuple, layouts: tuple) -> list[list[int]]:
-    """The columns of each layout's keys, in the layout's order; equal names share a column."""
-    column_of = {name: c for c, name in enumerate(names)}
-    return [[column_of[key] for key in keys] for keys in layouts]
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,112 +218,93 @@ class ConditionTable:
     """A conditions set as columns; row ``i`` is the record of sample ``i``.
 
     ``values`` is an (N, A) int64 matrix of value indices, one column per
-    attribute name in ``attr_names``, and ``labels`` an (N,) int64 column.  Record
-    ``i`` holds the attributes ``layouts[layout[i]]``, its own keys in its own
-    order and spelling; a column it does not hold reads 0.  A value or label
-    that is no integer in int64's range (a bool, a non-integer, an integer
-    beyond int64) reads 0 and is kept as given in ``odd_values[(i, column)]``
-    or ``odd_labels[i]``.  So the table keeps everything a check of a record
-    reports.  By default every record holds every name, in column order.
+    attribute name in ``attr_names``, ``labels`` an (N,) int64 column, and
+    ``held`` an (N, A) bool mask of the attributes each record holds; a value
+    a record does not hold is ignored.  By default every record holds every
+    name.  The constructor refuses, with ``ContractViolation``, ids, texts or
+    names that are no strings, and values or labels whose dtype is no integer
+    one that int64 holds (a bool is none).
 
-    Indexing and iteration yield ``ConditionRecord`` row views with Python
-    ints; a slice is a table.  Two tables are equal when their rows are.
+    Indexing, and so iteration, yields ``ConditionRecord`` row views with
+    Python ints, whose attributes are in column order.
     """
 
     sample_ids: Sequence[str]
     texts: Sequence[str]
-    attr_names: tuple
+    attr_names: Sequence[str]
     values: np.ndarray
     labels: np.ndarray
-    layouts: tuple[tuple, ...] | None = None
-    layout: np.ndarray | None = None
-    odd_values: Mapping[tuple[int, int], object] = field(default_factory=dict)
-    odd_labels: Mapping[int, object] = field(default_factory=dict)
+    held: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        n = len(self.sample_ids)
         for name in ("sample_ids", "texts", "attr_names"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if self.layouts is None:
-            object.__setattr__(self, "layouts", (self.attr_names,))
-            object.__setattr__(self, "layout", np.zeros(n, dtype=np.intp))
-        if not len(self.texts) == len(self.layout) == n:
-            raise ContractViolation(
-                f"condition columns differ in length: {n} sample ids, {len(self.texts)} texts, "
-                f"{len(self.layout)} layouts"
-            )
-        columns = {
-            "values": np.asarray(self.values, dtype=np.int64).reshape(n, len(self.attr_names)),
-            "labels": np.asarray(self.labels, dtype=np.int64).reshape(n),
-            "layout": np.asarray(self.layout, dtype=np.intp).reshape(n),
-        }
-        for name, column in columns.items():
+            column = tuple(getattr(self, name))
+            if odd := [v for v in column if not isinstance(v, str)]:
+                raise ContractViolation(f"condition {name} must be strings, got {odd[0]!r}")
+            object.__setattr__(self, name, column)
+        n, a = len(self.sample_ids), len(self.attr_names)
+        if len(self.texts) != n:
+            raise ContractViolation(f"condition columns differ in length: {n} sample ids, {len(self.texts)} texts")
+        held = np.ones((n, a), dtype=bool) if self.held is None else self.held
+        for name, data, shape in ("values", self.values, (n, a)), ("labels", self.labels, (n,)), ("held", held, (n, a)):
+            column = np.asarray(data)
+            # an empty list reads as float64, and holds nothing to refuse
+            if name != "held" and column.size and (column.dtype == bool or not np.can_cast(column.dtype, np.int64)):
+                raise ContractViolation(f"condition {name} must be integers that int64 holds, got dtype {column.dtype}")
+            column = column.astype(bool if name == "held" else np.int64, copy=False).reshape(shape)
             column.setflags(write=False)
             object.__setattr__(self, name, column)
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple]) -> "ConditionTable":
-        """The table of ``(sample_id, text, attrs, label)`` rows, ``attrs`` a dict, taken as they are: nothing is checked.
+        """The table of ``(sample_id, text, attrs, label, *where)`` rows, ``attrs`` a dict of names to integers.
 
-        Rows are taken ``_ROWS_PER_PIECE`` at a time, so a reader's parsed
-        documents are freed a piece at a time, not held whole.
+        The rows are taken as ``ConditionRecord`` or the conditions grammar
+        hold them: only an integer beyond int64 is found, and it raises
+        ``OverflowError(row, problem)``; a row's fields past its fourth, such
+        as the line a reader took it from, serve that error only.  The columns
+        are the names in the order the rows first hold them.  Rows are taken
+        ``_ROWS_PER_PIECE`` at a time, so a reader's parsed documents are
+        freed a piece at a time, not held whole.
         """
-        sample_ids, texts, labels, flat, layout = [], [], [], [], []
-        layout_of: dict[tuple, int] = {}  # keys, then their types: 1 and True are spelled apart
+        sample_ids, texts, layout = [], [], []
+        labels, flat = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]  # int64 pieces
+        layout_of: dict[tuple, int] = {}  # each order of names a row holds, numbered
         rows = iter(rows)
         while piece := list(itertools.islice(rows, _ROWS_PER_PIECE)):
-            piece_ids, piece_texts, piece_attrs, piece_labels = zip(*piece)
+            piece_ids, piece_texts, piece_attrs, piece_labels, *_ = zip(*piece)
+            try:
+                labels.append(np.array(piece_labels, dtype=np.int64))
+                flat.append(np.array([*itertools.chain.from_iterable(map(dict.values, piece_attrs))], dtype=np.int64))
+            except OverflowError:  # the record of the first row beyond int64 names it
+                for row in piece:
+                    try:
+                        ConditionRecord(*row[:4])
+                    except ContractViolation as exc:
+                        raise OverflowError(row, str(exc)) from None
             sample_ids += piece_ids
             texts += piece_texts
-            labels += piece_labels
-            layout += [layout_of.setdefault((*keys, *map(type, keys)), len(layout_of)) for keys in piece_attrs]
-            flat += itertools.chain.from_iterable(map(dict.values, piece_attrs))
-        layouts = tuple(key[: len(key) // 2] for key in layout_of)
-        names = tuple(dict.fromkeys(name for keys in layouts for name in keys))  # equal names share a column
-        table_columns = _columns(names, layouts)
+            layout += [layout_of.setdefault(tuple(keys), len(layout_of)) for keys in piece_attrs]
+        names = tuple(dict.fromkeys(itertools.chain.from_iterable(layout_of)))
         layout = np.array(layout, dtype=np.intp)
-        flat, odd_flat = _int64_column(flat)
-        sizes = np.array([len(keys) for keys in layouts], dtype=np.intp)[layout]
+        flat, labels = np.concatenate(flat), np.concatenate(labels)
+        sizes = np.array([len(keys) for keys in layout_of], dtype=np.intp)[layout]
         starts = np.cumsum(sizes) - sizes  # where each row's values begin in ``flat``
         values = np.zeros((len(layout), len(names)), dtype=np.int64)
-        for i, cols in enumerate(table_columns):
-            rows_i = np.flatnonzero(layout == i)
-            values[rows_i[:, None], cols] = flat[starts[rows_i, None] + np.arange(len(cols))]
-        odd_values = {}
-        for pos, value in odd_flat.items():
-            row = int(np.searchsorted(starts, pos, side="right")) - 1
-            odd_values[row, table_columns[layout[row]][pos - starts[row]]] = value
-        labels, odd_labels = _int64_column(labels)
-        return cls(sample_ids, texts, names, values, labels, layouts, layout, odd_values, odd_labels)
-
-    @functools.cached_property
-    def layout_columns(self) -> list[list[int]]:
-        """The columns of each layout's keys, in the layout's order."""
-        return _columns(self.attr_names, self.layouts)
-
-    def _label(self, i: int):
-        return self.odd_labels.get(i, int(self.labels[i]))
+        held = np.zeros(values.shape, dtype=bool)
+        for i, keys in enumerate(layout_of):
+            rows_i, cols = np.flatnonzero(layout == i)[:, None], list(map(names.index, keys))
+            values[rows_i, cols] = flat[starts[rows_i] + np.arange(len(cols))]
+            held[rows_i, cols] = True
+        return cls(sample_ids, texts, names, values, labels, held)
 
     def __len__(self) -> int:
         return len(self.sample_ids)
 
-    def _row(self, i: int) -> tuple:
-        keys, cols = self.layouts[self.layout[i]], self.layout_columns[self.layout[i]]
-        attrs = {key: self.odd_values.get((i, c), v) for key, c, v in zip(keys, cols, self.values[i, cols].tolist())}
-        return self.sample_ids[i], self.texts[i], attrs, self._label(i)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ConditionTable.from_rows(map(self._row, range(len(self))[index]))
-        return ConditionRecord(*self._row(range(len(self))[index]))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConditionTable):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
+    def __getitem__(self, i: int) -> ConditionRecord:
+        i = range(len(self))[i]  # a negative index counts from the end; one out of range raises IndexError
+        attrs = {name: v for name, h, v in zip(self.attr_names, self.held[i].tolist(), self.values[i].tolist()) if h}
+        return ConditionRecord(self.sample_ids[i], self.texts[i], attrs, int(self.labels[i]))
 
     def _fit(self, schema: AttributeSchema) -> tuple[list[int], np.ndarray, np.ndarray]:
         """How the records fit ``schema``: (columns, bad, missing).
@@ -341,21 +316,10 @@ class ConditionTable:
         record lacks.
         """
         options = {a.name: len(a.values) for a in schema.attributes}
-        held = np.zeros((len(self.layouts), len(self.attr_names)), dtype=bool)
-        for i, cols in enumerate(self.layout_columns):
-            held[i, cols] = True
-        held = held[self.layout]
         limits = np.array([options.get(name, 0) for name in self.attr_names], dtype=np.int64)
-        bad = (self.values < 0) | (self.values >= limits)
-        for cell in self.odd_values:
-            bad[cell] = True
-        bad &= held
-        column_of = {name: c for c, name in enumerate(self.attr_names)}
-        columns = [column_of.get(name, -1) for name in schema.names]
-        missing = np.ones((len(self), len(columns)), dtype=bool)
-        for s, c in enumerate(columns):
-            if c >= 0:
-                missing[:, s] = ~held[:, c]
+        bad = ((self.values < 0) | (self.values >= limits)) & self.held
+        columns = [self.attr_names.index(name) if name in self.attr_names else -1 for name in schema.names]
+        missing = ~np.pad(self.held, ((0, 0), (0, 1)))[:, columns]  # column -1 is the pad, which no record holds
         return columns, bad, missing
 
     def vectors(self, schema: AttributeSchema) -> np.ndarray:
@@ -368,7 +332,7 @@ class ConditionTable:
         faulty = missing.any(axis=1) | bad[:, [c for c in columns if c >= 0]].any(axis=1)
         if faulty.any():
             i = int(faulty.argmax())
-            raise ContractViolation(f"record {self.sample_ids[i]!r}: {schema.misfit(self._row(i)[2])}")
+            raise ContractViolation(f"record {self.sample_ids[i]!r}: {schema.misfit(self[i].attrs)}")
         # with no fault, a schema attribute no record holds means there is no record
         return self.values[:, columns] if len(self) else np.zeros((0, len(columns)), dtype=np.int64)
 
@@ -425,7 +389,7 @@ class ValidationReport:
         return not self.violations
 
 
-def _vector_keys(vectors: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+def vector_keys(vectors: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """One int64 per row of ``vectors`` (N, S), equal for equal rows; column ``s`` lies in [0, sizes[s])."""
     keys = np.zeros(len(vectors), dtype=np.int64)
     span = 1  # keys lie in [0, span)
@@ -446,18 +410,18 @@ def validate_dataset(
     """Cross-check a (series, conditions, schema) triple.
 
     Reported violations: sample-count mismatch, attribute names outside the
-    schema, schema attributes a record lacks, value indices that are not
-    integers or out of range, labels that are not integers (a bool is not
-    one) or negative, and label inconsistency (two records with identical
+    schema, schema attributes a record lacks, value indices out of range,
+    negative labels, and label inconsistency (two records with identical
     attribute vectors must carry the same label; only records with no
-    attribute violation and an integer label take part in it).
-    Series values are finite by construction: the ``TimeSeriesTensor``
-    constructor refuses anything else.  A passing report is the precondition
-    every metric operation assumes.
+    attribute violation take part in it).  A value or label that is no
+    integer cannot reach here: ``ConditionRecord`` and ``ConditionTable``
+    refuse it.  Series values are finite by construction: the
+    ``TimeSeriesTensor`` constructor refuses anything else.  A passing report
+    is the precondition every metric operation assumes.
 
     The checks are array operations over the table's columns; messages are
     formatted for the flagged records only, in record order, and within a
-    record: its attributes in its own key order, the missing ones in schema
+    record: its attributes in column order, the missing ones in schema
     order, then its label.
     """
     table = as_condition_table(conditions)
@@ -470,41 +434,28 @@ def validate_dataset(
     options = {a.name: len(a.values) for a in schema.attributes}
     columns, bad, missing = table._fit(schema)
     attr_fault = bad.any(axis=1) | missing.any(axis=1)
-    label_of = table._label  # exact, an odd label included
-    odd_label = np.zeros(len(table), dtype=bool)
-    odd_label[list(table.odd_labels)] = True
-    not_integer = np.zeros(len(table), dtype=bool)
-    not_integer[[i for i, label in table.odd_labels.items() if not is_integer(label)]] = True
-    negative = (table.labels < 0) & ~odd_label
-    negative[[i for i, label in table.odd_labels.items() if is_integer(label) and label < 0]] = True
-    # label consistency: each record with a vector and an integer label against the first with its vector
-    rows = np.flatnonzero(~(attr_fault | not_integer))
-    earlier = np.zeros(len(table), dtype=np.intp)
+    labels = table.labels
+    # label consistency: each record with a vector against the first with its vector
+    rows = np.flatnonzero(~attr_fault)
+    earlier = np.arange(len(table))  # a record without a vector is its own earlier record
     if rows.size:
-        keys = _vector_keys(table.values[rows][:, columns], [len(a.values) for a in schema.attributes])
+        keys = vector_keys(table.values[rows][:, columns], [len(a.values) for a in schema.attributes])
         _, first, group = np.unique(keys, return_index=True, return_inverse=True)
         earlier[rows] = rows[first[group.reshape(-1)]]
-    inconsistent = np.zeros(len(table), dtype=bool)
-    inconsistent[rows] = table.labels[rows] != table.labels[earlier[rows]]
-    for i in rows[odd_label[rows] | odd_label[earlier[rows]]].tolist():  # an odd label compares exactly
-        inconsistent[i] = label_of(i) != label_of(earlier[i])
+    inconsistent = labels != labels[earlier]
 
-    for i in np.flatnonzero(attr_fault | not_integer | negative | inconsistent).tolist():
-        _, _, attrs, label = table._row(i)
-        for (name, idx), c in zip(attrs.items(), table.layout_columns[table.layout[i]]):
-            if bad[i, c]:
-                problem = _index_problem(name, idx, options[name]) if name in options else f"unknown attribute {name!r}"
-                violations.append(f"record {i}: {problem}")
+    for i in np.flatnonzero(attr_fault | (labels < 0) | inconsistent).tolist():
+        for c in np.flatnonzero(bad[i]).tolist():
+            name, idx = table.attr_names[c], int(table.values[i, c])
+            problem = _index_problem(name, idx, options[name]) if name in options else f"unknown attribute {name!r}"
+            violations.append(f"record {i}: {problem}")
         violations.extend(f"record {i}: missing attribute {name!r}" for name, gone in zip(schema.names, missing[i]) if gone)
-        if not_integer[i]:
-            violations.append(f"record {i}: label {label!r} is not an integer")
-            continue
-        if negative[i]:
-            violations.append(f"record {i}: label {label} is negative")
+        if labels[i] < 0:
+            violations.append(f"record {i}: label {labels[i]} is negative")
         if inconsistent[i]:
             violations.append(
-                f"record {i}: label {label} inconsistent with earlier label "
-                f"{label_of(earlier[i])} for the same attribute vector"
+                f"record {i}: label {labels[i]} inconsistent with earlier label "
+                f"{labels[earlier[i]]} for the same attribute vector"
             )
     return ValidationReport(violations=tuple(violations))
 

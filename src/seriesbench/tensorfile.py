@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import os
 import stat
 import sys
@@ -29,7 +28,6 @@ from seriesbench.core import (
     AttributeSchema,
     ConditionRecord,
     ConditionTable,
-    ContractViolation,
     EmbeddingMatrix,
     InputFormatError,
     MetricEntry,
@@ -37,7 +35,7 @@ from seriesbench.core import (
     ReportContext,
     TimeSeriesTensor,
     as_condition_table,
-    is_integer,
+    vector_keys,
 )
 
 _MAGIC = "TSB1"
@@ -331,70 +329,29 @@ def dump_json(obj, path: str | Path) -> None:
 # records per piece: ~115 KiB of Synth lines, below glibc's first 128 KiB mmap threshold, so freeing a
 # piece does not raise the threshold and leave later allocations on the heap
 _CONDITION_ROWS = 256
-_CONDITION_FIELDS = operator.itemgetter("sample_id", "text", "attrs", "label")
-
-
-def _unreadable(rec: ConditionRecord) -> str | None:
-    """Why ``read_conditions`` would refuse the line of ``rec``; None if it would not."""
-    for what, value in (("sample_id", rec.sample_id), ("text", rec.text)):
-        if not isinstance(value, str):
-            return f"{what} {value!r} is not a string"
-    for name, idx in rec.attrs.items():
-        if not isinstance(name, str):
-            return f"attribute name {name!r} is not a string"
-        if not is_integer(idx):
-            return f"value index {idx!r} of attribute {name!r} is not an integer"
-    return None if is_integer(rec.label) else f"label {rec.label!r} is not an integer"
-
-
-def _unwritable(table: ConditionTable) -> str | None:
-    """The first record of ``table`` that ``read_conditions`` would refuse, and why; None if there is none.
-
-    Only a string column holding something else, a layout with a name that
-    is no string, or an odd value or label can hold such a record.
-    """
-    rows = [i for i, label in table.odd_labels.items() if not is_integer(label)]
-    rows += [i for (i, _), value in table.odd_values.items() if not is_integer(value)]
-    for column in (table.sample_ids, table.texts):
-        if not set(map(type, column)) <= {str}:
-            rows += [i for i, v in enumerate(column) if not isinstance(v, str)][:1]
-    odd_names = [n for n, keys in enumerate(table.layouts) if not all(isinstance(k, str) for k in keys)]
-    rows += np.flatnonzero(np.isin(table.layout, odd_names))[:1].tolist()
-    return f"record {min(rows)}: {_unreadable(table[min(rows)])}" if rows else None
 
 
 def write_conditions(conditions: ConditionTable | Sequence[ConditionRecord], path: str | Path) -> None:
     """Write conditions as JSONL: the bytes ``dump_jsonl`` writes for each record as one object.
 
-    Each line is formatted from the template of its record's sorted key set,
-    ``_CONDITION_ROWS`` records at a time.  A table that ``read_conditions``
-    would refuse raises ``ContractViolation`` before the file is opened.
+    Each line is formatted from the template of its record's ``held`` row,
+    which lists the names it holds sorted, ``_CONDITION_ROWS`` records at a
+    time.
     """
     table = as_condition_table(conditions)
-    if problem := _unwritable(table):
-        raise ContractViolation(problem)
     encode = json.encoder.encode_basestring_ascii  # the string form of dump_jsonl's ensure_ascii encoder
-    templates, columns = [], []
-    for keys, cols in zip(table.layouts, table.layout_columns):
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        attrs = ",".join(encode(keys[p]).replace("%", "%%") + ":%d" for p in order)
-        templates.append('{"attrs":{' + attrs + '},"label":%d,"sample_id":%s,"text":%s}\n')
-        columns.append([cols[p] for p in order])
-    exact = {}  # piece -> (record in it, column or None for the label, value) of each value beyond int64
-    for (i, c), value in table.odd_values.items():
-        exact.setdefault(i // _CONDITION_ROWS, []).append((i % _CONDITION_ROWS, c, value))
-    for i, value in table.odd_labels.items():
-        exact.setdefault(i // _CONDITION_ROWS, []).append((i % _CONDITION_ROWS, None, value))
+    held_keys = vector_keys(table.held, [2] * len(table.attr_names))
+    _, first, kind = np.unique(held_keys, return_index=True, return_inverse=True)
+    order = sorted(range(len(table.attr_names)), key=table.attr_names.__getitem__)
+    columns = [[c for c in order if table.held[i, c]] for i in first.tolist()]  # the names each template holds
+    keys = [encode(name).replace("%", "%%") + ":%d" for name in table.attr_names]
+    templates = ['{"attrs":{' + ",".join(map(keys.__getitem__, cols)) + '},"label":%d,"sample_id":%s,"text":%s}\n'
+                 for cols in columns]
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(table), _CONDITION_ROWS):
             piece = slice(start, start + _CONDITION_ROWS)
-            values, labels = table.values[piece].tolist(), table.labels[piece].tolist()
-            for j, c, value in exact.get(start // _CONDITION_ROWS, ()):
-                if c is None:
-                    labels[j] = value
-                else:
-                    values[j][c] = value
-            rows = zip(table.layout[piece].tolist(), values, labels, table.sample_ids[piece], table.texts[piece])
+            rows = zip(kind[piece].tolist(), table.values[piece].tolist(), table.labels[piece].tolist(),
+                       table.sample_ids[piece], table.texts[piece])
             fh.write("".join([
                 templates[k] % (*map(row.__getitem__, columns[k]), label, encode(sample_id), encode(text))
                 for k, row, label, sample_id, text in rows
@@ -402,8 +359,18 @@ def write_conditions(conditions: ConditionTable | Sequence[ConditionRecord], pat
 
 
 def read_conditions(path: str | Path) -> ConditionTable:
-    """The conditions of a JSONL file as a table, each line checked against the conditions shape."""
-    return ConditionTable.from_rows(_CONDITION_FIELDS(doc) for _, doc in load_jsonl(path, _CONDITION_SHAPE))
+    """The conditions of a JSONL file as a table, each line checked against the conditions shape.
+
+    A line holding an integer beyond int64, which the table cannot hold,
+    raises ``InputFormatError``; it is found a piece of rows at a time, so a
+    malformed line later in the same piece is reported before it.
+    """
+    docs = load_jsonl(path, _CONDITION_SHAPE)
+    try:
+        return ConditionTable.from_rows((d["sample_id"], d["text"], d["attrs"], d["label"], lineno) for lineno, d in docs)
+    except OverflowError as exc:  # its row ends with the line number
+        row, problem = exc.args
+        raise InputFormatError(f"{path}:{row[-1]}: {problem}") from None
 
 
 def write_schema(schema: AttributeSchema, path: str | Path) -> None:

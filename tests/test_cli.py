@@ -542,8 +542,9 @@ def contract_inputs(tmp_path_factory):
     tensorfile.write_tensor(ds.series, d / "series.tsb")
     tensorfile.write_tensor(ds.series.data + rng.normal(scale=0.1, size=ds.series.data.shape), d / "gen.tsb")
     tensorfile.write_conditions(ds.conditions, d / "conditions.jsonl")
-    tensorfile.write_conditions(ds.conditions[:-n_test], d / "train.jsonl")
-    tensorfile.write_conditions(ds.conditions[-n_test:], d / "test.jsonl")
+    records = list(ds.conditions)
+    tensorfile.write_conditions(records[:-n_test], d / "train.jsonl")
+    tensorfile.write_conditions(records[-n_test:], d / "test.jsonl")
     tensorfile.write_schema(ds.schema, d / "schema.json")
     for name in ("real", "gen_emb", "text_emb"):
         tensorfile.write_tensor(rng.normal(size=(n_test, 6)), d / f"{name}.tsb")
@@ -813,6 +814,37 @@ def test_validate_reports_a_negative_label(contract_inputs, tmp_path, capsys):
     assert doc["ok"] is False
     assert doc["violations"][0] == "record 3: label -1 is negative"
     assert "  - record 3: label -1 is negative" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [("attrs", 2**63, "value index 9223372036854775808 of attribute 'trend_type' lies outside int64"),
+     ("attrs", -(2**63) - 1, "value index -9223372036854775809 of attribute 'trend_type' lies outside int64"),
+     ("label", 2**64, "label 18446744073709551616 lies outside int64")],
+    ids=["value-above", "value-below", "label"],
+)
+@pytest.mark.parametrize("command", ["validate", "compgen"])
+def test_a_conditions_integer_beyond_int64_exits_2_with_its_line(contract_inputs, tmp_path, command, field, value,
+                                                                  problem):
+    # a conditions table holds int64 values; record 70 follows a blank line, so it is on line 72
+    rows = [json.loads(line) for line in (contract_inputs / "conditions.jsonl").read_text().splitlines()]
+    if field == "label":
+        rows[70]["label"] = value
+    else:
+        rows[70]["attrs"]["trend_type"] = value
+    conditions = tmp_path / "conditions.jsonl"
+    lines = [json.dumps(row, sort_keys=True) for row in rows]
+    conditions.write_text("\n".join(lines[:5] + [""] + lines[5:]) + "\n")
+    argv = {
+        "validate": f"validate --series {contract_inputs}/series.tsb --conditions {conditions} "
+                    f"--schema {contract_inputs}/schema.json --out {tmp_path}/validate.json",
+        "compgen": f"protocol compgen --schema {contract_inputs}/schema.json --train-conditions {conditions} "
+                   f"--test-conditions {contract_inputs}/test.jsonl --k 3 --out {tmp_path}/compgen.json",
+    }[command].split()
+    proc = _run_module(argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"input error: {conditions}:72: {problem}\n"
 
 
 def test_retrieval_reads_only_the_captions_of_its_conditions(contract_inputs, tmp_path):

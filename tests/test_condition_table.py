@@ -6,16 +6,24 @@ reader parsed and checked each line with ``json.loads`` and the shape
 explainer, and ``validate_dataset`` walked every record's attrs.  The table
 must give the same bytes, the same records or error text, and the same
 violations.
+
+A table holds int64 values and a mask of the attributes each record holds,
+so ``ConditionRecord`` refuses what it cannot hold (an id, text or name that
+is no string, a value or label that is no integer in int64's range), and the
+reader refuses a line holding an integer beyond int64.  The oracles take
+those rules, and walk a record's attrs in the table's column order: the
+order in which the records first name them.
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seriesbench import synthgen, tensorfile
+from seriesbench import core, synthgen, tensorfile
 from seriesbench.core import (
     Attribute,
     AttributeSchema,
@@ -47,7 +55,10 @@ def old_read_conditions(path):
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 d = tensorfile._load(line, tensorfile._CONDITION_SHAPE, path, lineno)
-                records.append(ConditionRecord(d["sample_id"], d["text"], d["attrs"], d["label"]))
+                try:
+                    records.append(ConditionRecord(d["sample_id"], d["text"], d["attrs"], d["label"]))
+                except ContractViolation as exc:  # an integer beyond int64
+                    raise InputFormatError(f"{path}:{lineno}: {exc}") from None
     return records
 
 
@@ -68,10 +79,11 @@ def old_validate(n_series, conditions, schema):
     if n_series != len(conditions):
         violations.append(f"count mismatch: {n_series} series vs {len(conditions)} condition records")
     options = {a.name: len(a.values) for a in schema.attributes}
+    columns = list(dict.fromkeys(name for rec in conditions for name in rec.attrs))  # the table's column order
     label_by_vector = {}
     for i, rec in enumerate(conditions):
         n_before = len(violations)
-        for name, idx in rec.attrs.items():
+        for name, idx in ((name, rec.attrs[name]) for name in columns if name in rec.attrs):
             if name not in options:
                 violations.append(f"record {i}: unknown attribute {name!r}")
             elif problem := _old_index_problem(name, idx, options[name]):
@@ -105,8 +117,8 @@ def old_validate(n_series, conditions, schema):
 
 # escapes, quotes, template percent signs, non-ASCII and astral characters
 _TEXT = st.text(st.sampled_from('ab %s%d"\\\n\t\x00\x7fé 中\U0001f600'), max_size=12)
-_BIG = st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**30, -(10**40)])
-_INT = st.one_of(st.integers(-3, 9), _BIG, st.integers())
+_BIG = st.sampled_from([2**63 - 1, 2**62, -(2**63), -(2**63) + 1, 10**18, -(10**18)])
+_INT = st.one_of(st.integers(-3, 9), _BIG, st.integers(-(2**63), 2**63 - 1))
 
 
 @st.composite
@@ -136,7 +148,7 @@ def test_writer_bytes_match_one_dict_per_record(records, tmp_path_factory):
 
 def test_writer_bytes_match_across_pieces(tmp_path, monkeypatch):
     monkeypatch.setattr(tensorfile, "_CONDITION_ROWS", 7)
-    records = [ConditionRecord(f"s{i}", f"t{i}", {"b": i, "a": 2**64 + i} if i % 3 else {"a": -i}, 2**70 * (i % 2))
+    records = [ConditionRecord(f"s{i}", f"t{i}", {"b": i, "a": 2**62 + i} if i % 3 else {"a": -i}, -(2**63) * (i % 2))
                for i in range(30)]
     old_write_conditions(records, tmp_path / "old.jsonl")
     tensorfile.write_conditions(records, tmp_path / "new.jsonl")
@@ -153,22 +165,23 @@ def test_writer_bytes_match_on_a_synth_build(tmp_path):
 @pytest.mark.parametrize(
     "record, message",
     [
-        (ConditionRecord(7, "t", {"a": 0}, 0), "record 1: sample_id 7 is not a string"),
-        (ConditionRecord("s", None, {"a": 0}, 0), "record 1: text None is not a string"),
-        (ConditionRecord("s", "t", {"a": True}, 0), "record 1: value index True of attribute 'a' is not an integer"),
-        (ConditionRecord("s", "t", {"a": 1.0}, 0), "record 1: value index 1.0 of attribute 'a' is not an integer"),
-        (ConditionRecord("s", "t", {0: 1}, 0), "record 1: attribute name 0 is not a string"),
-        (ConditionRecord("s", "t", {"a": 0}, False), "record 1: label False is not an integer"),
-        (ConditionRecord("s", "t", {"a": 0}, "2"), "record 1: label '2' is not an integer"),
+        ((7, "t", {"a": 0}, 0), "record 1: sample_id 7 is not a string"),
+        (("s", None, {"a": 0}, 0), "record 1: text None is not a string"),
+        (("s", "t", {"a": True}, 0), "record 1: value index True of attribute 'a' is not an integer"),
+        (("s", "t", {"a": 1.0}, 0), "record 1: value index 1.0 of attribute 'a' is not an integer"),
+        (("s", "t", {0: 1}, 0), "record 1: attribute name 0 is not a string"),
+        (("s", "t", {"a": 0}, False), "record 1: label False is not an integer"),
+        (("s", "t", {"a": 0}, "2"), "record 1: label '2' is not an integer"),
     ],
 )
 def test_writer_refuses_what_the_reader_refuses(tmp_path, record, message):
-    # such a file was written before, and then failed to load
+    # the record refuses what the reader would refuse, so no writer sees it and no file is written; its
+    # message is the one below, after the record number
     good = ConditionRecord("s0", "t", {"a": 0}, 0)
     path = tmp_path / "c.jsonl"
     with pytest.raises(ContractViolation) as info:
-        tensorfile.write_conditions([good, record, record], path)
-    assert str(info.value) == message
+        tensorfile.write_conditions([good, ConditionRecord(*record)], path)
+    assert f"record 1: {info.value}" == message
     assert not path.exists()
 
 
@@ -269,11 +282,27 @@ def test_the_compiled_shape_test_accepts_valid_documents(shape):
 
 
 def test_reader_yields_python_ints_beyond_int64(tmp_path):
+    # a table holds int64 values: a line beyond them is refused, named by its line; int64's limits are read
     path = tmp_path / "c.jsonl"
-    path.write_text(_GOOD.replace('"a":1', f'"a":{2**64}').replace('"label":2', f'"label":{-(2**70)}') + "\n")
+    path.write_text(_GOOD + "\n\n" + _GOOD.replace('"a":1', f'"a":{2**64}').replace('"label":2', f'"label":{-(2**70)}') + "\n")
+    message = f"{path}:3: value index {2**64} of attribute 'a' lies outside int64"
+    with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+        tensorfile.read_conditions(path)
+    path.write_text(_GOOD.replace('"a":1', f'"a":{2**63 - 1}').replace('"label":2', f'"label":{-(2**63)}') + "\n")
     rec = tensorfile.read_conditions(path)[0]
-    assert rec.attrs == {"a": 2**64, "b": 0} and rec.label == -(2**70)
+    assert rec.attrs == {"a": 2**63 - 1, "b": 0} and rec.label == -(2**63)
     assert type(rec.attrs["b"]) is int and type(rec.label) is int
+
+
+def test_reader_names_the_line_beyond_int64_in_a_later_piece(tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "_ROWS_PER_PIECE", 7)
+    lines = [_GOOD.replace('"s"', f'"s{i}"') for i in range(30)]
+    lines[23] = lines[23].replace('"label":2', f'"label":{2**63}')
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines[:4] + ["", " "] + lines[4:]) + "\n")
+    want = _outcome(old_read_conditions, path)
+    assert want == f"InputFormatError: {path}:26: label {2**63} lies outside int64"
+    assert _outcome(tensorfile.read_conditions, path) == want
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +314,14 @@ SCHEMA = AttributeSchema((
     Attribute("size", "", ("s", "m", "l")),
     Attribute("shape", "", ("o", "x", "+", "-")),
 ))
-# every value a library caller may pass: in and out of range, beyond int64, bools, NumPy
-# integers, non-integers, unhashable ones
-_ODD = st.sampled_from([
-    -1, 3, 4, 2**63, -(2**63) - 1, 10**30, True, False, 1.0, 1.5, float("nan"), "1", None, [1], {"a": 1},
-    np.int64(1), np.uint8(2), np.int8(-1), np.uint64(2**64 - 1), np.float64(1.0),
-])
+# every value a record holds besides a schema value index: out of range, at int64's limits, NumPy integers
+_ODD = st.sampled_from([-1, 3, 4, 2**63 - 1, -(2**63), np.int64(1), np.uint8(2), np.int8(-1)])
 _LABEL = st.one_of(st.integers(0, 2), st.integers(0, 2), _ODD)
-# non-string names among them: 1, True and 1.0 are equal but spelled apart
-_UNKNOWN = st.sampled_from(["zz", "Color", 0, 1, True, 1.0, None, (1, "a"), np.str_("zz")])
+_UNKNOWN = st.sampled_from(["zz", "Color", np.str_("zz")])
+# what a record refuses, because a table cannot hold it
+_REFUSED_VALUES = [2**63, -(2**63) - 1, 10**30, True, False, 1.0, 1.5, float("nan"), "1", None, [1], {"a": 1},
+                   np.uint64(2**64 - 1), np.float64(1.0)]
+_REFUSED_NAMES = [0, 1, True, 1.0, None, (1, "a")]
 
 
 @st.composite
@@ -330,10 +358,87 @@ def test_validate_matches_the_per_record_walk(case):
     assert validate_dataset(series, as_condition_table(records), SCHEMA).violations == want
 
 
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(case=_validation_case(), data=st.data())
+def test_validate_of_a_file_with_shuffled_key_orders_matches_the_per_record_walk(case, data, tmp_path_factory):
+    # each line lists its attrs in an order of its own, written raw, as dump_jsonl would sort them
+    n_series, records = case
+    path = tmp_path_factory.mktemp("v") / "c.jsonl"
+    lines = []
+    for rec in records:
+        order = data.draw(st.permutations(list(rec.attrs)))
+        doc = {"label": rec.label, "attrs": {k: rec.attrs[k] for k in order}, "sample_id": rec.sample_id, "text": rec.text}
+        lines.append(json.dumps(dict(data.draw(st.permutations(list(doc.items()))))))
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    series = TimeSeriesTensor(data=np.zeros((n_series, 2, 1)))
+    want = old_validate(n_series, old_read_conditions(path), SCHEMA)
+    assert validate_dataset(series, tensorfile.read_conditions(path), SCHEMA).violations == want
+
+
+@pytest.mark.parametrize("value", _REFUSED_VALUES, ids=repr)
+def test_a_record_refuses_a_value_or_label_a_table_cannot_hold(value):
+    problem = "lies outside int64" if isinstance(value, (int, np.integer)) and type(value) is not bool else "is not an integer"
+    with pytest.raises(ContractViolation) as info:
+        ConditionRecord("s", "t", {"color": 0, "size": value}, 0)
+    assert str(info.value) == f"value index {value!r} of attribute 'size' {problem}"
+    with pytest.raises(ContractViolation) as info:
+        ConditionRecord("s", "t", {"color": 0}, value)
+    assert str(info.value) == f"label {value!r} {problem}"
+
+
+@pytest.mark.parametrize("name", _REFUSED_NAMES, ids=repr)
+def test_a_record_refuses_an_attribute_name_that_is_no_string(name):
+    with pytest.raises(ContractViolation) as info:
+        ConditionRecord("s", "t", {"color": 0, name: 1}, 0)
+    assert str(info.value) == f"attribute name {name!r} is not a string"
+
+
+@pytest.mark.parametrize("field", ["sample_id", "text"])
+@pytest.mark.parametrize("value", [7, None, b"s", ["s"]], ids=repr)
+def test_a_record_refuses_an_id_or_text_that_is_no_string(field, value):
+    fields = {"sample_id": "s", "text": "t", "attrs": {"color": 0}, "label": 0, field: value}
+    with pytest.raises(ContractViolation) as info:
+        ConditionRecord(**fields)
+    assert str(info.value) == f"{field} {value!r} is not a string"
+
+
+def test_a_record_keeps_numpy_integers_as_ints_and_str_subclass_names_as_strs():
+    rec = ConditionRecord("s", "t", {np.str_("zz"): np.uint8(2), "a": np.int8(-1)}, np.int64(1))
+    assert rec == ConditionRecord("s", "t", {"zz": 2, "a": -1}, 1)
+    assert [type(k) for k in rec.attrs] == [str, str] and [type(v) for v in rec.attrs.values()] == [int, int]
+    assert type(rec.label) is int
+
+
+def test_the_table_constructor_refuses_what_its_columns_cannot_hold():
+    # a cast would truncate a float or bool column to [[1], [1]] and [0, 2], and keep an int text
+    with pytest.raises(ContractViolation, match=r"^condition values must be integers that int64 holds, got dtype float64$"):
+        ConditionTable(["a", "b"], ["t", "t"], ("x",), [[1.7], [True]], [0.9, 2])
+    with pytest.raises(ContractViolation, match=r"^condition labels must be integers that int64 holds, got dtype float64$"):
+        ConditionTable(["a", "b"], ["t", "t"], ("x",), [[1], [0]], [0.9, 2])
+    with pytest.raises(ContractViolation, match=r"^condition texts must be strings, got 5$"):
+        ConditionTable(["a"], [5], ("x",), [[1]], [0])
+    with pytest.raises(ContractViolation, match=r"^condition sample_ids must be strings, got None$"):
+        ConditionTable(["a", None], ["t", "t"], ("x",), [[1], [0]], [0, 0])
+    with pytest.raises(ContractViolation, match=r"^condition attr_names must be strings, got 0$"):
+        ConditionTable(["a"], ["t"], (0,), [[1]], [0])
+    for values, labels in (([[True]], [0]), ([[1]], np.array([True])), (np.array([[1]], dtype=np.uint64), [0]),
+                           ([[2**64]], [0]), ([[1]], ["1"])):
+        with pytest.raises(ContractViolation, match=r"must be integers that int64 holds"):
+            ConditionTable(["a"], ["t"], ("x",), values, labels)
+    table = ConditionTable(["a", "b"], ["t", "u"], ("x", "y"), np.array([[1, 2], [3, 4]], dtype=np.int8), [0, -1],
+                           [[True, False], [False, True]])
+    assert list(table) == [ConditionRecord("a", "t", {"x": 1}, 0), ConditionRecord("b", "u", {"y": 4}, -1)]
+    assert table.values.dtype == np.int64 and table.labels.dtype == np.int64 and table.held.dtype == bool
+    assert ConditionTable([], [], ("x",), [], []).values.shape == (0, 1)
+
+
 def test_validate_matches_with_labels_beyond_int64():
+    # a record refuses a label beyond int64, so the labels here lie at its limits
+    with pytest.raises(ContractViolation, match=rf"^label {2**70} lies outside int64$"):
+        ConditionRecord("s", "t", {"color": 0}, 2**70)
     records = [ConditionRecord(f"s{i}", "t", {"color": 0, "size": 1, "shape": 2}, label)
-               for i, label in enumerate([2**70, 2**70, 5, -(2**70), 2**64, 5])]
-    records.append(ConditionRecord("s9", "t", {"color": 1, "size": 1, "shape": 2}, 2**64))
+               for i, label in enumerate([2**63 - 1, 2**63 - 1, 5, -(2**63), 2**62, 5])]
+    records.append(ConditionRecord("s9", "t", {"color": 1, "size": 1, "shape": 2}, 2**62))
     series = TimeSeriesTensor(data=np.zeros((len(records), 2, 1)))
     assert validate_dataset(series, records, SCHEMA).violations == old_validate(len(records), records, SCHEMA)
 
@@ -369,7 +474,7 @@ def test_validate_matches_on_a_32k_synth_m_build():
         elif fault == 1:
             del attrs["hf_cycles"]
         elif fault == 2:
-            attrs["trend_type"] = True
+            attrs["trend_type"] = -1
         records[i] = ConditionRecord(rec.sample_id, rec.text, attrs, rec.label + (fault == 3))
     want = old_validate(ds.series.n_samples, records, ds.schema)
     assert len(want) >= 40
@@ -391,12 +496,12 @@ def test_rows_are_records_of_python_ints():
 
 
 def test_a_slice_is_a_table_of_those_rows():
-    records = [ConditionRecord(f"s{i}", "t", {"b": i, "a": 1} if i % 2 else {"a": True}, i) for i in range(7)]
+    # a table is indexed by record only; its records are its rows, in column order
+    records = [ConditionRecord(f"s{i}", "t", {"b": i, "a": 1} if i % 2 else {"a": 0}, i) for i in range(7)]
     table = as_condition_table(records)
-    assert isinstance(table[2:5], ConditionTable)
-    assert list(table[2:5]) == records[2:5]
+    assert table.attr_names == ("a", "b") and list(table[1].attrs) == ["a", "b"]
     assert table[-1] == records[-1] and list(table) == records
-    assert table == as_condition_table(records) and table != table[1:]
+    assert list(as_condition_table(records[1:])) == records[1:]
     with pytest.raises(IndexError):
         table[7]
 
@@ -415,7 +520,7 @@ def test_read_conditions_of_a_written_table_round_trips(tmp_path: Path):
     ds = synthgen.build_synth_dataset("m", 0, 8)
     tensorfile.write_conditions(ds.conditions, tmp_path / "c.jsonl")
     back = tensorfile.read_conditions(tmp_path / "c.jsonl")
-    assert back == ds.conditions
+    assert list(back) == list(ds.conditions)
     assert back.texts == ds.conditions.texts
     # the file's keys are sorted, so its columns are too; vectors select them in schema order
     assert back.attr_names == tuple(sorted(ds.schema.names))

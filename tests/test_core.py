@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -177,26 +179,27 @@ def test_validate_reports_a_negative_label_in_record_order(schema):
 
 @pytest.mark.parametrize("label", ["3", None, 1.5, True, False, np.float64(2.0)])
 def test_validate_reports_a_non_integer_label(schema, label):
-    series = TimeSeriesTensor(data=np.zeros((2, 4, 1)))
-    conditions = [_record(0, {"color": 0, "size": 1}, label=1), _record(1, {"color": 0, "size": 1}, label=label)]
-    report = validate_dataset(series, conditions, schema)
-    assert report.violations == (f"record 1: label {label!r} is not an integer",)
+    # such a record cannot be made, so no conditions set reaches validate with it
+    with pytest.raises(ContractViolation, match=rf"^label {re.escape(repr(label))} is not an integer$"):
+        _record(1, {"color": 0, "size": 1}, label=label)
 
 
 def test_validate_reports_a_non_integer_label_in_record_order(schema):
+    # the record refuses its non-integer label; the rest of its faults are validate's
+    with pytest.raises(ContractViolation, match=r"^label '3' is not an integer$"):
+        _record(0, {"color": 2, "size": 1}, label="3")
     series = TimeSeriesTensor(data=np.zeros((3, 4, 1)))
     conditions = [
-        _record(0, {"color": 2, "size": 1}, label="3"),
+        _record(0, {"color": 2, "size": 1}, label=3),
         _record(1, {"color": 0, "size": 0}, label=-1),
-        _record(2, {"size": 0}, label=None),
+        _record(2, {"size": 0}, label=-2),
     ]
     report = validate_dataset(series, conditions, schema)
     assert report.violations == (
         "record 0: value index 2 out of range for attribute 'color'",
-        "record 0: label '3' is not an integer",
         "record 1: label -1 is negative",
         "record 2: missing attribute 'color'",
-        "record 2: label None is not an integer",
+        "record 2: label -2 is negative",
     )
 
 
@@ -217,19 +220,18 @@ def test_validate_label_inconsistency(schema):
 
 
 @pytest.mark.parametrize(
-    "attrs, violations",
+    "attrs, message",
     [
-        ({"color": [1]}, ("record 1: value index [1] of attribute 'color' is not an integer",
-                          "record 1: missing attribute 'size'")),
-        ({0: 1, "color": 0}, ("record 1: unknown attribute 0", "record 1: missing attribute 'size'")),
+        ({"color": [1]}, "value index [1] of attribute 'color' is not an integer"),
+        ({0: 1, "color": 0}, "attribute name 0 is not a string"),
     ],
     ids=["unhashable-index", "unsortable-name"],
 )
-def test_validate_reports_attrs_a_library_caller_may_pass(schema, attrs, violations):
-    # such a record has no vector, so it takes no part in the label check
-    series = TimeSeriesTensor(data=np.zeros((2, 4, 1)))
-    conditions = [_record(0, {"color": 0, "size": 1}), _record(1, attrs)]
-    assert validate_dataset(series, conditions, schema).violations == violations
+def test_validate_reports_attrs_a_library_caller_may_pass(schema, attrs, message):
+    # the record refuses such attrs, so no conditions set reaches validate with them
+    with pytest.raises(ContractViolation) as info:
+        _record(1, attrs)
+    assert str(info.value) == message
 
 
 def test_validate_leaves_a_record_with_a_faulty_attribute_out_of_the_label_check(schema):
@@ -328,9 +330,10 @@ NON_INTEGER_INDICES = [1.5, True, "1", None]
 
 @pytest.mark.parametrize("idx", NON_INTEGER_INDICES)
 def test_validate_reports_a_non_integer_index(schema, idx):
-    series = TimeSeriesTensor(data=np.zeros((1, 4, 1)))
-    report = validate_dataset(series, [_record(0, {"color": 0, "size": idx})], schema)
-    assert report.violations == (f"record 0: value index {idx!r} of attribute 'size' is not an integer",)
+    # such a record cannot be made, so no conditions set reaches validate with it
+    with pytest.raises(ContractViolation) as info:
+        _record(0, {"color": 0, "size": idx})
+    assert str(info.value) == f"value index {idx!r} of attribute 'size' is not an integer"
 
 
 @pytest.mark.parametrize("idx", NON_INTEGER_INDICES)
