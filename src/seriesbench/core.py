@@ -245,13 +245,18 @@ class ConditionTable:
         n, a = len(self.sample_ids), len(self.attr_names)
         if len(self.texts) != n:
             raise ContractViolation(f"condition columns differ in length: {n} sample ids, {len(self.texts)} texts")
-        held = np.ones((n, a), dtype=bool) if self.held is None else self.held
+        held = self.held
+        if held is None:  # every record holds every name
+            held = np.ones((n, a), dtype=bool)
+            held.setflags(write=False)
         for name, data, shape in ("values", self.values, (n, a)), ("labels", self.labels, (n,)), ("held", held, (n, a)):
             column = np.asarray(data)
             # an empty list reads as float64, and holds nothing to refuse
             if name != "held" and column.size and (column.dtype == bool or not np.can_cast(column.dtype, np.int64)):
                 raise ContractViolation(f"condition {name} must be integers that int64 holds, got dtype {column.dtype}")
-            column = column.astype(bool if name == "held" else np.int64, copy=False).reshape(shape)
+            # a frozen array owning its memory is shared as is; a copy keeps any other from being aliased
+            keep = column.base is None and not column.flags.writeable
+            column = column.astype(bool if name == "held" else np.int64, copy=not keep).reshape(shape)
             column.setflags(write=False)
             object.__setattr__(self, name, column)
 
@@ -296,6 +301,8 @@ class ConditionTable:
             rows_i, cols = np.flatnonzero(layout == i)[:, None], list(map(names.index, keys))
             values[rows_i, cols] = flat[starts[rows_i] + np.arange(len(cols))]
             held[rows_i, cols] = True
+        for column in values, labels, held:  # frozen, so the table takes them without a copy
+            column.setflags(write=False)
         return cls(sample_ids, texts, names, values, labels, held)
 
     def __len__(self) -> int:
@@ -403,7 +410,7 @@ def vector_keys(vectors: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
 
 
 def validate_dataset(
-    series: TimeSeriesTensor,
+    series: TimeSeriesTensor | np.ndarray,
     conditions: ConditionTable | Sequence[ConditionRecord],
     schema: AttributeSchema,
 ) -> ValidationReport:
@@ -416,7 +423,8 @@ def validate_dataset(
     attribute violation take part in it).  A value or label that is no
     integer cannot reach here: ``ConditionRecord`` and ``ConditionTable``
     refuse it.  Series values are finite by construction: the
-    ``TimeSeriesTensor`` constructor refuses anything else.  A passing report
+    ``TimeSeriesTensor`` constructor refuses anything else, and a plain
+    (N, L, F) array is checked like a tensor.  A passing report
     is the precondition every metric operation assumes.
 
     The checks are array operations over the table's columns; messages are
@@ -425,11 +433,10 @@ def validate_dataset(
     order, then its label.
     """
     table = as_condition_table(conditions)
+    n_series = len(as_series_array(series))
     violations: list[str] = []
-    if series.n_samples != len(table):
-        violations.append(
-            f"count mismatch: {series.n_samples} series vs {len(table)} condition records"
-        )
+    if n_series != len(table):
+        violations.append(f"count mismatch: {n_series} series vs {len(table)} condition records")
 
     options = {a.name: len(a.values) for a in schema.attributes}
     columns, bad, missing = table._fit(schema)

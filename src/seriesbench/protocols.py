@@ -322,6 +322,8 @@ def head_tail_split(
     indices to the tail.  ``fraction`` must lie in (0, 0.5] so the two sets
     never overlap.
     """
+    if not (is_integer(fraction) or isinstance(fraction, (float, np.floating))):  # a bool is no number
+        raise ContractViolation(f"fraction must be a number, got {fraction!r}")
     if not 0.0 < fraction <= 0.5:
         raise ContractViolation(f"fraction must be in (0, 0.5], got {fraction}")
     values = np.asarray(dknn_vals, dtype=np.float64)

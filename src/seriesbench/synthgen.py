@@ -449,9 +449,10 @@ def build_synth_dataset(
         for part, members in zip(splits.values(), np.split(perm, [n_train, n_train + n_valid])):
             part.extend((np.sort(members) + base).tolist())
 
-    data.setflags(write=False)  # frozen, so the tensor takes it without a copy
     sample_ids = [f"{variant}-{i:06d}" for i in range(n_total)]
     labels = np.repeat(np.arange(n_combos), n_per_combo)  # the primary combination's index
+    for array in data, values, labels:  # frozen, so the tensor and the table take them without a copy
+        array.setflags(write=False)
     return SynthDataset(
         series=TimeSeriesTensor(data=data),
         conditions=ConditionTable(sample_ids, texts, schema.names, values, labels),

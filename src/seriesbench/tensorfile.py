@@ -13,7 +13,6 @@ tests are diffs, not tolerance checks.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -185,43 +184,67 @@ _KINDS = {int: "an integer", float: "a finite number", str: "a string",
 _ABSENT = object()  # the value of a missing key
 
 
-def _check(value, shape):
-    """None if ``value`` has ``shape``, else (shape, value, *JSON path keys, innermost first)."""
-    if shape is float:  # NaN and +-inf fail the comparison
-        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
-    else:  # a bool is no int; a subclass, such as a library caller's np.str_, passes as its base
-        kind = shape if isinstance(shape, type) else type(shape)
-        ok = type(value) is kind or (isinstance(value, kind) and type(value) is not bool)
-    if not ok:
-        return shape, value
-    if type(shape) is list:  # checked as an object keyed by index
-        value, shape = dict(enumerate(value)), {str: shape[0]}
-    if type(shape) is dict:
-        if str in shape:
-            fields = dict.fromkeys(value, shape[str])
-        else:  # an absent optional key is not checked
-            fields = {k.rstrip("?"): s for k, s in shape.items() if k[-1] != "?" or k[:-1] in value}
-        for key, sub in fields.items():
-            item = value.get(key, _ABSENT)
-            # a leaf of its exact type needs no call
-            if (type(item) is not sub or sub is float) and (bad := _check(item, sub)):
-                return (*bad, key)
-    return None
+def _checker(shape) -> Callable[[object], tuple | None]:
+    """The check of a document against ``shape`` (see ``load_json``), built once per shape.
 
-
-def shape_problem(doc, shape) -> str | None:
-    """Where and how a parsed document departs from ``shape`` (see ``load_json``), or None if it has it.
-
-    The text is ``.key[i]: expected <kind>, got <value>``, with no location
-    for the document itself; a caller prefixes what the document is.
+    The check returns None if the document has ``shape``, else (shape,
+    value, *JSON path keys, innermost first) for the first value that departs
+    from it.  A bool is no int; a subclass, such as a library caller's
+    ``np.str_``, passes as its base.  A field of its exact type needs no
+    call, and the items of a list or map of plain leaves are tested as one
+    set of types.
     """
-    if not (bad := _check(doc, shape)):
+    if shape is float:  # NaN and +-inf fail the comparison
+        return lambda v: None if type(v) in (int, float) and abs(v) <= sys.float_info.max else (shape, v)
+    kind = shape if isinstance(shape, type) else type(shape)
+    if kind is not list and kind is not dict:
+        return lambda v: None if isinstance(v, kind) and type(v) is not bool else (shape, v)
+    plain = lambda sub: sub if isinstance(sub, type) and sub is not float else None  # no value's type is None
+    if kind is dict and str not in shape:
+        fields = [(key.rstrip("?"), key[-1] == "?", plain(sub), _checker(sub)) for key, sub in shape.items()]
+
+        def check(v):
+            if not isinstance(v, dict):
+                return shape, v
+            for key, optional, exact, sub in fields:
+                item = v.get(key, _ABSENT)
+                # an absent optional key is not checked
+                if type(item) is not exact and not (optional and item is _ABSENT) and (bad := sub(item)):
+                    return (*bad, key)
+            return None
+        return check
+    item_shape = shape[0] if kind is list else shape[str]
+    exact, sub = plain(item_shape), _checker(item_shape)
+
+    def check(v):  # a list is checked as an object keyed by index
+        if not isinstance(v, kind):
+            return shape, v
+        if exact and {exact}.issuperset(map(type, v if kind is list else v.values())):
+            return None
+        for key, item in enumerate(v) if kind is list else v.items():
+            if type(item) is not exact and (bad := sub(item)):
+                return (*bad, key)
         return None
+    return check
+
+
+def _explain(bad: tuple) -> str:
+    """The text of a failure of ``_checker``: ``.key[i]: expected <kind>, got <value>``."""
     want, value, *keys = bad  # the location is built here only, not for every value
     where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(keys))
     # a library caller's document may hold values that are no JSON: shown by their repr
     got = "nothing" if value is _ABSENT else json.dumps(value, ensure_ascii=False, default=repr)[:40]
     return f"{where}: expected {_KINDS[want if isinstance(want, type) else type(want)]}, got {got}"
+
+
+def shape_problem(doc, shape) -> str | None:
+    """Where and how a parsed document departs from ``shape`` (see ``load_json``), or None if it has it.
+
+    The text is ``_checker``'s failure as ``.key[i]: expected <kind>, got
+    <value>``, with no location for the document itself; a caller prefixes
+    what the document is.
+    """
+    return _explain(bad) if (bad := _checker(shape)(doc)) else None
 
 
 def _load(text: str, shape, path: str | Path, lineno: int = 0):
@@ -249,56 +272,19 @@ def load_json(path: str | Path, shape):
     return _load(Path(path).read_text(encoding="utf-8"), shape, path)
 
 
-def _accepts(shape) -> Callable[[object], bool]:
-    """A test that a parsed JSON document has ``shape``: ``_check``'s verdict without its explanation.
-
-    The shape is compiled once into one expression of exact type tests.  A
-    parsed document holds values of exact built-in types only, so the test
-    accepts what ``_check`` accepts; the leaves of a list or an object are
-    tested as one set of types.  For ``_CONDITION_SHAPE`` the expression is
-    ``type(v) is dict and type(v.get('sample_id')) is str and ... and 'attrs'
-    in v and (type(v['attrs']) is dict and {int}.issuperset(map(type,
-    v['attrs'].values()))) and type(v.get('label')) is int``.
-    """
-    names = (f"_{i}" for i in itertools.count())  # item variables of nested lists and objects
-
-    def test(shape, v: str) -> str:
-        if shape is float:  # NaN and +-inf fail the comparison
-            return f"(type({v}) in (int, float) and abs({v}) <= _MAX)"
-        if isinstance(shape, type):
-            return f"type({v}) is {shape.__name__}"
-        if type(shape) is dict and str not in shape:
-            parts = [f"type({v}) is dict"]
-            for key, sub in shape.items():
-                name = key.rstrip("?")
-                if key[-1] == "?":  # an absent optional key is not tested
-                    parts.append(f"({name!r} not in {v} or {test(sub, f'{v}[{name!r}]')})")
-                elif isinstance(sub, type) and sub is not float:  # a missing key reads None
-                    parts.append(f"type({v}.get({name!r})) is {sub.__name__}")
-                else:
-                    parts.append(f"{name!r} in {v} and {test(sub, f'{v}[{name!r}]')}")
-            return f"({' and '.join(parts)})"
-        kind, sub, items = ("list", shape[0], v) if type(shape) is list else ("dict", shape[str], f"{v}.values()")
-        if isinstance(sub, type) and sub is not float:
-            return f"(type({v}) is {kind} and {{{sub.__name__}}}.issuperset(map(type, {items})))"
-        item = next(names)
-        return f"(type({v}) is {kind} and all({test(sub, item)} for {item} in {items}))"
-
-    return eval(f"lambda v: {test(shape, 'v')}", {"_MAX": sys.float_info.max})
-
-
 _scan = json.JSONDecoder().scan_once  # the parser of json.loads, without its whitespace and BOM steps
 
 
 def load_jsonl(path: str | Path, shape) -> Iterator[tuple[int, object]]:
     """Yield ``(line number, document)`` per non-blank line, each checked against ``shape``.
 
-    A line that is one JSON value and a newline, and has ``shape``, is
-    accepted as it is parsed.  Any other line goes through ``_load``, which
-    accepts it or raises the error that explains it; a blank line (one
-    that ``str.strip`` empties) is skipped.
+    One check, built once from ``shape`` by ``_checker``, serves every line.
+    A line that is one JSON value and a newline is parsed once: its document
+    is accepted, or the check's failure names the line's fault.  Any other
+    line goes through ``_load``, which accepts it or raises the error that
+    explains it; a blank line (one that ``str.strip`` empties) is skipped.
     """
-    accepts = _accepts(shape)
+    check = _checker(shape)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
@@ -306,10 +292,13 @@ def load_jsonl(path: str | Path, shape) -> Iterator[tuple[int, object]]:
                 parsed = line[end:] in ("\n", "")
             except (StopIteration, ValueError, RecursionError):  # no value at 0, bad JSON, a deep or long literal
                 parsed = False
-            if parsed and accepts(doc):
+            if not parsed:
+                if line.strip():
+                    yield lineno, _load(line, shape, path, lineno)
+            elif bad := check(doc):
+                raise InputFormatError(f"{path}:{lineno}{_explain(bad)}")
+            else:
                 yield lineno, doc
-            elif line.strip():
-                yield lineno, _load(line, shape, path, lineno)
 
 
 def dump_jsonl(docs: Iterable[Mapping], path: str | Path) -> None:

@@ -17,6 +17,7 @@ order in which the records first name them.
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,33 @@ def old_read_conditions(path):
                 except ContractViolation as exc:  # an integer beyond int64
                     raise InputFormatError(f"{path}:{lineno}: {exc}") from None
     return records
+
+
+def old_check(value, shape):
+    """None if ``value`` has ``shape``, else (shape, value, *JSON path keys, innermost first)."""
+    if shape is float:  # NaN and +-inf fail the comparison
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    else:  # a bool is no int; a subclass, such as a library caller's np.str_, passes as its base
+        kind = shape if isinstance(shape, type) else type(shape)
+        ok = type(value) is kind or (isinstance(value, kind) and type(value) is not bool)
+    if not ok:
+        return shape, value
+    if type(shape) is list:  # checked as an object keyed by index
+        value, shape = dict(enumerate(value)), {str: shape[0]}
+    if type(shape) is dict:
+        if str in shape:
+            fields = dict.fromkeys(value, shape[str])
+        else:  # an absent optional key is not checked
+            fields = {k.rstrip("?"): s for k, s in shape.items() if k[-1] != "?" or k[:-1] in value}
+        for key, sub in fields.items():
+            item = value.get(key, _ABSENT)
+            # a leaf of its exact type needs no call
+            if (type(item) is not sub or sub is float) and (bad := old_check(item, sub)):
+                return (*bad, key)
+    return None
+
+
+_ABSENT = tensorfile._ABSENT  # the value of a missing key, which a failure holds
 
 
 def _old_is_integer(value):
@@ -254,9 +282,19 @@ _SHAPES = [tensorfile._CONDITION_SHAPE, tensorfile.SCHEMA_SHAPE, tensorfile._REP
 _KEYS = st.sampled_from(["sample_id", "text", "attrs", "label", "attributes", "name", "definition", "values", "context",
                          "entries", "dataset_id", "model_id", "seed", "metric", "value", "direction", "combos", "a", "b",
                          "c", "x"])
+
+
+class _Object(dict):
+    """A library caller's mapping: a dict subclass."""
+
+
+# documents as the JSON parser gives them, and as a library caller may pass them: np.str_ and NumPy numbers
+# for its values, a dict subclass for its objects
 _JSON = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.sampled_from([1e308, -1e308, 10**400]), st.text(max_size=3)),
-    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(_KEYS, inner, max_size=5)),
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.sampled_from([1e308, -1e308, 10**400]), st.text(max_size=3),
+              st.text(max_size=3).map(np.str_), st.sampled_from([np.int64(1), np.float64(0.5)])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(_KEYS, inner, max_size=5),
+                            st.dictionaries(_KEYS, inner, max_size=5).map(_Object)),
     max_leaves=12,
 )
 
@@ -264,8 +302,15 @@ _JSON = st.recursive(
 @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
 @given(shape=st.sampled_from(_SHAPES), doc=_JSON)
 def test_the_compiled_shape_test_agrees_with_the_explainer(shape, doc):
-    # a document holding values of exact built-in types, as the JSON parser gives
-    assert tensorfile._accepts(shape)(doc) == (tensorfile.shape_problem(doc, shape) is None)
+    # the same failure: the shape and value that depart, and the path to them
+    assert tensorfile._checker(shape)(doc) == old_check(doc, shape)
+
+
+def _recast(doc, leaf):
+    """``doc`` with each object a ``_Object`` and each leaf through ``leaf``."""
+    if type(doc) is dict:
+        return _Object({key: _recast(value, leaf) for key, value in doc.items()})
+    return [_recast(item, leaf) for item in doc] if type(doc) is list else leaf(doc)
 
 
 @pytest.mark.parametrize("shape", _SHAPES, ids=range(len(_SHAPES)))
@@ -277,8 +322,39 @@ def test_the_compiled_shape_test_accepts_valid_documents(shape):
         3: {"train": [0, 1], "test": []}, 4: {"f": "g"}, 5: {"combos": [[0, 1], []]}, 6: {"attrs": {}}, 7: {"k": [None]},
         8: [1, 2.5, -1e308], 9: {"a": {"x": 1}, "b": [{"c": 3, "d": None}]},
     }[_SHAPES.index(shape)]
+    check = tensorfile._checker(shape)
     assert tensorfile.shape_problem(valid, shape) is None
-    assert tensorfile._accepts(shape)(valid)
+    assert check(valid) is None
+    # a library caller's np.str_ values and dict subclass pass as their bases
+    library = _recast(valid, lambda v: np.str_(v) if type(v) is str else v)
+    assert check(library) is None and old_check(library, shape) is None
+    # a bool is no int, nor a number
+    bools = _recast(valid, lambda v: True if type(v) is int else v)
+    refused = old_check(bools, shape)
+    assert check(bools) == refused
+    assert (refused is None) == (json.dumps(bools) == json.dumps(valid))
+
+
+@pytest.mark.parametrize("line", [
+    _GOOD.replace('"a":1', '"a":true'),
+    _GOOD.replace('"label":2', '"label":"2"'),
+    _GOOD.replace('"text":"t"', '"txt":"t"'),
+    _GOOD.replace('{"a":1,"b":0}', '[1,0]'),
+    _GOOD.replace('"b":0', '"b":1e400'),
+    "[" + _GOOD + "]",
+])
+def test_a_parsed_line_the_shape_refuses_is_not_parsed_again(line, tmp_path, monkeypatch):
+    # the check that refused the parsed line explains it; json.loads, the second parse, is never called
+    path = tmp_path / "c.jsonl"
+    path.write_text(_GOOD + "\n" + line + "\n", encoding="utf-8")
+    want = _outcome(old_read_conditions, path)
+    assert want.startswith(f"InputFormatError: {path}:2")
+
+    def second_parse(*args, **kwargs):
+        raise AssertionError("the line was parsed a second time")
+
+    monkeypatch.setattr(json, "loads", second_parse)
+    assert _outcome(tensorfile.read_conditions, path) == want
 
 
 def test_reader_yields_python_ints_beyond_int64(tmp_path):
@@ -430,6 +506,37 @@ def test_the_table_constructor_refuses_what_its_columns_cannot_hold():
     assert list(table) == [ConditionRecord("a", "t", {"x": 1}, 0), ConditionRecord("b", "u", {"y": 4}, -1)]
     assert table.values.dtype == np.int64 and table.labels.dtype == np.int64 and table.held.dtype == bool
     assert ConditionTable([], [], ("x",), [], []).values.shape == (0, 1)
+
+
+def test_the_table_shares_no_memory_a_caller_can_write():
+    v, labels, held = np.array([[1, 2]]), np.array([0]), np.array([[True, True]])
+    t = ConditionTable(["a"], ["t"], ("x", "y"), v, labels, held)
+    v[0, 0], labels[0], held[0, 1] = 7, 5, False
+    assert list(t) == [ConditionRecord("a", "t", {"x": 1, "y": 2}, 0)]
+    for column, caller in (t.values, v), (t.labels, labels), (t.held, held):
+        assert not np.shares_memory(column, caller) and not column.flags.writeable
+    # a frozen array that owns its memory is shared, as is; a frozen view is copied, its base being writeable
+    v.setflags(write=False)
+    view = np.array([[3, 4, 5]])[:, :2]
+    view.setflags(write=False)
+    assert np.shares_memory(ConditionTable(["a"], ["t"], ("x", "y"), v, [0]).values, v)
+    assert not np.shares_memory(ConditionTable(["a"], ["t"], ("x", "y"), view, [0]).values, view)
+
+
+def test_a_built_table_holds_its_own_arrays_uncopied(monkeypatch):
+    # build_synth_dataset and from_rows freeze the arrays they build, so the constructor copies none of them
+    built = []
+    post_init = ConditionTable.__post_init__
+
+    def kept(table):
+        given = [table.values, table.labels, table.held]
+        post_init(table)
+        built.append([np.shares_memory(a, b) for a, b in zip(given, [table.values, table.labels, table.held]) if a is not None])
+
+    monkeypatch.setattr(ConditionTable, "__post_init__", kept)
+    synthgen.build_synth_dataset("m", 0, 8)
+    as_condition_table([ConditionRecord("s", "t", {"a": 1}, 0), ConditionRecord("z", "u", {"b": 2}, 3)])
+    assert built == [[True, True], [True, True, True]]
 
 
 def test_validate_matches_with_labels_beyond_int64():

@@ -141,6 +141,15 @@ def test_validate_count_mismatch(schema):
     assert any("count mismatch" in v for v in report.violations)
 
 
+def test_validate_checks_a_plain_array_like_a_tensor(schema):
+    conditions = [_record(0, {"color": 0, "size": 0})]
+    assert validate_dataset(np.zeros((1, 4, 1)), conditions, schema).ok
+    report = validate_dataset(np.zeros((2, 4, 1)), conditions, schema)
+    assert report.violations == ("count mismatch: 2 series vs 1 condition records",)
+    with pytest.raises(ContractViolation, match="series tensor"):
+        validate_dataset(np.zeros((1, 4)), conditions, schema)
+
+
 def test_validate_value_index_out_of_range(schema):
     series = TimeSeriesTensor(data=np.zeros((1, 4, 1)))
     conditions = [_record(0, {"color": 2, "size": 0})]  # |values| == 2

@@ -14,6 +14,10 @@ package also defines names, below, a module that reaches it.
 A private module-level function, class or constant, or a private method of a
 module-level class, that nothing in ``src/seriesbench`` reads is dead code,
 such as a helper left behind when its caller went.
+
+The library generates no code: no module calls ``eval``, ``exec`` or
+``compile``, so each rule, such as one of the JSON shape grammar, is written
+once as code that is read and tested.
 """
 
 import ast
@@ -172,3 +176,13 @@ def test_every_private_definition_is_read_in_the_library():
     loaded = {name for path in PACKAGE.glob("*.py") for name in _names_in(path)}
     dead = sorted(qualified for qualified, name in _private_definitions() if name not in loaded)
     assert not dead, f"private functions, classes, constants and methods that nothing in the library reads: {dead}"
+
+
+def test_the_library_generates_no_code():
+    calls = sorted(
+        f"{path.relative_to(REPO)}:{node.lineno}: {node.func.id}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("eval", "exec", "compile")
+    )
+    assert not calls, f"calls that generate code in the library: {calls}"

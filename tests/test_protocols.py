@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -668,6 +669,12 @@ def test_head_tail_disjoint():
 def test_head_tail_rejects_fraction_outside_half(fraction):
     # above 0.5 the head and tail would overlap (0.8 of 10 values: [0..7] and [2..9])
     with pytest.raises(ContractViolation, match=r"fraction must be in \(0, 0.5\]"):
+        head_tail_split(np.arange(10.0), fraction=fraction)
+
+
+@pytest.mark.parametrize("fraction", ["0.2", None, True, np.bool_(True)], ids=repr)
+def test_head_tail_rejects_a_fraction_that_is_no_number(fraction):
+    with pytest.raises(ContractViolation, match=f"^fraction must be a number, got {re.escape(repr(fraction))}$"):
         head_tail_split(np.arange(10.0), fraction=fraction)
 
 
