@@ -90,7 +90,8 @@ def _run(args: argparse.Namespace) -> int:
             manifest = {
                 "command": " ".join(sys.argv) if sys.argv else "seriesbench",
                 "flags": {k: v for k, v in vars(args).items() if k != "func" and v is not None},
-                "inputs": {str(Path(p)): _sha256(p) for p in outcome.inputs},
+                # a file given twice (``--train X --real X``) is read and hashed once
+                "inputs": {p: _sha256(p) for p in dict.fromkeys(str(Path(p)) for p in outcome.inputs)},
                 "version": seriesbench.__version__,
                 "wall_time_s": time.time() - started,
             }

@@ -7,7 +7,11 @@ provenance only.
 
 All payloads are float32 on disk and widened to float64 for arithmetic; the
 types below always hold float64.  Instances are immutable after construction
-(arrays are marked read-only) and safe to share across threads.
+(arrays are marked read-only) and safe to share across threads, with one
+exception: an array handed to a constructor frozen (read-only) and owning its
+memory is shared, not copied, so an 8k Synth build's 11.7 MiB of series is
+held once.  Its owner can still unfreeze it, and writing to it then changes
+the instance; any other array is copied.
 
 Every array input meets one contract, checked by ``checked_array``: the
 expected number of dimensions, no zero-length dimension and finite values.
@@ -68,7 +72,11 @@ def row_norms(x: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeriesTensor:
-    """A batch of series with shape (n_samples, length, n_features)."""
+    """A batch of series with shape (n_samples, length, n_features).
+
+    A frozen float64 array that owns its memory is shared, not copied:
+    unfreezing and writing it later changes the tensor.
+    """
 
     data: np.ndarray
 
@@ -90,7 +98,11 @@ class TimeSeriesTensor:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """(n_samples, dim) vectors from an external encoder."""
+    """(n_samples, dim) vectors from an external encoder.
+
+    A frozen float64 array that owns its memory is shared, not copied:
+    unfreezing and writing it later changes the matrix.
+    """
 
     data: np.ndarray
 
@@ -227,6 +239,10 @@ class ConditionTable:
 
     Indexing, and so iteration, yields ``ConditionRecord`` row views with
     Python ints, whose attributes are in column order.
+
+    A ``values``, ``labels`` or ``held`` array of the column's dtype that is
+    frozen and owns its memory is shared, not copied: unfreezing and writing
+    it later changes the table.
     """
 
     sample_ids: Sequence[str]
@@ -268,11 +284,12 @@ class ConditionTable:
         hold them: only an integer beyond int64 is found, and it raises
         ``OverflowError(row, problem)``; a row's fields past its fourth, such
         as the line a reader took it from, serve that error only.  The columns
-        are the names in the order the rows first hold them.  Rows are taken
-        ``_ROWS_PER_PIECE`` at a time, so a reader's parsed documents are
-        freed a piece at a time, not held whole.
+        are the names in the order the rows first hold them, and equal texts
+        are one string.  Rows are taken ``_ROWS_PER_PIECE`` at a time, so a
+        reader's parsed documents are freed a piece at a time, not held whole.
         """
         sample_ids, texts, layout = [], [], []
+        distinct: dict[str, str] = {}  # each text once, so equal texts share one string
         labels, flat = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]  # int64 pieces
         layout_of: dict[tuple, int] = {}  # each order of names a row holds, numbered
         rows = iter(rows)
@@ -288,7 +305,7 @@ class ConditionTable:
                     except ContractViolation as exc:
                         raise OverflowError(row, str(exc)) from None
             sample_ids += piece_ids
-            texts += piece_texts
+            texts += [distinct.setdefault(text, text) for text in piece_texts]
             layout += [layout_of.setdefault(tuple(keys), len(layout_of)) for keys in piece_attrs]
         names = tuple(dict.fromkeys(itertools.chain.from_iterable(layout_of)))
         layout = np.array(layout, dtype=np.intp)

@@ -64,6 +64,11 @@ NOISE_SIGMA_RANGE = (0.04, 0.06)
 SHIFT_DISTANCE_RANGE = (20, 40)
 N_SEGMENTS = 3
 DEFAULT_LENGTH = 96
+PHASE_RANGE = (0.0, 2.0 * np.pi)
+# the range of each column of _component_rows' draws
+_DRAW_LOW, _DRAW_HIGH = np.array(
+    [SEASON_AMPLITUDE_RANGE, PHASE_RANGE, HF_AMPLITUDE_RANGE, PHASE_RANGE, NOISE_SIGMA_RANGE]
+).T
 
 # purpose ids for the keyed RNG streams
 _P_SEASON = 0
@@ -333,33 +338,34 @@ def _component_rows(
     reseats ``rng`` at each stream's start and stores its draws, each stream
     in its fixed order: amplitude, phase; per non-empty segment a height, then
     an offset where the template fits; sigma, then the standard normals.
+    A uniform is stored as its ``random()`` double u and scaled after the
+    loop to ``low + (high - low) * u``, the two roundings ``uniform(low,
+    high)`` makes, so one call draws both doubles of an amplitude and phase.
     """
     n = len(keys)
     bounds = _segment_bounds(local.shape[1])
     templates = [shapelet_template(kind, 1.0) for kind in SHAPELET_KINDS[1:]]
     room = [0, *(bounds[0][1] - len(t) for t in templates)]  # the largest offset, per kind index
-    draws = np.empty((5, n))  # season amplitude, season phase, hf amplitude, hf phase, noise sigma
-    heights = np.empty((n, N_SEGMENTS))
+    draws = np.empty((n, 5))  # season amplitude, season phase, hf amplitude, hf phase, noise sigma
+    heights = np.zeros((n, N_SEGMENTS))  # zero where a segment has no shapelet, so its scaling stays finite
     offsets = np.empty((n, N_SEGMENTS), dtype=np.intp)
-    for j, (segment_kinds, key) in enumerate(zip(kinds.tolist(), keys)):
-        rng = sample_rng(rng, key[_P_SEASON])
-        draws[0, j] = rng.uniform(*SEASON_AMPLITUDE_RANGE)
-        draws[1, j] = rng.uniform(0.0, 2.0 * np.pi)
-        rng = sample_rng(rng, key[_P_HF])
-        draws[2, j] = rng.uniform(*HF_AMPLITUDE_RANGE)
-        draws[3, j] = rng.uniform(0.0, 2.0 * np.pi)
+    for j, (row, segment_kinds, key) in enumerate(zip(draws, kinds.tolist(), keys)):
+        sample_rng(rng, key[_P_SEASON]).random(out=row[0:2])
+        sample_rng(rng, key[_P_HF]).random(out=row[2:4])
         rng = sample_rng(rng, key[_P_SHAPELET_PLACE])
         for k, kind in enumerate(segment_kinds):
             if kind:  # none draws nothing
-                heights[j, k] = rng.uniform(*PEAK_HEIGHT_RANGE)
+                heights[j, k] = rng.random()
                 offsets[j, k] = rng.integers(0, room[kind], endpoint=True)
         rng = sample_rng(rng, key[_P_NOISE])
-        draws[4, j] = rng.uniform(*NOISE_SIGMA_RANGE)
+        row[4] = rng.random()
         rng.standard_normal(out=noise[j])
-    _sinusoid_rows(np.full(n, season_cycles), draws[0], draws[1], season)
-    _sinusoid_rows(hf_cycles, draws[2], draws[3], hf)
+    draws = _DRAW_LOW + (_DRAW_HIGH - _DRAW_LOW) * draws
+    heights = PEAK_HEIGHT_RANGE[0] + (PEAK_HEIGHT_RANGE[1] - PEAK_HEIGHT_RANGE[0]) * heights
+    _sinusoid_rows(np.full(n, season_cycles), draws[:, 0], draws[:, 1], season)
+    _sinusoid_rows(hf_cycles, draws[:, 2], draws[:, 3], hf)
     # normal(0.0, sigma) returns 0.0 + sigma * z, which turns a -0.0 into +0.0
-    np.multiply(noise, draws[4, :, None], out=noise)
+    np.multiply(noise, draws[:, 4, None], out=noise)
     np.add(noise, 0.0, out=noise)
     # h * template(kind, 1.0) is template(kind, h) bitwise, and segments do not overlap, so
     # each row gets its templates added onto zeros as one scatter per segment and kind
@@ -405,6 +411,7 @@ def build_synth_dataset(
     # row i: sample i's attribute-index vector, in schema order; filled a combination at a time
     values = np.empty((n_total, len(schema.names)), dtype=np.int64)
     texts: list[str] = []
+    captions: dict[str, str] = {}  # each distinct caption, so equal captions share one string
     splits: dict[str, list[int]] = {"train": [], "valid": [], "test": []}
     # one combination's components, reused for every combination
     season, local, hf, noise = np.empty((4, n_per_combo, length))
@@ -432,7 +439,8 @@ def build_synth_dataset(
                 shifts[j] = rng_t.integers(*SHIFT_DISTANCE_RANGE, endpoint=True) if is_shift else 0
         # the draws of choice(len(SHAPELET_KINDS), N_SEGMENTS, p=SHAPELET_PROBS), without its checks of p
         attr_idx[:, _SEGMENT_ROWS] = _SHAPELET_CDF.searchsorted(uniforms, side="right")
-        texts.extend(map(_caption, attr_idx.tolist(), shifts.tolist()))  # in range by construction
+        # in range by construction; a caption met before is dropped as soon as it is made
+        texts += [captions.setdefault(c, c) for c in map(_caption, attr_idx.tolist(), shifts.tolist())]
 
         _component_rows(season_cycles, np.take(HF_CYCLES, attr_idx[:, _HF_ROW]),
                         attr_idx[:, _SEGMENT_ROWS], keys, rng, season, local, hf, noise)

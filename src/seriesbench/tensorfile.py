@@ -39,7 +39,7 @@ from seriesbench.core import (
 
 _MAGIC = "TSB1"
 _HEADER_LIMIT = 4096  # sane upper bound for one header line
-_PIPE_CHUNK = 1 << 20  # a payload is read, widened or narrowed at most this many bytes at a time
+_PIPE_CHUNK = 1 << 18  # a payload is read, widened or narrowed at most this many bytes at a time
 
 
 def write_tensor(t: TimeSeriesTensor | EmbeddingMatrix | np.ndarray, path: str | Path) -> None:

@@ -1121,6 +1121,20 @@ def test_a_fifo_input_gets_a_null_digest_without_being_reopened(tmp_path):
     assert digests == [None]
 
 
+def test_a_file_given_twice_is_hashed_once(tmp_path, synth_dir, monkeypatch):
+    from seriesbench import cli
+
+    hashed = []
+    real_sha256 = cli._sha256
+    monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(str(path)) or real_sha256(path))
+    series, out = synth_dir / "series.tsb", tmp_path / "stat.json"
+    argv = ["metrics", "stat", "--train", str(series), "--real", str(series), "--gen", str(series), "--out", str(out)]
+    assert main(argv) == 0
+    assert hashed == [str(series)]
+    manifest = json.loads((tmp_path / "stat.manifest.json").read_text())
+    assert manifest["inputs"] == {str(series): real_sha256(series)}
+
+
 def test_an_out_path_without_a_suffix_gets_its_manifest_beside_it(tmp_path):
     out = tmp_path / "droprate"
     argv = ["protocol", "droprate", "--acc-real", "0.9", "--acc-gen", "0.7", "--acc-rand", "0.5", "--out", str(out)]

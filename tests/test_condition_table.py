@@ -632,3 +632,12 @@ def test_read_conditions_of_a_written_table_round_trips(tmp_path: Path):
     # the file's keys are sorted, so its columns are too; vectors select them in schema order
     assert back.attr_names == tuple(sorted(ds.schema.names))
     assert np.array_equal(back.vectors(ds.schema), ds.conditions.vectors(ds.schema))
+
+
+@pytest.mark.parametrize("variant", ["u", "m"])
+def test_built_and_read_tables_hold_each_distinct_text_once(variant, tmp_path: Path):
+    ds = synthgen.build_synth_dataset(variant, 0, 40)  # 1,280 records: the reader takes them in two pieces
+    tensorfile.write_conditions(ds.conditions, tmp_path / "c.jsonl")
+    for table in ds.conditions, tensorfile.read_conditions(tmp_path / "c.jsonl"):
+        assert len(set(table.texts)) < len(table)  # captions repeat
+        assert len({id(text) for text in table.texts}) == len(set(table.texts))

@@ -613,6 +613,16 @@ def test_a_reseated_generator_draws_like_an_opened_stream(purpose):
         assert draws(sample_rng(rng, row)) == draws(open_stream(key))
 
 
+@pytest.mark.parametrize("low, high", [synthgen.SEASON_AMPLITUDE_RANGE, synthgen.HF_AMPLITUDE_RANGE,
+                                       synthgen.PHASE_RANGE, synthgen.NOISE_SIGMA_RANGE, synthgen.PEAK_HEIGHT_RANGE])
+def test_a_scaled_random_double_is_the_uniform_draw_bitwise(low, high):
+    # the build stores random() doubles and scales them as arrays; an FMA in that scaling would round once, not twice
+    keys = stream_keys(11, np.arange(5000), synthgen._P_SEASON)
+    u = np.array([open_stream(key).random() for key in keys])
+    want = np.array([open_stream(key).uniform(low, high) for key in keys])
+    assert (low + (high - low) * u).tobytes() == want.tobytes()
+
+
 def test_a_synth_m_build_opens_one_stream(monkeypatch):
     opened = []
 
